@@ -16,7 +16,6 @@ so a concrete shape only has to supply t, t', rho and rho'.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Contour",
@@ -28,6 +27,9 @@ __all__ = [
     "curvature",
     "derivative",
 ]
+
+# 5-point Gauss-Legendre rule of the arc-length table's local integrals.
+_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 class Contour:
@@ -165,10 +167,9 @@ class _ReparametrizedContour(Contour):
             self._GRID - 1,
         )
         th0 = self._theta_grid[idx]
-        xg, wg = np.polynomial.legendre.leggauss(5)
         half = 0.5 * (theta - th0)
-        nodes = th0[..., None] + half[..., None] * (xg + 1.0)
-        return self._s_grid[idx] + np.sum(wg * self._speed(nodes), axis=-1) * half
+        nodes = th0[..., None] + half[..., None] * (_GL5_NODES + 1.0)
+        return self._s_grid[idx] + np.sum(_GL5_WEIGHTS * self._speed(nodes), axis=-1) * half
 
     def _s_to_theta(self, s):
         s = self.wrap(np.asarray(s, dtype=float))
@@ -258,6 +259,9 @@ class TabulatedContour(_ReparametrizedContour):
     """
 
     def __init__(self, samples, crack_end_fraction):
+        # Imported here: scipy costs about 0.5 s, and no CLI path needs it.
+        from scipy.interpolate import CubicSpline
+
         z = np.asarray(samples, dtype=complex)
         if z.size < 8:
             raise ValueError("need at least 8 samples to describe a closed contour")

@@ -24,6 +24,7 @@ the resulting near-tip boundary layers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ __all__ = [
 DIAG_EPS_FACTOR = 1e-5
 # Field points closer than this to a crack tip are rejected for PV evaluation.
 TIP_EPS_FACTOR = 1e-6
+# Discretizations kept per contour, oldest dropped first.  A solve and its
+# validation use about 8; graded stress traces add one per tip depth.
+DISCRETIZATION_MEMO_SIZE = 64
 
 
 class TipProximityError(ValueError):
@@ -144,20 +148,54 @@ class Discretization:
         return self.s.size
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
+def _build_discretization(contour, nodes_per_panel, panels_per_arc, tip_panel):
+    xg, wg = _gauss_legendre(nodes_per_panel)
+    ss, ww, aa, alledges = [], [], [], []
+    for arc in (0, 1):
+        lo, hi = contour.arc_interval(arc)
+        edges = _graded_edges(lo, hi, panels_per_arc, tip_panel)
+        alledges.append(edges)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        weights = (half[:, None] * wg[None, :]).ravel()
+        ss.append(nodes)
+        ww.append(weights)
+        aa.append(np.full(nodes.size, arc, dtype=int))
+    s = np.concatenate(ss)
+    disc = Discretization(
+        s=s,
+        w=np.concatenate(ww),
+        arc=np.concatenate(aa),
+        tau=contour.point(s),
+        dt=contour.tangent(s),
+        panel_edges=tuple(tuple(e) for e in alledges),
+    )
+    for values in (disc.s, disc.w, disc.arc, disc.tau, disc.dt):
+        values.flags.writeable = False
+    return disc
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre rule, per arc, with optional tip grading.
 
     nodes_per_panel must be at least 4; panels_per_arc counts the uniform base
-    panels on each arc.  ``use_subtraction`` selects singularity subtraction
-    plus the exact closed-contour PV constant i*pi (the only implemented
-    scheme; the flag exists so a report can state it).  ``adaptive`` lets
-    consumers double the base panels until assembled quantities stabilize.
+    panels on each arc.  ``adaptive`` lets consumers double the base panels
+    until assembled quantities stabilize.
     """
 
     nodes_per_panel: int = 16
     panels_per_arc: int = 8
-    use_subtraction: bool = True
     adaptive: bool = True
 
     def __post_init__(self):
@@ -172,34 +210,30 @@ class QuadratureRule:
         return QuadratureRule(
             nodes_per_panel=self.nodes_per_panel,
             panels_per_arc=self.panels_per_arc * factor,
-            use_subtraction=self.use_subtraction,
             adaptive=self.adaptive,
         )
 
     def discretize(self, contour, tip_panel=None):
-        """Nodes, weights and cached geometry for both arcs of the contour."""
-        xg, wg = np.polynomial.legendre.leggauss(self.nodes_per_panel)
-        ss, ww, aa, alledges = [], [], [], []
-        for arc in (0, 1):
-            lo, hi = contour.arc_interval(arc)
-            edges = _graded_edges(lo, hi, self.panels_per_arc, tip_panel)
-            alledges.append(edges)
-            half = 0.5 * np.diff(edges)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            weights = (half[:, None] * wg[None, :]).ravel()
-            ss.append(nodes)
-            ww.append(weights)
-            aa.append(np.full(nodes.size, arc, dtype=int))
-        s = np.concatenate(ss)
-        return Discretization(
-            s=s,
-            w=np.concatenate(ww),
-            arc=np.concatenate(aa),
-            tau=contour.point(s),
-            dt=contour.tangent(s),
-            panel_edges=tuple(tuple(e) for e in alledges),
+        """Nodes, weights and cached geometry for both arcs of the contour.
+
+        Discretizations are memoized on the contour, which is treated as
+        immutable: an equal rule and tip grading return the same
+        Discretization, whose arrays are read-only.
+        """
+        if tip_panel is not None and tip_panel <= 0.0:
+            tip_panel = None
+        key = (
+            self.nodes_per_panel,
+            self.panels_per_arc,
+            None if tip_panel is None else float(tip_panel),
         )
+        memo = vars(contour).setdefault("_discretizations", {})
+        disc = memo.get(key)
+        if disc is None:
+            if len(memo) >= DISCRETIZATION_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            disc = memo[key] = _build_discretization(contour, *key)
+        return disc
 
 
 def _check_off_tips(contour, s_field, tip_eps=None):
@@ -216,7 +250,11 @@ def _check_off_tips(contour, s_field, tip_eps=None):
 
 
 def _pv_values(contour, density, at, disc, eps=None):
-    """Vectorized subtraction PV of int density/(tau - t(at)) dtau."""
+    """Vectorized subtraction PV of int density/(tau - t(at)) dtau.
+
+    ``density`` may return a stack of densities on leading axes; they share
+    the kernel matrix and the near-diagonal pairs.
+    """
     at = np.asarray(at, dtype=float)
     phi_q = np.asarray(density(disc.s), dtype=complex)
     phi_a = np.asarray(density(at), dtype=complex)
@@ -232,7 +270,10 @@ def _pv_values(contour, density, at, disc, eps=None):
     )
     denom = np.where(near, 1.0, disc.tau[:, None] - t_a[None, :])
     cmat = (disc.w * disc.dt)[:, None] / denom
-    total = phi_q @ cmat - phi_a * (np.sum(cmat, axis=0) - 1j * np.pi)
+    # One matrix-vector product per density keeps its summation order.
+    heads = [row @ cmat for row in phi_q.reshape(-1, disc.n_nodes)]
+    heads = np.reshape(heads, phi_q.shape[:-1] + (at.size,))
+    total = heads - phi_a * (np.sum(cmat, axis=0) - 1j * np.pi)
     qi, ai = np.nonzero(near)
     if qi.size:
         # Central difference clamped to the field point's own arc, so the
@@ -245,8 +286,8 @@ def _pv_values(contour, density, at, disc, eps=None):
             np.asarray(density(at[ai] + hp), dtype=complex)
             - np.asarray(density(at[ai] - hm), dtype=complex)
         ) / (hp + hm)
-        crude = (phi_q[qi] - phi_a[ai]) * cmat[qi, ai]
-        total[ai] += disc.w[qi] * dphi - crude
+        crude = (phi_q[..., qi] - phi_a[..., ai]) * cmat[qi, ai]
+        total[..., ai] += disc.w[qi] * dphi - crude
     return total
 
 
@@ -255,7 +296,8 @@ def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None, dia
     closed contour.
 
     ``density`` is a vectorized callable of arc length; it must be smooth on
-    each arc (jumps at the tips are allowed).  Field points closer than
+    each arc (jumps at the tips are allowed) and may return a stack of
+    densities on leading axes.  Field points closer than
     ``tip_eps`` to a tip are rejected (pass 0 to disable the guard, e.g. when
     the density is known to be regular across that tip).  Node/field pairs
     closer than ``diag_eps`` (default DIAG_EPS_FACTOR * l) take a central
@@ -264,7 +306,7 @@ def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None, dia
     _check_off_tips(contour, s_field, tip_eps)
     disc = rule.discretize(contour, tip_panel)
     vals = _pv_values(contour, density, np.atleast_1d(s_field), disc, diag_eps)
-    return vals[0] if np.isscalar(s_field) or np.ndim(s_field) == 0 else vals
+    return vals[..., 0] if np.ndim(s_field) == 0 else vals
 
 
 def singular_apply(contour, density, rule, at=None, tip_panel=None, tip_eps=None):

@@ -192,3 +192,14 @@ def test_output_root_env(tmp_path, monkeypatch):
 
 def test_usage_without_command(capsys):
     assert main([]) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+
+    import crackst
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crackst.__file__)))
+    code = "import sys, crackst.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

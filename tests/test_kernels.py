@@ -159,3 +159,36 @@ def test_contour_integral_closed_polynomials(circle, rule):
     val = cs.contour_integral(circle, lambda s: circle.point(s), rule, arc=0)
     expect = 0.5 * (circle.point(circle.l0) ** 2 - circle.point(0.0) ** 2)
     assert val == pytest.approx(expect, abs=1e-12)
+
+
+def test_discretize_is_memoized_read_only():
+    contour = cs.circular_contour(1.0, (0.0, np.pi))
+    disc = QuadratureRule(nodes_per_panel=8, panels_per_arc=4).discretize(contour, 1e-3)
+    assert QuadratureRule(nodes_per_panel=8, panels_per_arc=4).discretize(contour, 1e-3) is disc
+    finer = QuadratureRule(nodes_per_panel=8, panels_per_arc=4).discretize(contour, 1e-4)
+    assert finer is not disc and finer.n_nodes > disc.n_nodes
+    other = cs.circular_contour(1.0, (0.0, np.pi))
+    assert QuadratureRule(nodes_per_panel=8, panels_per_arc=4).discretize(other, 1e-3) is not disc
+    for values in (disc.s, disc.w, disc.arc, disc.tau, disc.dt):
+        with pytest.raises(ValueError):
+            values[0] = 0
+
+
+def test_discretization_memo_is_bounded():
+    from crackst import kernels
+
+    contour = cs.circular_contour(1.0, (0.0, np.pi))
+    rule = QuadratureRule(nodes_per_panel=4, panels_per_arc=1)
+    for k in range(kernels.DISCRETIZATION_MEMO_SIZE + 5):
+        rule.discretize(contour, 1e-3 / (k + 1))
+    assert len(contour._discretizations) == kernels.DISCRETIZATION_MEMO_SIZE
+    assert rule.discretize(contour, 1e-3 / (kernels.DISCRETIZATION_MEMO_SIZE + 5)).n_nodes > 0
+
+
+def test_stacked_densities_share_one_pv(circle, rule):
+    """A density returning a stack gives each row's own principal value."""
+    fs = (lambda s: circle.point(s) ** 2, lambda s: np.exp(1j * np.sin(s)))
+    at = np.array([0.4, 2.5, 5.0])
+    stacked = cs.singular_apply(circle, lambda s: np.stack([f(s) for f in fs]), rule, at=at)
+    for row, f in zip(stacked, fs):
+        assert np.array_equal(row, cs.singular_apply(circle, f, rule, at=at))

@@ -112,3 +112,28 @@ def test_stress_class_does_not_decide_the_fits(reference_setup, resolved, monkey
         assert abs(fit["sigma_power_exponent"] - ref["sigma_power_exponent"]) < 2e-3
         assert abs(fit["tau_log_fit_relative_residual"] - ref["tau_log_fit_relative_residual"]) < 2e-3
         assert fit["tau_log_coefficient"] == pytest.approx(ref["tau_log_coefficient"], rel=0.1)
+
+
+def test_conservation_checks_pass_on_the_tip_resolved_field(reference_setup, resolved):
+    """The graded conservation rule integrates the log d of the zone series:
+    the checks agree with the solve's own force and single-valuedness rows."""
+    field, _ = resolved
+    checks = cs.conservation_checks(field, reference_setup)
+    assert all(c.passed for c in checks), [c.to_dict() for c in checks]
+
+
+def test_batched_stress_trace_matches_single_points(reference_setup, reference_solution, resolved):
+    """Field points batched across gradings, interior and on the tip ladders
+    c * 2^-k, give the per-point traces, on the solver's field and on the
+    resolved one whose near-tip layer needs each point's own grading."""
+    contour = reference_setup.contour
+    ladder = cs.tip_ladder(reference_setup)
+    s = np.concatenate([[0.7, 2.0, 4.1, 5.6], ladder, contour.l0 - ladder, contour.l - ladder])
+    for field in (reference_solution[0], resolved[0]):
+        for phase, side in (("inclusion", "plus"), ("matrix", "minus")):
+            batched = validation.stress_trace(field, reference_setup, s, phase, side)
+            single = [validation.stress_trace(field, reference_setup, x, phase, side) for x in s]
+            assert np.ndim(single[0]) == 0
+            assert np.allclose(batched, single, rtol=1e-12, atol=0.0)
+    square = validation.stress_trace(resolved[0], reference_setup, s[:4].reshape(2, 2), "inclusion", "plus")
+    assert square.shape == (2, 2)

@@ -126,3 +126,38 @@ def test_validation_quadrature_finer_than_assembly():
     rule = val._default_rule()
     base = cs.QuadratureRule()
     assert rule.panels_per_arc >= 2 * base.panels_per_arc
+
+
+def test_batched_inversion_checks_match_single_trials(circle):
+    trials = [trial for _, trial in val._trial_densities(circle, 3, 3)]
+    batched = val.cauchy_inversion_checks(circle, trials)
+    for trial, check in zip(trials, batched):
+        assert check.value == cs.inversion_check(circle, trial_density=trial).value
+
+
+def test_validation_builds_each_discretization_once(monkeypatch):
+    """Solve and validation battery on a 1.5:1 ellipse at N = 24 need few
+    distinct discretizations, and the memo builds each of them once."""
+    from crackst import kernels
+
+    built = []
+    build = kernels._build_discretization
+
+    def counting(contour, *key):
+        built.append(key)
+        return build(contour, *key)
+
+    monkeypatch.setattr(kernels, "_build_discretization", counting)
+    ellipse = cs.elliptical_contour(1.5, 1.0, (0.0, np.pi))
+    setup = cs.ProblemSetup(
+        contour=ellipse,
+        matrix=cs.Material(40.0, 0.25),
+        inclusion=cs.Material(60.0, 0.35),
+        surface=cs.SurfaceTension(0.1, 0.1, 0.1),
+        load=cs.RemoteLoad(1.0, 0.0, 0.0),
+    )
+    dset, _ = cs.solve_problem(setup, 24)
+    report = cs.validate_solution(dset, setup)
+    assert len(report.checks) == 7
+    assert len(built) <= 8
+    assert len(set(built)) == len(built)
