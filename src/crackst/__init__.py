@@ -64,6 +64,7 @@ from .solver import (
     eval_density_derivatives,
     full_coefficient_count,
     solve,
+    solve_cases,
     solve_problem,
 )
 from .tips import TipResolvedDensities, face_tension_length, solve_tip_resolved
@@ -147,5 +148,6 @@ __all__ = [
     "m_coefficients",
     "singular_apply",
     "solve",
+    "solve_cases",
     "solve_problem",
 ]

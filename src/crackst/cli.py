@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -18,10 +19,9 @@ import numpy as np
 
 from . import postprocess as post
 from .config import ConfigError, RunConfig, dump_config, parse_config
-from .model import ProblemSetup, RemoteLoad, SurfaceTension
 from .scenarios import SCENARIOS, scenario_config, scenario_metadata
 from .kernels import QuadratureRule
-from .solver import SingularSystemError, assemble, solve
+from .solver import MIN_ORDER, SingularSystemError, solve_cases
 from .validation import validate_solution
 
 __all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_scenario", "cmd_validate"]
@@ -47,25 +47,56 @@ def _fmt(value):
     return f"{float(value):.12e}"
 
 
-def _solve_run(run_config, quiet=False):
-    numerics = run_config.numerics
+def _checked_order(value):
+    """An order from the command line, a config or a sweep list, as an int;
+    the solver needs at least MIN_ORDER."""
+    if not float(value).is_integer() or value < MIN_ORDER:
+        raise ConfigError(f"order must be an integer of at least {MIN_ORDER}, got {value:g}")
+    return int(value)
+
+
+def _load_config(args):
+    """The run configuration of --config with the --order override applied."""
+    run_config = parse_config(args.config)
+    if args.order:
+        run_config.numerics.order = args.order
+    run_config.numerics.order = _checked_order(run_config.numerics.order)
+    return run_config
+
+
+def _with_param(setup, param, value):
+    """The setup with its face tensions (gamma0) or its load angle (alpha)
+    set to value; it keeps the contour object, so cases built this way share
+    their operator tables in solve_cases."""
+    if param == "gamma0":
+        return replace(setup, surface=replace(setup.surface, gamma_plus=value, gamma_minus=value))
+    return replace(setup, load=replace(setup.load, alpha=value))
+
+
+def _solve_runs(cases, quiet=False):
+    """Solve run configurations that share the numerics of the first and its
+    contour object in one solve_cases call; one (dset, report) per case."""
+    numerics = cases[0].numerics
     rule = QuadratureRule(
         nodes_per_panel=numerics.nodes_per_panel,
         panels_per_arc=numerics.panels_per_arc,
         adaptive=numerics.adaptive_quadrature,
     )
-    system = assemble(
-        run_config.setup, numerics.order, rule=rule, **numerics.assemble_kwargs()
+    results = solve_cases(
+        [case.setup for case in cases], numerics.order, rule=rule,
+        rcond=numerics.rcond, **numerics.assemble_kwargs()
     )
-    dset, report = solve(system, rcond=numerics.rcond)
     if not quiet:
-        print(
-            f"solved order {numerics.order}: rows={report.rows} cols={report.cols} "
-            f"max residual {report.max_residual:.3e} condition {report.condition:.3e}"
-        )
-        if report.degenerate_pair:
-            print("note: material pair is degenerate; conditioning reported above")
-    return dset, report
+        for _, report in results:
+            print(
+                f"solved order {numerics.order}: rows={report.rows} cols={report.cols} "
+                f"max residual {report.max_residual:.3e} condition {report.condition:.3e}"
+            )
+    return results
+
+
+def _solve_run(run_config, quiet=False):
+    return _solve_runs([run_config], quiet)[0]
 
 
 def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=None, tip_fits=False):
@@ -81,6 +112,10 @@ def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=Non
     )
     post.write_boundary_fields_csv(os.path.join(outdir, "boundary_fields.csv"), both)
     vreport.write_json(os.path.join(outdir, "validation.json"))
+    # Stage timings vary between runs, so they stay out of summary.json.
+    with open(os.path.join(outdir, "timings.json"), "w") as fh:
+        json.dump({k: report.meta.get(k) for k in ("timings", "batch")}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return post.write_summary_json(
         os.path.join(outdir, "summary.json"), dset, setup, report, extra=extra, with_tip_fits=tip_fits
     )
@@ -88,12 +123,10 @@ def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=Non
 
 def cmd_solve(args):
     try:
-        run_config = parse_config(args.config)
+        run_config = _load_config(args)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.order:
-        run_config.numerics.order = args.order
     outdir = _out_dir(run_config, args.out)
     try:
         dset, report = _solve_run(run_config, args.quiet)
@@ -111,25 +144,14 @@ def cmd_solve(args):
 
 
 def _apply_sweep_value(run_config, param, value):
-    setup = run_config.setup
-    if param == "gamma0":
-        surface = SurfaceTension(value, value, setup.surface.gamma_interface)
-        new_setup = ProblemSetup(
-            contour=setup.contour, matrix=setup.matrix, inclusion=setup.inclusion,
-            surface=surface, load=setup.load, tractions=setup.tractions,
-        )
-        return RunConfig(new_setup, run_config.numerics, run_config.output_dir)
-    if param == "alpha":
-        load = RemoteLoad(setup.load.sigma1, setup.load.sigma2, value)
-        new_setup = ProblemSetup(
-            contour=setup.contour, matrix=setup.matrix, inclusion=setup.inclusion,
-            surface=setup.surface, load=load, tractions=setup.tractions,
-        )
-        return RunConfig(new_setup, run_config.numerics, run_config.output_dir)
-    if param in ("order", "N"):
-        numerics = replace(run_config.numerics, order=int(value))
-        return RunConfig(setup, numerics, run_config.output_dir)
-    raise ConfigError(f"sweep parameter must be gamma0, alpha or order, got {param!r}")
+    setup, numerics = run_config.setup, run_config.numerics
+    if param in ("gamma0", "alpha"):
+        setup = _with_param(setup, param, value)
+    elif param in ("order", "N"):
+        numerics = replace(numerics, order=_checked_order(value))
+    else:
+        raise ConfigError(f"sweep parameter must be gamma0, alpha or order, got {param!r}")
+    return RunConfig(setup, numerics, run_config.output_dir)
 
 
 SWEEP_COLUMNS = [
@@ -176,30 +198,30 @@ def _sweep_row(param, value, summary, report, vreport):
 
 def cmd_sweep(args):
     try:
-        run_config = parse_config(args.config)
+        run_config = _load_config(args)
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         if not values:
             raise ConfigError("empty sweep value list")
+        cases = [_apply_sweep_value(run_config, args.param, value) for value in values]
     except (OSError, ConfigError, ValueError) as exc:
         print(f"sweep setup error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.order:
-        run_config.numerics.order = args.order
     outdir = _out_dir(run_config, args.out)
+    results = []
+    try:
+        if args.param in ("gamma0", "alpha"):
+            results = _solve_runs(cases, args.quiet)
+        else:  # each order has its own tables
+            for case in cases:
+                results.append(_solve_run(case, args.quiet))
+    except SingularSystemError as exc:
+        failed = values[len(results) if exc.case is None else exc.case]
+        print(f"solver failure at {args.param}={failed:g}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     rows = []
-    for value in values:
-        try:
-            case = _apply_sweep_value(run_config, args.param, value)
-        except ConfigError as exc:
-            print(f"sweep setup error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for value, case, (dset, report) in zip(values, cases, results):
         subdir = os.path.join(outdir, f"{args.param}_{value:g}")
         os.makedirs(subdir, exist_ok=True)
-        try:
-            dset, report = _solve_run(case, args.quiet)
-        except SingularSystemError as exc:
-            print(f"solver failure at {args.param}={value:g}: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
         vreport = validate_solution(dset, case.setup)
         summary = _write_standard_outputs(subdir, case, dset, report, vreport, tip_fits=args.tip_fits)
         rows.append(_sweep_row(args.param, value, summary, report, vreport))
@@ -228,12 +250,17 @@ def _write_columns_csv(path, header, columns):
             writer.writerow([_fmt(v) for v in row])
 
 
+# Each scenario writes its data files and returns the solution of its base
+# configuration, (dset, report), for the standard artifacts.
+
 def _scenario_fig1(entry, run_config, outdir, quiet):
     curves = {}
     s_ref = None
+    solved = {}
     for order in entry["orders_sweep"]:
         case = RunConfig(run_config.setup, replace(run_config.numerics, order=order), run_config.output_dir)
-        dset, _ = _solve_run(case, quiet)
+        solved[order] = _solve_run(case, quiet)
+        dset = solved[order][0]
         s = np.linspace(1e-3 * dset.l0, (1 - 1e-3) * dset.l0, 241)
         s_ref = s
         g = dset.eval("g0p", s)
@@ -241,15 +268,14 @@ def _scenario_fig1(entry, run_config, outdir, quiet):
     header = ["s"] + [f"{part}_g0_prime_order{n}" for n in entry["orders_sweep"] for part in ("re", "im")]
     cols = [s_ref] + [vals for n in entry["orders_sweep"] for vals in (np.real(curves[n]), np.imag(curves[n]))]
     _write_columns_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
+    return solved.get(run_config.numerics.order) or _solve_run(run_config, quiet)
 
 
 def _scenario_fig2_fig3(name, entry, run_config, outdir, quiet):
     gammas = entry["gammas"]
-    fields = {}
-    for gamma in gammas:
-        case = scenario_config(name, order=run_config.numerics.order, gamma=gamma)
-        dset, _ = _solve_run(case, quiet)
-        fields[gamma] = (dset, case.setup)
+    cases = [replace(run_config, setup=_with_param(run_config.setup, "gamma0", g)) for g in gammas]
+    *solved, base = _solve_runs(cases + [run_config], quiet)
+    fields = {g: (dset, case.setup) for g, case, (dset, _) in zip(gammas, cases, solved)}
     for arc, label in ((0, "crack"), (1, "bond")):
         if name == "fig2":
             quantities = (
@@ -274,10 +300,11 @@ def _scenario_fig2_fig3(name, entry, run_config, outdir, quiet):
                     header.append(f"{qname}_{side}_gamma{gamma:g}")
                     cols.append(getattr(fld, attr))
             _write_columns_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
+    return base
 
 
 def _scenario_fig4(entry, run_config, outdir, quiet):
-    dset, _ = _solve_run(run_config, quiet)
+    dset, report = _solve_run(run_config, quiet)
     setup = run_config.setup
     s = np.linspace(1e-3 * dset.l0, 0.5 * dset.l0, 161)  # right half of the crack
     fld = post.boundary_fields(dset, setup, s)
@@ -286,47 +313,55 @@ def _scenario_fig4(entry, run_config, outdir, quiet):
         ["s", "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus"],
         [s, fld.ut_plus0, fld.un_plus0, fld.ut_minus, fld.un_minus],
     )
+    return dset, report
 
 
 def _scenario_fig5(entry, run_config, outdir, quiet):
-    for alpha in entry["alphas"]:
-        case = scenario_config("fig5", order=run_config.numerics.order, alpha=alpha)
-        dset, _ = _solve_run(case, quiet)
+    alphas = entry["alphas"]
+    cases = [replace(run_config, setup=_with_param(run_config.setup, "alpha", a)) for a in alphas]
+    *solved, base = _solve_runs(cases + [run_config], quiet)
+    for alpha, case, (dset, _) in zip(alphas, cases, solved):
         columns = post.deformed_boundary(dset, case.setup, scale=entry["displacement_scale"])
         post.write_deformed_boundary_csv(
             os.path.join(outdir, f"fig5_deformed_alpha{alpha:g}.csv"), columns
         )
+    return base
 
 
 def _scenario_fig5a(entry, run_config, outdir, quiet):
-    dset, _ = _solve_run(run_config, quiet)
+    dset, report = _solve_run(run_config, quiet)
     s, fld = _field_curves(dset, run_config.setup, 1)
     _write_columns_csv(
         os.path.join(outdir, "fig5a_stress_bond.csv"),
         ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
         [s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
     )
+    return dset, report
 
 
 def _scenario_fig6(entry, run_config, outdir, quiet):
+    grid = [(alpha, gamma0) for alpha in entry["alphas"] for gamma0 in entry["gammas"]]
+    cases = [
+        replace(run_config, setup=_with_param(_with_param(run_config.setup, "gamma0", g), "alpha", a))
+        for a, g in grid
+    ]
+    *solved, base = _solve_runs(cases + [run_config], quiet)
     rows = []
-    for alpha in entry["alphas"]:
-        for gamma0 in entry["gammas"]:
-            case = scenario_config("fig6", order=run_config.numerics.order, gamma0=gamma0, alpha=alpha)
-            dset, _ = _solve_run(case, quiet)
-            rows.append(
-                [
-                    _fmt(alpha),
-                    _fmt(gamma0),
-                    _fmt(post.max_crack_opening(dset, case.setup)),
-                    _fmt(post.max_crack_opening(dset, case.setup, window=(0.0, 1.0))),
-                    _fmt(post.max_crack_aperture(dset, case.setup)),
-                ]
-            )
+    for (alpha, gamma0), case, (dset, _) in zip(grid, cases, solved):
+        rows.append(
+            [
+                _fmt(alpha),
+                _fmt(gamma0),
+                _fmt(post.max_crack_opening(dset, case.setup)),
+                _fmt(post.max_crack_opening(dset, case.setup, window=(0.0, 1.0))),
+                _fmt(post.max_crack_aperture(dset, case.setup)),
+            ]
+        )
     with open(os.path.join(outdir, "fig6_opening.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"])
         writer.writerows(rows)
+    return base
 
 
 def cmd_scenario(args):
@@ -335,7 +370,12 @@ def cmd_scenario(args):
         print(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}", file=sys.stderr)
         return EXIT_USAGE
     entry = SCENARIOS[name]
-    run_config = scenario_config(name, order=args.order or None)
+    try:
+        order = _checked_order(args.order) if args.order else None
+    except ConfigError as exc:
+        print(f"scenario setup error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    run_config = scenario_config(name, order=order)
     outdir = _out_dir(run_config, args.out)
     with open(os.path.join(outdir, "config.ini"), "w") as fh:
         fh.write(dump_config(run_config))
@@ -344,19 +384,17 @@ def cmd_scenario(args):
         fh.write("\n")
     try:
         if name == "fig1":
-            _scenario_fig1(entry, run_config, outdir, args.quiet)
+            dset, report = _scenario_fig1(entry, run_config, outdir, args.quiet)
         elif name in ("fig2", "fig3"):
-            _scenario_fig2_fig3(name, entry, run_config, outdir, args.quiet)
+            dset, report = _scenario_fig2_fig3(name, entry, run_config, outdir, args.quiet)
         elif name == "fig4":
-            _scenario_fig4(entry, run_config, outdir, args.quiet)
+            dset, report = _scenario_fig4(entry, run_config, outdir, args.quiet)
         elif name == "fig5":
-            _scenario_fig5(entry, run_config, outdir, args.quiet)
+            dset, report = _scenario_fig5(entry, run_config, outdir, args.quiet)
         elif name == "fig5a":
-            _scenario_fig5a(entry, run_config, outdir, args.quiet)
-        elif name == "fig6":
-            _scenario_fig6(entry, run_config, outdir, args.quiet)
-        # standard artifacts for the base configuration of the scenario
-        dset, report = _solve_run(run_config, args.quiet)
+            dset, report = _scenario_fig5a(entry, run_config, outdir, args.quiet)
+        else:
+            dset, report = _scenario_fig6(entry, run_config, outdir, args.quiet)
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -371,12 +409,10 @@ def cmd_scenario(args):
 
 def cmd_validate(args):
     try:
-        run_config = parse_config(args.config)
+        run_config = _load_config(args)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.order:
-        run_config.numerics.order = args.order
     outdir = _out_dir(run_config, args.out)
     try:
         dset, report = _solve_run(run_config, args.quiet)
@@ -403,7 +439,8 @@ def build_parser():
         if config_required:
             p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--order", type=int, default=0, help="polynomial order override")
+        # Parsed as a number so that a non-integer order gets the usage exit code.
+        p.add_argument("--order", type=float, default=0, help="polynomial order override")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     def tip_fits_flag(p):
@@ -436,13 +473,23 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    handler = {
+    command = {
         "solve": cmd_solve,
         "sweep": cmd_sweep,
         "scenario": cmd_scenario,
         "validate": cmd_validate,
     }[args.command]
-    return handler(args)
+    # The solver's warnings (rank deficiency, unconverged quadrature,
+    # degenerate material pair) go to stderr unless --quiet.
+    log = logging.getLogger("crackst")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    handler.setLevel(logging.ERROR if args.quiet else logging.WARNING)
+    log.addHandler(handler)
+    try:
+        return command(args)
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

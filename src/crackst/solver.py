@@ -34,10 +34,18 @@ arc half-length, which keeps the Vandermonde-like blocks well conditioned;
 solved coefficients are reported in powers of (s-c).  The rows are built from
 a basis object (_MonomialBasis here); tips.solve_tip_resolved assembles the
 same rows on a basis that resolves the crack tips.
+
+``solve_cases`` solves several setups on one contour at once: the operator
+tables depend only on the contour and the discretization, and the load and
+the crack-face tractions enter only the right-hand side, so the tables are
+built once per quadrature level and each matrix is factorized once for all
+of its loads.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +69,15 @@ __all__ = [
     "assemble",
     "solve",
     "solve_problem",
+    "solve_cases",
     "full_coefficient_count",
     "tension_coefficients",
 ]
 
 FUNCTIONS = ("q0", "g0p", "q", "gp")
+MIN_ORDER = 4
+
+log = logging.getLogger("crackst")
 
 # Collocation points stay l/(TIP_INSET_FACTOR*(N+1)) away from the crack
 # tips, where shear stresses may grow logarithmically.
@@ -101,7 +113,14 @@ TIP_ROW_WEIGHT = 1.0
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when the collocation matrix is rank deficient beyond tolerance."""
+    """Raised when the collocation matrix is rank deficient beyond tolerance.
+
+    ``case`` is the index of the failing setup in a ``solve_cases`` call
+    (None for a single solve)."""
+
+    def __init__(self, message, case=None):
+        super().__init__(message if case is None else f"case {case}: {message}")
+        self.case = case
 
 
 def full_coefficient_count(n):
@@ -306,6 +325,8 @@ class ResidualReport:
     meta: dict
 
     def to_dict(self):
+        """The report without meta["timings"], so that it repeats exactly
+        between runs."""
         return {
             "rows": self.rows,
             "cols": self.cols,
@@ -314,7 +335,7 @@ class ResidualReport:
             "max_residual": self.max_residual,
             "per_tag": dict(sorted(self.per_tag.items())),
             "degenerate_pair": self.degenerate_pair,
-            "meta": self.meta,
+            "meta": {k: v for k, v in self.meta.items() if k != "timings"},
         }
 
 
@@ -504,9 +525,50 @@ def assemble(
     the inset equispaced collocation points.  ``tip_weight`` weighs the
     tip-anchored rows (slope continuity, constant-term ties).
     """
-    if n < 4:
-        raise ValueError(f"polynomial order must be at least 4, got {n}")
-    contour = setup.contour
+    ((system, _),) = _assemble_cases(
+        [setup], n, rule, delta, tie_constant_terms, oversample, taper_exponent,
+        bond_weight, constraint_weight, force_weight, tip_weight, basis, points,
+    )
+    system.rhs = system.rhs[:, 0]
+    return system
+
+
+def _assemble_cases(
+    setups,
+    n,
+    rule=None,
+    delta=None,
+    tie_constant_terms=False,
+    oversample=None,
+    taper_exponent=DEFAULT_TAPER,
+    bond_weight=DEFAULT_BOND_WEIGHT,
+    constraint_weight=DEFAULT_CONSTRAINT_WEIGHT,
+    force_weight=DEFAULT_FORCE_WEIGHT,
+    tip_weight=TIP_ROW_WEIGHT,
+    basis=None,
+    points=None,
+):
+    """Systems of setups on one contour: [(LinearSystem, case indices)], one
+    per group of setups with equal materials and surface tension, each with
+    one right-hand-side column per case of the group (``rhs`` [rows, cases]).
+
+    The adaptive quadrature runs level by level: each level builds the
+    operator tables once for all groups still drifting, and a group's drift
+    is the largest over its matrix and all of its columns.  The keywords are
+    those of ``assemble``.
+    """
+    if n < MIN_ORDER:
+        raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
+    if not setups:
+        raise ValueError("no setups to solve")
+    contour = setups[0].contour
+    for i, setup in enumerate(setups):
+        if setup.contour is not contour:
+            raise ValueError(
+                f"setup {i} is on another contour object than setup 0; the cases "
+                "of one call share its operator tables, so they must share one "
+                "contour (build them with dataclasses.replace)"
+            )
     if rule is None:
         rule = QuadratureRule()
     if delta is None:
@@ -519,57 +581,122 @@ def assemble(
         basis = _MonomialBasis(contour.l0, contour.l, n)
     if points is None:
         points = collocation_points(contour.l0, contour.l, m_pts - 1, delta)
-
-    mat, rhs, tags, wts, meta = _assemble_with_rule(
-        setup, basis, rule, delta, tie_constant_terms, points, weights_cfg
+    pts = np.concatenate(points)
+    arc_of_pt = np.concatenate(
+        [np.zeros(points[0].size, dtype=int), np.ones(points[1].size, dtype=int)]
     )
-    if rule.adaptive:
-        for _ in range(MAX_ADAPTIVE_ROUNDS):
-            finer = rule.refined()
-            mat2, rhs2, _, _, meta2 = _assemble_with_rule(
-                setup, basis, finer, delta, tie_constant_terms, points, weights_cfg
+
+    by_key = {}
+    for i, setup in enumerate(setups):
+        by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
+    groups = list(by_key.values())
+    built = [None] * len(groups)  # (matrix, rhs, tags, weights, meta) per group
+    rows_s = [0.0] * len(groups)
+    tables_s, table_builds, row_assemblies = 0.0, 0, 0
+    pending = list(range(len(groups)))
+    for level in range(1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
+        if level:
+            rule = rule.refined()
+        t0 = time.perf_counter()
+        disc = rule.discretize(contour, 0.5 * delta)
+        tab = _Tables(contour, pts, arc_of_pt, disc, basis)
+        tables_s += time.perf_counter() - t0
+        table_builds += 1
+        for g in pending:
+            t0 = time.perf_counter()
+            mat, rhs, tags, wts = _assemble_rows(
+                [setups[i] for i in groups[g]], basis, tab, tie_constant_terms, points, weights_cfg
             )
-            scale = max(float(np.max(np.abs(mat2))), 1e-300)
-            rscale = max(float(np.max(np.abs(rhs2))), scale * 1e-6)
-            drift = max(
-                float(np.max(np.abs(mat2 - mat))) / scale,
-                float(np.max(np.abs(rhs2 - rhs))) / rscale,
-            )
-            mat, rhs, meta, rule = mat2, rhs2, meta2, finer
-            meta["quadrature_drift"] = drift
-            meta["quadrature_stabilized"] = drift < MATRIX_STABILITY_TOL
-            if meta["quadrature_stabilized"]:
+            meta = {
+                "quadrature_nodes": int(disc.n_nodes),
+                "nodes_per_panel": rule.nodes_per_panel,
+                "panels_per_arc": rule.panels_per_arc,
+                "tip_panel": 0.5 * delta,
+            }
+            if level:
+                meta["quadrature_drift"] = _drift(built[g][0], built[g][1], mat, rhs)
+                meta["quadrature_stabilized"] = meta["quadrature_drift"] < MATRIX_STABILITY_TOL
+            built[g] = (mat, rhs, tags, wts, meta)
+            rows_s[g] += time.perf_counter() - t0
+            row_assemblies += 1
+        del tab, disc
+        if level:
+            pending = [g for g in pending if not built[g][4]["quadrature_stabilized"]]
+            if not pending:
                 break
 
     layout = _Layout(n, basis)
-    elim = _elimination(setup, layout, tie_constant_terms)
     scale_powers = basis.scale_powers(layout)
-    meta.update(
-        {
-            "order": n,
-            "delta": delta,
-            "tie_constant_terms": tie_constant_terms,
-            "oversample": oversample,
-            "points_per_arc": int(points[0].size),
-            "taper_exponent": taper_exponent,
-            "bond_weight": bond_weight,
-            "constraint_weight": constraint_weight,
-            "full_coefficients": layout.total,
-            "degenerate_pair": setup.is_degenerate_pair,
-        }
-    )
-    return LinearSystem(
-        matrix=mat @ elim,
-        rhs=rhs,
-        row_tags=tags,
-        row_weights=wts,
-        elimination=elim,
-        scale_powers=scale_powers,
-        n=n,
-        l0=contour.l0,
-        l=contour.l,
-        meta=meta,
-        basis=basis,
+    systems = []
+    for g, cases in enumerate(groups):
+        mat, rhs, tags, wts, meta = built[g]
+        setup = setups[cases[0]]
+        if meta.get("quadrature_stabilized") is False:
+            log.warning(
+                "adaptive quadrature did not stabilize at order %d (cases %s): "
+                "drift %.3e after %d refinements, tolerance %.0e",
+                n, cases, meta["quadrature_drift"], MAX_ADAPTIVE_ROUNDS, MATRIX_STABILITY_TOL,
+            )
+        if setup.is_degenerate_pair:
+            log.warning(
+                "degenerate material pair mu0*kappa*(kappa0+1) = mu*kappa0*(kappa+1) "
+                "(cases %s); the solve proceeds and reports its condition", cases,
+            )
+        t0 = time.perf_counter()
+        elim, free, linked, sources, lam = _elimination(setup, layout, tie_constant_terms)
+        matrix = np.take(mat, free, axis=1)  # C order, like mat (mat[:, free] is not)
+        matrix[:, sources] += lam * np.take(mat, linked, axis=1)
+        rows_s[g] += time.perf_counter() - t0
+        meta.update(
+            {
+                "order": n,
+                "delta": delta,
+                "tie_constant_terms": tie_constant_terms,
+                "oversample": oversample,
+                "points_per_arc": int(points[0].size),
+                "taper_exponent": taper_exponent,
+                "bond_weight": bond_weight,
+                "constraint_weight": constraint_weight,
+                "full_coefficients": layout.total,
+                "degenerate_pair": setup.is_degenerate_pair,
+                # Work shared with other cases: the tables with all cases of
+                # the call, the rows and the factorization with the loads of
+                # the group.
+                "timings": {"tables_s": tables_s, "rows_s": rows_s[g]},
+                "batch": {
+                    "cases": len(setups),
+                    "loads": len(cases),
+                    "table_builds": table_builds,
+                    "row_assemblies": row_assemblies,
+                    "factorizations": len(groups),
+                },
+            }
+        )
+        system = LinearSystem(
+            matrix=matrix,
+            rhs=rhs,
+            row_tags=tags,
+            row_weights=wts,
+            elimination=elim,
+            scale_powers=scale_powers,
+            n=n,
+            l0=contour.l0,
+            l=contour.l,
+            meta=meta,
+            basis=basis,
+        )
+        systems.append((system, cases))
+    return systems
+
+
+def _drift(mat, rhs, mat2, rhs2):
+    """Largest change from (mat, rhs) to the finer (mat2, rhs2), relative to
+    the matrix scale and to each right-hand-side column's own scale."""
+    scale = max(float(np.max(np.abs(mat2))), 1e-300)
+    rscale = np.maximum(np.max(np.abs(rhs2), axis=0), scale * 1e-6)
+    return max(
+        float(np.max(np.abs(mat2 - mat))) / scale,
+        float(np.max(np.max(np.abs(rhs2 - rhs), axis=0) / rscale)),
     )
 
 
@@ -589,7 +716,11 @@ def tension_coefficients(setup):
 def _elimination(setup, layout, tie_constant_terms):
     """Full-vector reconstruction map: bonded-arc g' coefficients of degree
     >= 1 (and degree 0 when tied) follow the bonded-arc g0' coefficients with
-    factor -mu*(kappa0+1) / (mu0*(kappa+1))."""
+    factor lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
+
+    Returns (map, free, linked, sources, lam): the map [full, free] and the
+    parts that apply it to a matrix's columns, mat[:, free] plus lam times
+    mat[:, linked] added to the free columns at ``sources``."""
     mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
     mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
     lam = -mu * (kap0 + 1.0) / (mu0 * (kap + 1.0))
@@ -608,27 +739,26 @@ def _elimination(setup, layout, tie_constant_terms):
         elim[c, pos[c]] = 1.0
     for dst, src in links.items():
         elim[dst, pos[src]] = lam
-    return elim
+    linked = list(links)
+    return elim, free, linked, [pos[links[c]] for c in linked], lam
 
 
-def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, weights_cfg):
+def _assemble_rows(setups, basis, tab, tie_constant_terms, points, weights_cfg):
+    """Rows on one level's tables for setups that share materials and surface
+    tension: (matrix, rhs [rows, len(setups)], tags, weights).  The matrix
+    comes from the first setup; each setup's load and crack-face tractions
+    give its right-hand-side column."""
     taper_exponent, bond_weight, constraint_weight, force_weight, tip_weight = weights_cfg
+    setup = setups[0]
     contour = setup.contour
     layout = _Layout(basis.n, basis)
     crack_pts, bond_pts = points
-    pts = np.concatenate([crack_pts, bond_pts])
-    arc_of_pt = np.concatenate(
-        [np.zeros(crack_pts.size, dtype=int), np.ones(bond_pts.size, dtype=int)]
-    )
-    disc = rule.discretize(contour, 0.5 * delta)
-    tab = _Tables(contour, pts, arc_of_pt, disc, basis)
 
     mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
     mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
-    big_g = setup.load.gamma
-    big_gp = setup.load.gamma_prime
 
-    n_pts = pts.size
+    n_pts = tab.pts.size
+    n_cases = len(setups)
     rows, rhs, tags, wts = [], [], [], []
 
     def taper(sel_pts, lo, hi):
@@ -680,7 +810,7 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
         b2_fac=1.0 / ((kap0 + 1.0) * 1j * np.pi),
         pieces=(0, 4),
     )
-    push_complex(z_inc, np.zeros(n_pts, dtype=complex), "inclusion_extension", w_both)
+    push_complex(z_inc, np.zeros((n_pts, n_cases), dtype=complex), "inclusion_extension", w_both)
 
     # Zero extension of the matrix inside the contour, with the
     # single-valuedness integral and the remote-load terms.
@@ -709,15 +839,21 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
         q_a, q_b = moments(piece)
         z_mat[:, layout.a_cols(piece)] += fac * np.outer(inv_dt, q_a)
         z_mat[:, layout.b_cols(piece)] += 1j * (fac * np.outer(inv_dt, q_b))
-    load_term = (kap - 1.0) * big_g - np.conj(big_gp) * np.conj(tab.dt_p) / tab.dt_p
+    load_term = np.stack(
+        [
+            (kap - 1.0) * s.load.gamma - np.conj(s.load.gamma_prime) * np.conj(tab.dt_p) / tab.dt_p
+            for s in setups
+        ],
+        axis=1,
+    )
     push_complex(z_mat, -load_term, "matrix_extension", w_both)
 
     # Surface-tension conditions on the crack faces and the traction-jump
     # condition on the bonded arc.
     crack_sel = np.arange(crack_pts.size)
     bond_sel = np.arange(crack_pts.size, n_pts)
-    f1 = setup.tractions.f1(crack_pts)
-    f2 = setup.tractions.f2(crack_pts)
+    f1 = np.stack([s.tractions.f1(crack_pts) for s in setups], axis=1)
+    f2 = np.stack([s.tractions.f2(crack_pts) for s in setups], axis=1)
 
     def tension_rows(sel, arc, coef, q_pieces, g_piece, rhs_re, rhs_im, tag, weight):
         # Re q = coef*rho*(rho*Im g' + Re g'') + rhs_re, and the arc-length
@@ -751,7 +887,7 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
     c_plus, c_minus, c_iface = tension_coefficients(setup)
     tension_rows(crack_sel, 0, c_plus, (0,), 1, 0.5 * np.real(f1), 0.5 * np.imag(f1), "crack_plus", w_crack)
     tension_rows(crack_sel, 0, c_minus, (2,), 3, -0.5 * np.real(f2), -0.5 * np.imag(f2), "crack_minus", w_crack)
-    zero = np.zeros(bond_pts.size)
+    zero = np.zeros((bond_pts.size, n_cases))
     # With a vanishing interface tension the jump condition reads q0 + q = 0,
     # whose content is smooth (the tip logarithms cancel in the sum), so it
     # is enforced untapered and strongly; otherwise it carries the same
@@ -773,7 +909,7 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
             row[0, src] = (kap0 + 1.0) / mu0
             row[0, dst] = (kap + 1.0) / mu
             rows.append(row)
-            rhs.append(np.zeros(1))
+            rhs.append(np.zeros((1, n_cases)))
             tags.append(tag)
             wts.append(np.array([tip_weight]))
 
@@ -783,7 +919,7 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
         q_a, q_b = moments(piece)
         zf[0, layout.a_cols(piece)] += sign * q_a
         zf[0, layout.b_cols(piece)] += 1j * sign * q_b
-    push_complex(zf, np.zeros(1, dtype=complex), "force_balance", force_weight)
+    push_complex(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", force_weight)
 
     # Single-valuedness of the displacements along the crack: the same
     # integral that is folded into the matrix-side equation must itself
@@ -794,7 +930,7 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
         q_a, q_b = moments(piece)
         zsv[0, layout.a_cols(piece)] += fac * q_a
         zsv[0, layout.b_cols(piece)] += 1j * fac * q_b
-    push_complex(zsv, np.zeros(1, dtype=complex), "single_valuedness", constraint_weight)
+    push_complex(zsv, np.zeros((1, n_cases), dtype=complex), "single_valuedness", constraint_weight)
 
     # Continuity of Re g0' and Re g' across both tips: tip 0 joins the start
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
@@ -810,20 +946,14 @@ def _assemble_with_rule(setup, basis, rule, delta, tie_constant_terms, points, w
             row[0, layout.a_cols(crack_piece)] = crack_val
             row[0, layout.a_cols(bond_piece)] = -bond_val
             rows.append(row)
-            rhs.append(np.zeros(1))
+            rhs.append(np.zeros((1, n_cases)))
             tags.append(tag)
             wts.append(np.array([tip_weight]))
 
     mat = np.vstack(rows)
-    vec = np.concatenate([np.atleast_1d(r) for r in rhs]).astype(float)
+    vec = np.concatenate(rhs).astype(float)
     wvec = np.concatenate(wts).astype(float)
-    meta = {
-        "quadrature_nodes": int(disc.n_nodes),
-        "nodes_per_panel": rule.nodes_per_panel,
-        "panels_per_arc": rule.panels_per_arc,
-        "tip_panel": 0.5 * delta,
-    }
-    return mat, vec, tags, wvec, meta
+    return mat, vec, tags, wvec
 
 
 def solve(system, rcond=1e-13, fail_residual=0.05):
@@ -835,45 +965,67 @@ def solve(system, rcond=1e-13, fail_residual=0.05):
     relative to the data scale (a deficient but consistent system still has a
     well-defined minimum-norm solution).
     """
+    return _solve_columns(system, rcond, fail_residual)[0]
+
+
+def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
+    """``solve`` for every right-hand-side column of the system (``rhs``
+    [rows] or [rows, columns]) with one factorization; returns one
+    (DensitySet, ResidualReport) per column.  ``cases`` names the columns
+    in a SingularSystemError."""
+    t0 = time.perf_counter()
+    rhs = system.rhs.reshape(system.rhs.shape[0], -1)
     w = system.row_weights
-    mat, vec = system.matrix * w[:, None], system.rhs * w
+    mat, vec = system.matrix * w[:, None], rhs * w[:, None]
     col_scale = np.max(np.abs(mat), axis=0)
     col_scale[col_scale == 0.0] = 1.0
     scaled = mat / col_scale
     sol, _, rank, sing = np.linalg.lstsq(scaled, vec, rcond=rcond)
-    sol = sol / col_scale
+    sol = sol / col_scale[:, None]
     cond = float(sing[0] / sing[-1]) if sing.size and sing[-1] > 0 else np.inf
-
-    # Residuals are reported for the unweighted rows.
-    resid = system.matrix @ sol - system.rhs
-    data_scale = max(np.max(np.abs(system.rhs)), 1.0)
-    resid_scale = float(np.max(np.abs(resid))) if resid.size else 0.0
-    if rank < scaled.shape[1] and resid_scale > fail_residual * data_scale:
-        deficient = _deficient_tags(scaled, system.row_tags, rcond)
-        raise SingularSystemError(
-            f"collocation matrix rank {rank} < {scaled.shape[1]} and the "
-            f"least-squares residual {resid_scale:.3e} exceeds tolerance; "
-            f"most involved row tags: {deficient}"
+    lstsq_s = time.perf_counter() - t0
+    if rank < scaled.shape[1]:
+        log.warning(
+            "collocation matrix rank %d < %d columns at order %d (condition %.3e)%s",
+            rank, scaled.shape[1], system.n, cond, "" if cases is None else f" for cases {cases}",
         )
-    per_tag = {}
-    for tag, r in zip(system.row_tags, resid):
-        per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
 
-    paper = (system.elimination @ sol) * system.scale_powers
-    basis = system.basis
-    dset = basis.densities(paper, _Layout(system.n, basis), system.l0, system.l)
+    out = []
+    layout = _Layout(system.n, system.basis)
+    for j in range(rhs.shape[1]):
+        x, b = sol[:, j], rhs[:, j]
+        # Residuals are reported for the unweighted rows.
+        resid = system.matrix @ x - b
+        data_scale = max(np.max(np.abs(b)), 1.0)
+        resid_scale = float(np.max(np.abs(resid))) if resid.size else 0.0
+        if rank < scaled.shape[1] and resid_scale > fail_residual * data_scale:
+            deficient = _deficient_tags(scaled, system.row_tags, rcond)
+            raise SingularSystemError(
+                f"collocation matrix rank {rank} < {scaled.shape[1]} and the "
+                f"least-squares residual {resid_scale:.3e} exceeds tolerance; "
+                f"most involved row tags: {deficient}",
+                case=None if cases is None else cases[j],
+            )
+        per_tag = {}
+        for tag, r in zip(system.row_tags, resid):
+            per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
 
-    report = ResidualReport(
-        rows=mat.shape[0],
-        cols=mat.shape[1],
-        rank=int(rank),
-        condition=cond,
-        max_residual=float(np.max(np.abs(resid))) if resid.size else 0.0,
-        per_tag=per_tag,
-        degenerate_pair=bool(system.meta.get("degenerate_pair", False)),
-        meta=dict(system.meta),
-    )
-    return dset, report
+        paper = (system.elimination @ x) * system.scale_powers
+        dset = system.basis.densities(paper, layout, system.l0, system.l)
+        meta = dict(system.meta)
+        meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
+        report = ResidualReport(
+            rows=mat.shape[0],
+            cols=mat.shape[1],
+            rank=int(rank),
+            condition=cond,
+            max_residual=float(np.max(np.abs(resid))) if resid.size else 0.0,
+            per_tag=per_tag,
+            degenerate_pair=bool(system.meta.get("degenerate_pair", False)),
+            meta=meta,
+        )
+        out.append((dset, report))
+    return out
 
 
 def _deficient_tags(scaled, row_tags, rcond):
@@ -898,3 +1050,25 @@ def solve_problem(setup, n, rule=None, rcond=1e-13, **assemble_kwargs):
     """Assemble and solve in one step; returns (DensitySet, ResidualReport)."""
     system = assemble(setup, n, rule=rule, **assemble_kwargs)
     return solve(system, rcond=rcond)
+
+
+def solve_cases(setups, n, rule=None, rcond=1e-13, **assemble_kwargs):
+    """Solve several setups on one contour object; returns one
+    (DensitySet, ResidualReport) per setup, in input order.
+
+    The operator tables are built once per quadrature level for all cases,
+    and the setups with equal materials and surface tension share one matrix
+    and one least-squares factorization, with a right-hand-side column per
+    load and crack-face tractions.  A one-case call gives what solve_problem
+    gives, errors included.  Each report's meta carries ``batch`` (the counts of cases,
+    loads sharing its factorization, table builds, row assemblies and
+    factorizations) and ``timings`` (tables_s for all cases of the call,
+    rows_s and lstsq_s for the loads of its group).  A failing case raises
+    SingularSystemError naming its index (``case``) when there are several.
+    """
+    out = [None] * len(setups)
+    for system, cases in _assemble_cases(setups, n, rule=rule, **assemble_kwargs):
+        named = cases if len(setups) > 1 else None
+        for i, result in zip(cases, _solve_columns(system, rcond, cases=named)):
+            out[i] = result
+    return out

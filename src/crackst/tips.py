@@ -5,7 +5,7 @@ The solver's polynomial densities cannot follow the near-tip fields, which
 vary on the face surface-tension length c (about 2e-3 on the reference
 setup) and below it; it therefore leaves a zone of width delta (its tip
 inset) at each tip unenforced.  ``solve_tip_resolved`` assembles the same
-rows (solver._assemble_with_rule) on a basis that adds, to a Legendre series
+rows (solver._assemble_rows) on a basis that adds, to a Legendre series
 on each arc, a series per tip in a variable that is logarithmic in the
 distance to the tip, and collocates them up to the tips.  It is a separate
 solve: the published densities still come from ``solve_problem``.

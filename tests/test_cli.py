@@ -121,6 +121,45 @@ def test_sweep_outputs(tmp_path):
     assert os.path.isdir(os.path.join(out, "gamma0_0.5"))
 
 
+def test_sweep_alpha_rows_match_separate_solves(tmp_path):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "sw")
+    assert main([
+        "sweep", "--config", cfg, "--param", "alpha", "--values", "0,0.7", "--out", out, "--quiet",
+    ]) == 0
+    rows = list(csv.DictReader(open(os.path.join(out, "sweep.csv"))))
+    assert [float(r["value"]) for r in rows] == [0.0, 0.7]
+    for row in rows:
+        alpha = float(row["value"])
+        path = tmp_path / f"alpha{alpha:g}.ini"
+        path.write_text(
+            BASE.format(sigma1=1.0, gamma_i=0.1).replace("alpha_rad = 0.0", f"alpha_rad = {alpha!r}")
+        )
+        single = str(tmp_path / f"single{alpha:g}")
+        assert main(["solve", "--config", str(path), "--out", single, "--quiet"]) == 0
+        summary = json.loads(open(os.path.join(single, "summary.json")).read())
+        for key in ("max_crack_opening", "max_crack_opening_full_arc", "max_crack_aperture"):
+            assert float(row[key]) == pytest.approx(summary[key], rel=1e-9)
+        report = summary["residual_report"]
+        assert abs(float(row["max_residual"]) - report["max_residual"]) <= 1e-10  # load units
+        assert float(row["condition"]) == pytest.approx(report["condition"], rel=1e-11)
+
+
+def test_bad_orders_are_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "bad")
+    sweep = ["sweep", "--config", cfg, "--param", "order", "--out", out, "--quiet", "--values"]
+    assert main(sweep + ["8.7"]) == 1
+    assert "got 8.7" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "order_8.7"))
+    assert main(sweep + ["2"]) == 1
+    assert "got 2" in capsys.readouterr().err
+    assert main(["solve", "--config", cfg, "--order", "2", "--out", out, "--quiet"]) == 1
+    assert "got 2" in capsys.readouterr().err
+    assert main(["solve", "--config", cfg, "--order", "8.7", "--out", out, "--quiet"]) == 1
+    assert "got 8.7" in capsys.readouterr().err
+
+
 def test_sweep_rejects_empty_values(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--param", "gamma0", "--values", "", "--quiet"]) == 1

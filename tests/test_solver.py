@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crackst as cs
+from crackst.scenarios import scenario_config
 from crackst.solver import _Layout, _a_len
 
 
@@ -195,3 +198,104 @@ def test_layout_column_bookkeeping():
     assert _a_len(6, n) == n + 1  # bonded-arc q has one fewer real coefficient
     seen = np.concatenate([np.concatenate([layout.a_cols(p), layout.b_cols(p)]) for p in range(8)])
     assert np.array_equal(np.sort(seen), np.arange(layout.total))
+
+
+def _fig6_grid():
+    """The fig6 scenario's 3 x 3 grid of load angles and face tensions plus
+    its base setup, all on the base setup's contour object."""
+    base = scenario_config("fig6").setup
+    cases = [
+        replace(base, surface=replace(base.surface, gamma_plus=g, gamma_minus=g),
+                load=replace(base.load, alpha=a))
+        for a in (0.0, np.pi / 4, np.pi / 2)
+        for g in (0.1, 0.5, 1.0)
+    ]
+    return cases + [base]
+
+
+def test_solve_cases_matches_single_solves_on_fig6_grid():
+    cases = _fig6_grid()
+    batched = cs.solve_cases(cases, 20)
+    for setup, (dset, report) in zip(cases, batched):
+        single, single_report = cs.solve_problem(setup, 20)
+        scale = single.max_abs_coefficient()
+        for p in range(8):
+            assert np.max(np.abs(dset.a[p] - single.a[p])) <= 1e-10 * scale
+            assert np.max(np.abs(dset.b[p] - single.b[p])) <= 1e-10 * scale
+        # The residual is in load units (load magnitude 1 here).
+        assert abs(report.max_residual - single_report.max_residual) <= 1e-10 * setup.load.magnitude
+        assert (report.rank, report.cols, report.condition) == (
+            single_report.rank, single_report.cols, single_report.condition
+        )
+    assert batched[-1][1].meta["batch"] == {
+        "cases": 10, "loads": 4, "table_builds": 2, "row_assemblies": 6, "factorizations": 3,
+    }
+    assert set(batched[0][1].meta["timings"]) == {"tables_s", "rows_s", "lstsq_s"}
+
+
+def test_solve_cases_one_case_is_bit_identical(reference_setup):
+    (dset, report), = cs.solve_cases([reference_setup], 16)
+    single, single_report = cs.solve_problem(reference_setup, 16)
+    for p in range(8):
+        assert np.array_equal(dset.a[p], single.a[p])
+        assert np.array_equal(dset.b[p], single.b[p])
+    assert report.to_dict() == single_report.to_dict()
+    assert report.meta["batch"] == {
+        "cases": 1, "loads": 1, "table_builds": 2, "row_assemblies": 2, "factorizations": 1,
+    }
+    assert "timings" not in report.to_dict()["meta"]
+
+
+def test_solve_cases_builds_tables_once_per_level(monkeypatch):
+    from crackst import solver
+
+    built = []
+    init = solver._Tables.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(solver._Tables, "__init__", counting)
+    cs.solve_cases(_fig6_grid(), 20)
+    assert len(built) == 2
+
+
+def test_solve_cases_needs_one_contour(reference_setup):
+    other = replace(reference_setup, contour=cs.circular_contour(1.0, (0.0, np.pi)))
+    with pytest.raises(ValueError, match="contour"):
+        cs.solve_cases([reference_setup, other], 8)
+
+
+def test_solve_cases_names_failing_case(unit_semicircle):
+    unloaded = cs.ProblemSetup(
+        contour=unit_semicircle,
+        matrix=cs.Material(40.0, 0.25),
+        inclusion=cs.Material(60.0, 0.35),
+        surface=cs.SurfaceTension(0.1, 0.1, 0.1),
+        load=cs.RemoteLoad(0.0, 0.0, 0.0),
+    )
+    # Face tractions no polynomial can follow, on a matrix truncated to rank
+    # 129 of 134 by rcond; the unloaded cases fit exactly.
+    square_wave = cs.CrackTractions(
+        f1=lambda s: np.sign(np.sin(40.0 * s)), f2=lambda s: -np.sign(np.sin(40.0 * s))
+    )
+    cases = [unloaded, replace(unloaded, tractions=square_wave), unloaded]
+    with pytest.raises(cs.SingularSystemError, match="case 1") as err:
+        cs.solve_cases(cases, 8, rcond=1e-4)
+    assert err.value.case == 1
+
+
+def test_solver_warnings(reference_setup, caplog):
+    # Identical phases, unloaded (so the truncated solve still fits), on a
+    # coarse quadrature and with rcond cutting the rank.
+    same = replace(reference_setup, inclusion=reference_setup.matrix, load=cs.RemoteLoad(0.0, 0.0))
+    coarse = cs.QuadratureRule(nodes_per_panel=4, panels_per_arc=2)
+    with caplog.at_level("WARNING", logger="crackst"):
+        _, report = cs.solve_problem(same, 8, rule=coarse, rcond=1e-4)
+    assert report.rank < report.cols and report.degenerate_pair
+    assert report.meta["quadrature_stabilized"] is False
+    messages = " | ".join(r.getMessage() for r in caplog.records if r.name == "crackst")
+    assert "rank" in messages
+    assert "did not stabilize" in messages
+    assert "degenerate material pair" in messages
