@@ -469,7 +469,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the solver-failure
+        # code here, and 0 after --help.
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,10 @@ The two regular kernels are
 
 with t' the unit tangent at the field point.  Both are smooth along a smooth
 contour; their diagonal limits are i*rho/t' and -i*rho/conj(t'), and both
-vanish identically on straight segments.
+vanish identically on straight segments.  Close to the diagonal the raw
+quotients cancel, so every kernel evaluation (the solver's tables, the stress
+traces, k1 and k2) goes through _regular_kernels, which switches to a
+second-order expansion about the field point there.
 
 Principal values of Cauchy integrals over the closed contour are computed by
 singularity subtraction,
@@ -42,8 +45,9 @@ __all__ = [
     "contour_integral",
 ]
 
-# Fraction of the total length below which kernel evaluation switches to the
-# analytic diagonal limit (below cancellation noise of the raw quotients).
+# Fraction of the total length below which kernel evaluation switches from
+# the raw quotients (cancellation error 1e-16/d**2) to the near-diagonal
+# expansion (error O(d**2)), and the PV's divided differences to a derivative.
 DIAG_EPS_FACTOR = 1e-5
 # Field points closer than this to a crack tip are rejected for PV evaluation.
 TIP_EPS_FACTOR = 1e-6
@@ -73,47 +77,52 @@ def kernel_k2(t, dt_field, tau):
 
 
 def k1(contour, s_field, s_src):
-    """First regular kernel with the analytic diagonal limit i*rho/t'."""
-    s_field = np.asarray(s_field, dtype=float)
-    s_src = np.asarray(s_src, dtype=float)
-    near = circular_distance(s_field, s_src, contour.l) < DIAG_EPS_FACTOR * contour.l
-    if np.all(near):
-        mid = _circular_midpoint(s_field, s_src, contour.l)
-        return 1j * contour.curvature(mid) / contour.tangent(mid)
-    out = np.asarray(
-        kernel_k1(contour.point(s_field), contour.tangent(s_field), contour.point(s_src)),
-        dtype=complex,
-    )
-    if np.any(near):
-        mid = _circular_midpoint(s_field, s_src, contour.l)
-        lim = 1j * contour.curvature(mid) / contour.tangent(mid)
-        out = np.where(near, lim, out)
-    return out
+    """First regular kernel, with the near-diagonal guard of _regular_kernels."""
+    return _kernels_on(contour, s_field, s_src)[0]
 
 
 def k2(contour, s_field, s_src):
-    """Second regular kernel with the analytic diagonal limit -i*rho/conj(t')."""
+    """Second regular kernel, with the near-diagonal guard of _regular_kernels."""
+    return _kernels_on(contour, s_field, s_src)[1]
+
+
+def _kernels_on(contour, s_field, s_src):
     s_field = np.asarray(s_field, dtype=float)
     s_src = np.asarray(s_src, dtype=float)
-    near = circular_distance(s_field, s_src, contour.l) < DIAG_EPS_FACTOR * contour.l
-    if np.all(near):
-        mid = _circular_midpoint(s_field, s_src, contour.l)
-        return -1j * contour.curvature(mid) / np.conj(contour.tangent(mid))
-    out = np.asarray(
-        kernel_k2(contour.point(s_field), contour.tangent(s_field), contour.point(s_src)),
-        dtype=complex,
+    return _regular_kernels(
+        contour, s_field, contour.point(s_field), contour.tangent(s_field),
+        s_src, contour.point(s_src), DIAG_EPS_FACTOR * contour.l,
     )
+
+
+def _regular_kernels(contour, s_field, t, dt, s_src, tau, eps):
+    """k1 and k2 of the field points (s_field, t, dt) against the sources
+    (s_src, tau), broadcast together.
+
+    Pairs closer than ``eps`` in arc length, where the raw quotients lose
+    about 1e-16/d**2 to cancellation, take the expansion about the field
+    point in d = s_src - s_field, signed on the closed contour:
+
+        k1 = i*(rho + rho'*d/3)/t' + O(d**2)
+        k2 = -i*(rho + rho'*d/3 + i*rho**2*d)/conj(t') + O(d**2)
+
+    with rho, rho' and t' at the field point; on a circle k1 is exact.
+    """
+    l = contour.l
+    d = np.mod(s_src - s_field + 0.5 * l, l) - 0.5 * l
+    near = np.abs(d) < eps
+    tau = np.where(near, t + 1.0, tau)
+    out1 = np.asarray(kernel_k1(t, dt, tau), dtype=complex)
+    out2 = np.asarray(kernel_k2(t, dt, tau), dtype=complex)
     if np.any(near):
-        mid = _circular_midpoint(s_field, s_src, contour.l)
-        lim = -1j * contour.curvature(mid) / np.conj(contour.tangent(mid))
-        out = np.where(near, lim, out)
-    return out
-
-
-def _circular_midpoint(s_a, s_b, period):
-    half = 0.5 * np.mod(s_b - s_a, period)
-    half = np.where(half > period / 2, half - period / 2, half)
-    return np.mod(s_a + half, period)
+        s_near = np.broadcast_to(s_field, near.shape)[near]
+        dt_near = np.broadcast_to(dt, near.shape)[near]
+        d_near = d[near]
+        rho = contour.curvature(s_near)
+        lin = rho + contour.curvature_derivative(s_near) * d_near / 3.0
+        out1[near] = 1j * lin / dt_near
+        out2[near] = -1j * (lin + 1j * rho**2 * d_near) / np.conj(dt_near)
+    return out1, out2
 
 
 def _graded_edges(lo, hi, base_panels, tip_panel):

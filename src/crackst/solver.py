@@ -50,12 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (
-    DIAG_EPS_FACTOR,
-    QuadratureRule,
-    kernel_k1,
-    kernel_k2,
-)
+from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _regular_kernels
 
 __all__ = [
     "FUNCTIONS",
@@ -371,7 +366,8 @@ class _MonomialBasis:
         self.centers = (0.5 * l0, 0.5 * (l0 + l))
         self.halves = (0.5 * l0, 0.5 * (l - l0))
         self.powers = np.arange(n + 2)
-        # Node/point pairs closer than this use the divided-difference limit.
+        # Node/point pairs closer than this use the divided-difference limit
+        # and the near-diagonal kernel expansion.
         self.diag_eps = DIAG_EPS_FACTOR * l
 
     def keys(self, arc):
@@ -433,8 +429,6 @@ class _Tables:
     """
 
     def __init__(self, contour, pts, arc_of_pt, disc, basis):
-        l = contour.l
-        n_pts = pts.size
         t_p = contour.point(pts)
         dt_p = contour.tangent(pts)
         self.pts, self.arc_of_pt, self.t_p, self.dt_p = pts, arc_of_pt, t_p, dt_p
@@ -445,24 +439,14 @@ class _Tables:
 
         denom = disc.tau[:, None] - t_p[None, :]
         d_s = disc.s[:, None] - pts[None, :]
-        d_signed = np.mod(d_s + 0.5 * l, l) - 0.5 * l
-        near_circ = np.abs(d_signed) < eps  # kernel diagonal guard
         # Divided-difference replacement applies only to same-arc pairs;
         # across a tip the raw quotient is the correct near-singular value.
         near_plain = (np.abs(d_s) < eps) & (disc.arc[:, None] == arc_of_pt[None, :])
         safe = np.where(near_plain, 1.0, denom)
         cmat = (disc.w * disc.dt)[:, None] / safe
-
-        tau_safe = np.where(near_circ, t_p[None, :] + 1.0, disc.tau[:, None])
-        k1m = kernel_k1(t_p[None, :], dt_p[None, :], tau_safe)
-        k2m = kernel_k2(t_p[None, :], dt_p[None, :], tau_safe)
-        if np.any(near_circ):
-            qi, pi = np.nonzero(near_circ)
-            mid = np.mod(pts[pi] + 0.5 * d_signed[qi, pi], l)
-            rho_m = contour.curvature(mid)
-            dt_m = contour.tangent(mid)
-            k1m[qi, pi] = 1j * rho_m / dt_m
-            k2m[qi, pi] = -1j * rho_m / np.conj(dt_m)
+        k1m, k2m = _regular_kernels(
+            contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None], eps
+        )
 
         g_all = np.sum(cmat, axis=0)
 

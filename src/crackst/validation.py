@@ -28,11 +28,10 @@ import numpy as np
 from .kernels import (
     DIAG_EPS_FACTOR,
     QuadratureRule,
+    _regular_kernels,
     cauchy_pv,
     circular_distance,
     contour_integral,
-    kernel_k1,
-    kernel_k2,
     singular_apply,
 )
 from .model import m_coefficients
@@ -342,14 +341,7 @@ def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
     # Field points on the first axis, quadrature nodes on the last.
     t0 = contour.point(s0)
     dt0 = contour.tangent(s0)
-    k1v = kernel_k1(t0[:, None], dt0[:, None], tau)
-    k2v = kernel_k2(t0[:, None], dt0[:, None], tau)
-    dd = np.abs(disc.s - s0[:, None])
-    near = np.minimum(dd, contour.l - dd) < diag_eps
-    if near.any():
-        rho0 = contour.curvature(s0)[:, None]
-        k1v = np.where(near, 1j * rho0 / dt0[:, None], k1v)
-        k2v = np.where(near, -1j * rho0 / np.conj(dt0[:, None]), k2v)
+    k1v, k2v = _regular_kernels(contour, s0[:, None], t0[:, None], dt0[:, None], disc.s, tau, diag_eps)
 
     # A zero tip panel means a field point on a tip, which cauchy_pv refuses.
     tip_eps = 0.0 if tip_panel > 0.0 else None

@@ -165,6 +165,18 @@ def test_sweep_rejects_empty_values(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "gamma0", "--values", "", "--quiet"]) == 1
 
 
+def test_usage_errors_exit_with_usage_code(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--param", "foo", "--values", "1", "--quiet"]) == 1
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+    assert main(["sweep", "--param", "gamma0", "--values", "1", "--quiet"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg, "--param", "gamma0", "--quiet"]) == 1
+    assert "--values" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: crackst" in capsys.readouterr().out
+
+
 def test_scenario_unknown_name(capsys):
     assert main(["scenario", "fig99", "--quiet"]) == 1
 

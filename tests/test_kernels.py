@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import crackst as cs
-from crackst.kernels import Discretization, QuadratureRule, kernel_k1, kernel_k2
+from crackst.kernels import (
+    Discretization,
+    QuadratureRule,
+    _regular_kernels,
+    kernel_k1,
+    kernel_k2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +72,38 @@ def test_kernels_continuous_across_diagonal(circle):
     for s in (0.9, 3.3):
         assert abs(cs.k1(circle, s, s + eps) - cs.k1(circle, s, s)) < 1e-3
         assert abs(cs.k2(circle, s, s + eps) - cs.k2(circle, s, s)) < 1e-3
+
+
+def _expansion_and_raw(contour, s, d):
+    """Near-diagonal expansion (forced by an infinite guard) and raw kernels."""
+    t, dt, tau = contour.point(s), contour.tangent(s), contour.point(contour.wrap(s + d))
+    expanded = _regular_kernels(contour, s, t, dt, s + d, tau, np.inf)
+    return expanded, (kernel_k1(t, dt, tau), kernel_k2(t, dt, tau))
+
+
+def test_near_diagonal_expansion_is_second_order_on_ellipse():
+    # rho' != 0 on the ellipse; at these gaps the raw quotients cancel below
+    # 1e-10, so they serve as the reference.
+    ellipse = cs.elliptical_contour(1.5, 1.0, (0.0, np.pi))
+    for s in (0.4, 1.1, 2.9, 4.0, 6.5):
+        assert abs(ellipse.curvature_derivative(s)) > 0.1
+        for sign in (1.0, -1.0):
+            errors = []
+            for d in (1e-2, 5e-3, 2.5e-3):
+                expanded, raw = _expansion_and_raw(ellipse, s, sign * d)
+                errors.append([abs(expanded[0] - raw[0]), abs(expanded[1] - raw[1])])
+            errors = np.array(errors)
+            assert np.all(errors[0] < 5e-4)
+            ratios = errors[:-1] / errors[1:]
+            assert np.all((ratios > 3.5) & (ratios < 4.5)), (s, sign, ratios)
+
+
+def test_near_diagonal_k1_is_exact_on_unit_circle(circle):
+    for s in (0.3, 2.0, 5.9):
+        for d in (0.3, 1e-2, -1e-2):
+            expanded, raw = _expansion_and_raw(circle, s, d)
+            assert abs(expanded[0] - raw[0]) < 1e-10  # cancellation in the raw k1
+            assert abs(expanded[0] - np.exp(-1j * s)) < 1e-15
 
 
 def test_kernels_vanish_on_straight_segments():

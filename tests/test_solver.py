@@ -299,3 +299,22 @@ def test_solver_warnings(reference_setup, caplog):
     assert "rank" in messages
     assert "did not stabilize" in messages
     assert "degenerate material pair" in messages
+
+
+@pytest.mark.parametrize(
+    "shape, n, rank",
+    [("semicircle", 16, 246), ("semicircle", 24, 358), ("semicircle", 32, 461),
+     ("semicircle", 48, 533), ("semicircle", 64, 577), ("ellipse", 24, 358)],
+)
+def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, caplog, shape, n, rank):
+    # The first-order near-diagonal kernel limit left a drift floor of 5e-9
+    # to 1e-8, above MATRIX_STABILITY_TOL, at N = 24 and 64 and on the ellipse.
+    setup = reference_setup
+    if shape == "ellipse":
+        setup = replace(setup, contour=cs.elliptical_contour(1.5, 1.0, (0.0, np.pi)))
+    with caplog.at_level("WARNING", logger="crackst"):
+        _, report = cs.solve_problem(setup, n)
+    assert report.meta["quadrature_stabilized"] is True
+    assert report.meta["batch"]["table_builds"] == 2
+    assert not any("did not stabilize" in r.getMessage() for r in caplog.records)
+    assert report.rank == rank
