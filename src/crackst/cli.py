@@ -83,8 +83,7 @@ def _solve_runs(cases, quiet=False):
         adaptive=numerics.adaptive_quadrature,
     )
     results = solve_cases(
-        [case.setup for case in cases], numerics.order, rule=rule,
-        rcond=numerics.rcond, **numerics.assemble_kwargs()
+        [case.setup for case in cases], numerics.order, rule=rule, rcond=numerics.rcond
     )
     if not quiet:
         for _, report in results:

@@ -37,13 +37,6 @@ _SCHEMA = {
         "nodes_per_panel",
         "panels_per_arc",
         "adaptive_quadrature",
-        "oversample",
-        "tip_inset",
-        "tie_constant_terms",
-        "taper_exponent",
-        "bond_weight",
-        "constraint_weight",
-        "force_weight",
         "rcond",
     },
     "output": {"directory"},
@@ -60,30 +53,13 @@ class Numerics:
     nodes_per_panel: int = 16
     panels_per_arc: int = 8
     adaptive_quadrature: bool = True
-    oversample: float | None = None
-    tip_inset: float | None = None
-    tie_constant_terms: bool = False
-    taper_exponent: float | None = None
-    bond_weight: float | None = None
-    constraint_weight: float | None = None
-    force_weight: float | None = None
     rcond: float = 1e-13
 
     def assemble_kwargs(self):
-        out = {"tie_constant_terms": self.tie_constant_terms}
-        if self.oversample is not None:
-            out["oversample"] = self.oversample
-        if self.tip_inset is not None:
-            out["delta"] = self.tip_inset
-        if self.taper_exponent is not None:
-            out["taper_exponent"] = self.taper_exponent
-        if self.bond_weight is not None:
-            out["bond_weight"] = self.bond_weight
-        if self.constraint_weight is not None:
-            out["constraint_weight"] = self.constraint_weight
-        if self.force_weight is not None:
-            out["force_weight"] = self.force_weight
-        return out
+        """Keywords for solver.assemble beyond the quadrature rule: none, as
+        every field sets the rule or the solve.  Kept for callers that unpack
+        it into assemble."""
+        return {}
 
 
 @dataclass
@@ -196,13 +172,6 @@ def parse_config_text(text):
         nodes_per_panel=_read(parser, "numerics", "nodes_per_panel", int, default=16),
         panels_per_arc=_read(parser, "numerics", "panels_per_arc", int, default=8),
         adaptive_quadrature=_read(parser, "numerics", "adaptive_quadrature", bool, default=True),
-        oversample=_read(parser, "numerics", "oversample", float),
-        tip_inset=_read(parser, "numerics", "tip_inset", float),
-        tie_constant_terms=_read(parser, "numerics", "tie_constant_terms", bool, default=False),
-        taper_exponent=_read(parser, "numerics", "taper_exponent", float),
-        bond_weight=_read(parser, "numerics", "bond_weight", float),
-        constraint_weight=_read(parser, "numerics", "constraint_weight", float),
-        force_weight=_read(parser, "numerics", "force_weight", float),
         rcond=_read(parser, "numerics", "rcond", float, default=1e-13),
     ) if parser.has_section("numerics") else Numerics()
 
@@ -260,19 +229,13 @@ def dump_config(run_config):
         "alpha_rad": repr(setup.load.alpha),
     }
     num = run_config.numerics
-    numerics = {
+    parser["numerics"] = {
         "order": str(num.order),
         "nodes_per_panel": str(num.nodes_per_panel),
         "panels_per_arc": str(num.panels_per_arc),
         "adaptive_quadrature": str(num.adaptive_quadrature).lower(),
-        "tie_constant_terms": str(num.tie_constant_terms).lower(),
         "rcond": repr(num.rcond),
     }
-    for key in ("oversample", "tip_inset", "taper_exponent", "bond_weight", "constraint_weight", "force_weight"):
-        val = getattr(num, key)
-        if val is not None:
-            numerics[key] = repr(val)
-    parser["numerics"] = numerics
     parser["output"] = {"directory": run_config.output_dir}
     buf = io.StringIO()
     parser.write(buf)

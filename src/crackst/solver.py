@@ -22,13 +22,12 @@ Rows of the real linear system:
     at the bonded-arc points;
   * the proportionality of g0' and g' on the bonded arc, imposed by
     eliminating the degree >= 1 coefficients of the bonded-arc g' and adding
-    the constant-term tie as two residual rows (a switch eliminates the
-    constant terms as well);
+    the constant-term tie as two residual rows;
   * total-force balance (two rows) and continuity of Re g0', Re g' across
     both tips (four rows).
 
-With the default treatment the system is square, (14N+22) x (14N+22); it is
-nevertheless solved by least squares with rank and condition reporting.
+The system has 14N+22 columns and is solved by weighted least squares with
+rank and condition reporting.
 Monomials are evaluated internally in the shifted variable (s-c)/h with h the
 arc half-length, which keeps the Vandermonde-like blocks well conditioned;
 solved coefficients are reported in powers of (s-c).  The rows are built from
@@ -84,7 +83,7 @@ MAX_ADAPTIVE_ROUNDS = 3
 # alias polynomials (zero at every collocation point, order one between
 # them) that the side conditions barely see, so it turns numerically
 # singular as N grows; oversampling pins those modes.
-DEFAULT_OVERSAMPLE = 3.0
+OVERSAMPLE = 3.0
 # Collocation stays this fraction of the shorter arc away from the tips.
 # The shear-type densities grow logarithmically at the tips, which a
 # polynomial basis cannot follow; fitting into that zone destabilizes the
@@ -101,9 +100,9 @@ DEFAULT_INSET_FRACTION = 0.03
 # exactly where it is least accurate, and forcing them hard distorts the
 # interior solution.
 DEFAULT_TAPER = 1.0
-DEFAULT_BOND_WEIGHT = 5.0
-DEFAULT_CONSTRAINT_WEIGHT = 100.0
-DEFAULT_FORCE_WEIGHT = 10.0
+BOND_WEIGHT = 5.0
+CONSTRAINT_WEIGHT = 100.0
+FORCE_WEIGHT = 10.0
 TIP_ROW_WEIGHT = 1.0
 
 
@@ -296,7 +295,6 @@ class LinearSystem:
     row_tags: list
     row_weights: np.ndarray  # least-squares weights, one per row
     elimination: np.ndarray  # maps free coefficients to the full vector
-    scale_powers: np.ndarray  # converts the internal scaled basis to (s-c)^k
     n: int
     l0: float
     l: float
@@ -366,8 +364,8 @@ class _MonomialBasis:
         self.centers = (0.5 * l0, 0.5 * (l0 + l))
         self.halves = (0.5 * l0, 0.5 * (l - l0))
         self.powers = np.arange(n + 2)
-        # Node/point pairs closer than this use the divided-difference limit
-        # and the near-diagonal kernel expansion.
+        # Same-arc node/point pairs closer than this take the
+        # divided-difference limit in the Cauchy table A.
         self.diag_eps = DIAG_EPS_FACTOR * l
 
     def keys(self, arc):
@@ -401,20 +399,15 @@ class _MonomialBasis:
         """Function values at the start and at the end of the arc."""
         return (-1.0) ** np.arange(self.n + 2, dtype=float), np.ones(self.n + 2)
 
-    def scale_powers(self, layout):
-        """Converts the internal scaled basis to powers of (s - c)."""
-        out = np.ones(layout.total)
-        for p in range(8):
-            h = self.halves[p // 4]
-            out[layout.a_cols(p)] = h ** -np.arange(_a_len(p, self.n), dtype=float)
-            out[layout.b_cols(p)] = h ** -np.arange(_b_len(p, self.n), dtype=float)
-        return out
-
     def densities(self, full, layout, l0, l):
+        """The DensitySet of the full coefficient vector, converted from the
+        scaled monomials to powers of (s - c)."""
         dset = DensitySet.zeros(self.n, l0, l)
         for p in range(8):
-            dset.a[p] = full[layout.a_cols(p)].copy()
-            dset.b[p] = full[layout.b_cols(p)].copy()
+            h = self.halves[p // 4]
+            a, b = full[layout.a_cols(p)], full[layout.b_cols(p)]
+            dset.a[p] = a * h ** -np.arange(a.size, dtype=float)
+            dset.b[p] = b * h ** -np.arange(b.size, dtype=float)
         return dset
 
 
@@ -435,17 +428,18 @@ class _Tables:
         self.rho_p = contour.curvature(pts)
         self.rhop_p = contour.curvature_derivative(pts)
 
-        eps = basis.diag_eps
-
         denom = disc.tau[:, None] - t_p[None, :]
         d_s = disc.s[:, None] - pts[None, :]
         # Divided-difference replacement applies only to same-arc pairs;
         # across a tip the raw quotient is the correct near-singular value.
-        near_plain = (np.abs(d_s) < eps) & (disc.arc[:, None] == arc_of_pt[None, :])
+        near_plain = (np.abs(d_s) < basis.diag_eps) & (disc.arc[:, None] == arc_of_pt[None, :])
         safe = np.where(near_plain, 1.0, denom)
         cmat = (disc.w * disc.dt)[:, None] / safe
+        # The kernels' near-diagonal guard does not depend on the basis;
+        # basis.diag_eps sets only the divided-difference radius above.
         k1m, k2m = _regular_kernels(
-            contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None], eps
+            contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None],
+            DIAG_EPS_FACTOR * contour.l,
         )
 
         g_all = np.sum(cmat, axis=0)
@@ -487,31 +481,25 @@ def assemble(
     n,
     rule=None,
     delta=None,
-    tie_constant_terms=False,
-    oversample=None,
     taper_exponent=DEFAULT_TAPER,
-    bond_weight=DEFAULT_BOND_WEIGHT,
-    constraint_weight=DEFAULT_CONSTRAINT_WEIGHT,
-    force_weight=DEFAULT_FORCE_WEIGHT,
     tip_weight=TIP_ROW_WEIGHT,
     basis=None,
     points=None,
 ):
     """Assemble the real collocation system for the given problem and order.
 
-    ``oversample`` scales the number of collocation points per arc relative
-    to N+1; the resulting rectangular system is solved by weighted least
-    squares (weights are stored on the system and reported residuals are
-    unweighted).  ``delta`` overrides the default tip inset of
-    DEFAULT_INSET_FRACTION times the shorter arc; the quadrature grades its
-    tip panels down to delta/2.  ``basis`` replaces the scaled monomials
-    (see _MonomialBasis) and ``points``, a (crack, bonded) pair of arrays,
-    the inset equispaced collocation points.  ``tip_weight`` weighs the
-    tip-anchored rows (slope continuity, constant-term ties).
+    The system is solved by weighted least squares (weights are stored on
+    the system and reported residuals are unweighted).  ``delta`` overrides
+    the default tip inset of DEFAULT_INSET_FRACTION times the shorter arc;
+    the quadrature grades its tip panels down to delta/2.
+    ``taper_exponent`` sets the taper of the equation rows toward the tips.
+    ``basis`` replaces the scaled monomials (see _MonomialBasis) and
+    ``points``, a (crack, bonded) pair of arrays, the inset equispaced
+    collocation points.  ``tip_weight`` weighs the tip-anchored rows (slope
+    continuity, constant-term ties).
     """
     ((system, _),) = _assemble_cases(
-        [setup], n, rule, delta, tie_constant_terms, oversample, taper_exponent,
-        bond_weight, constraint_weight, force_weight, tip_weight, basis, points,
+        [setup], n, rule, delta, taper_exponent, tip_weight, basis, points
     )
     system.rhs = system.rhs[:, 0]
     return system
@@ -522,12 +510,7 @@ def _assemble_cases(
     n,
     rule=None,
     delta=None,
-    tie_constant_terms=False,
-    oversample=None,
     taper_exponent=DEFAULT_TAPER,
-    bond_weight=DEFAULT_BOND_WEIGHT,
-    constraint_weight=DEFAULT_CONSTRAINT_WEIGHT,
-    force_weight=DEFAULT_FORCE_WEIGHT,
     tip_weight=TIP_ROW_WEIGHT,
     basis=None,
     points=None,
@@ -557,13 +540,10 @@ def _assemble_cases(
         rule = QuadratureRule()
     if delta is None:
         delta = DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
-    if oversample is None:
-        oversample = DEFAULT_OVERSAMPLE
-    m_pts = max(n + 1, int(round(oversample * (n + 1))))
-    weights_cfg = (taper_exponent, bond_weight, constraint_weight, force_weight, tip_weight)
     if basis is None:
         basis = _MonomialBasis(contour.l0, contour.l, n)
     if points is None:
+        m_pts = int(round(OVERSAMPLE * (n + 1)))
         points = collocation_points(contour.l0, contour.l, m_pts - 1, delta)
     pts = np.concatenate(points)
     arc_of_pt = np.concatenate(
@@ -589,7 +569,7 @@ def _assemble_cases(
         for g in pending:
             t0 = time.perf_counter()
             mat, rhs, tags, wts = _assemble_rows(
-                [setups[i] for i in groups[g]], basis, tab, tie_constant_terms, points, weights_cfg
+                [setups[i] for i in groups[g]], basis, tab, points, taper_exponent, tip_weight
             )
             meta = {
                 "quadrature_nodes": int(disc.n_nodes),
@@ -610,7 +590,6 @@ def _assemble_cases(
                 break
 
     layout = _Layout(n, basis)
-    scale_powers = basis.scale_powers(layout)
     systems = []
     for g, cases in enumerate(groups):
         mat, rhs, tags, wts, meta = built[g]
@@ -627,7 +606,7 @@ def _assemble_cases(
                 "(cases %s); the solve proceeds and reports its condition", cases,
             )
         t0 = time.perf_counter()
-        elim, free, linked, sources, lam = _elimination(setup, layout, tie_constant_terms)
+        elim, free, linked, sources, lam = _elimination(setup, layout)
         matrix = np.take(mat, free, axis=1)  # C order, like mat (mat[:, free] is not)
         matrix[:, sources] += lam * np.take(mat, linked, axis=1)
         rows_s[g] += time.perf_counter() - t0
@@ -635,12 +614,8 @@ def _assemble_cases(
             {
                 "order": n,
                 "delta": delta,
-                "tie_constant_terms": tie_constant_terms,
-                "oversample": oversample,
                 "points_per_arc": int(points[0].size),
                 "taper_exponent": taper_exponent,
-                "bond_weight": bond_weight,
-                "constraint_weight": constraint_weight,
                 "full_coefficients": layout.total,
                 "degenerate_pair": setup.is_degenerate_pair,
                 # Work shared with other cases: the tables with all cases of
@@ -662,7 +637,6 @@ def _assemble_cases(
             row_tags=tags,
             row_weights=wts,
             elimination=elim,
-            scale_powers=scale_powers,
             n=n,
             l0=contour.l0,
             l=contour.l,
@@ -697,10 +671,10 @@ def tension_coefficients(setup):
     )
 
 
-def _elimination(setup, layout, tie_constant_terms):
+def _elimination(setup, layout):
     """Full-vector reconstruction map: bonded-arc g' coefficients of degree
-    >= 1 (and degree 0 when tied) follow the bonded-arc g0' coefficients with
-    factor lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
+    >= 1 follow the bonded-arc g0' coefficients with factor
+    lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
 
     Returns (map, free, linked, sources, lam): the map [full, free] and the
     parts that apply it to a matrix's columns, mat[:, free] plus lam times
@@ -708,13 +682,12 @@ def _elimination(setup, layout, tie_constant_terms):
     mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
     mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
     lam = -mu * (kap0 + 1.0) / (mu0 * (kap + 1.0))
-    kmin = 0 if tie_constant_terms else 1
     links = {}
     a_src, a_dst = layout.a_cols(5), layout.a_cols(7)
     b_src, b_dst = layout.b_cols(5), layout.b_cols(7)
-    for kk in range(kmin, a_dst.size):
+    for kk in range(1, a_dst.size):
         links[int(a_dst[kk])] = int(a_src[kk])
-    for kk in range(kmin, b_dst.size):
+    for kk in range(1, b_dst.size):
         links[int(b_dst[kk])] = int(b_src[kk])
     free = [c for c in range(layout.total) if c not in links]
     pos = {c: i for i, c in enumerate(free)}
@@ -727,12 +700,11 @@ def _elimination(setup, layout, tie_constant_terms):
     return elim, free, linked, [pos[links[c]] for c in linked], lam
 
 
-def _assemble_rows(setups, basis, tab, tie_constant_terms, points, weights_cfg):
+def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
     """Rows on one level's tables for setups that share materials and surface
     tension: (matrix, rhs [rows, len(setups)], tags, weights).  The matrix
     comes from the first setup; each setup's load and crack-face tractions
     give its right-hand-side column."""
-    taper_exponent, bond_weight, constraint_weight, force_weight, tip_weight = weights_cfg
     setup = setups[0]
     contour = setup.contour
     layout = _Layout(basis.n, basis)
@@ -877,25 +849,24 @@ def _assemble_rows(setups, basis, tab, tie_constant_terms, points, weights_cfg):
     # is enforced untapered and strongly; otherwise it carries the same
     # log-singular derivative terms as the crack rows and is tapered alike.
     if setup.surface.gamma_interface == 0.0:
-        w_jump = bond_weight
+        w_jump = BOND_WEIGHT
     else:
         w_jump = w_bond
     tension_rows(bond_sel, 1, c_iface, (4, 6), 5, zero, zero, "bond_jump", w_jump)
 
     # Constant-term tie of the bonded-arc slope proportionality (the higher
     # coefficients are eliminated exactly).
-    if not tie_constant_terms:
-        for src, dst, tag in (
-            (layout.a_cols(5)[0], layout.a_cols(7)[0], "bond_slope_tie_re"),
-            (layout.b_cols(5)[0], layout.b_cols(7)[0], "bond_slope_tie_im"),
-        ):
-            row = np.zeros((1, layout.total))
-            row[0, src] = (kap0 + 1.0) / mu0
-            row[0, dst] = (kap + 1.0) / mu
-            rows.append(row)
-            rhs.append(np.zeros((1, n_cases)))
-            tags.append(tag)
-            wts.append(np.array([tip_weight]))
+    for src, dst, tag in (
+        (layout.a_cols(5)[0], layout.a_cols(7)[0], "bond_slope_tie_re"),
+        (layout.b_cols(5)[0], layout.b_cols(7)[0], "bond_slope_tie_im"),
+    ):
+        row = np.zeros((1, layout.total))
+        row[0, src] = (kap0 + 1.0) / mu0
+        row[0, dst] = (kap + 1.0) / mu
+        rows.append(row)
+        rhs.append(np.zeros((1, n_cases)))
+        tags.append(tag)
+        wts.append(np.array([tip_weight]))
 
     # Total-force balance: int (q0 - q) d tau = 0 over the whole contour.
     zf = np.zeros((1, layout.total), dtype=complex)
@@ -903,7 +874,7 @@ def _assemble_rows(setups, basis, tab, tie_constant_terms, points, weights_cfg):
         q_a, q_b = moments(piece)
         zf[0, layout.a_cols(piece)] += sign * q_a
         zf[0, layout.b_cols(piece)] += 1j * sign * q_b
-    push_complex(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", force_weight)
+    push_complex(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", FORCE_WEIGHT)
 
     # Single-valuedness of the displacements along the crack: the same
     # integral that is folded into the matrix-side equation must itself
@@ -914,7 +885,7 @@ def _assemble_rows(setups, basis, tab, tie_constant_terms, points, weights_cfg):
         q_a, q_b = moments(piece)
         zsv[0, layout.a_cols(piece)] += fac * q_a
         zsv[0, layout.b_cols(piece)] += 1j * fac * q_b
-    push_complex(zsv, np.zeros((1, n_cases), dtype=complex), "single_valuedness", constraint_weight)
+    push_complex(zsv, np.zeros((1, n_cases), dtype=complex), "single_valuedness", CONSTRAINT_WEIGHT)
 
     # Continuity of Re g0' and Re g' across both tips: tip 0 joins the start
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
@@ -994,8 +965,7 @@ def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
         for tag, r in zip(system.row_tags, resid):
             per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
 
-        paper = (system.elimination @ x) * system.scale_powers
-        dset = system.basis.densities(paper, layout, system.l0, system.l)
+        dset = system.basis.densities(system.elimination @ x, layout, system.l0, system.l)
         meta = dict(system.meta)
         meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
         report = ResidualReport(

@@ -19,10 +19,10 @@ from numpy.polynomial import legendre as L
 
 from .kernels import QuadratureRule
 from .solver import (
-    DEFAULT_CONSTRAINT_WEIGHT,
+    CONSTRAINT_WEIGHT,
     DEFAULT_INSET_FRACTION,
-    DEFAULT_OVERSAMPLE,
     FUNCTIONS,
+    OVERSAMPLE,
     assemble,
     solve,
     tension_coefficients,
@@ -179,6 +179,7 @@ class TipEnrichedBasis:
         self.zone = _LogBasis(TIP_ZONE_WIDTH * inset, self.d_min, zone_terms)
         self.size = n + 1 + 2 * zone_terms
         self.bond_tension = setup.surface.gamma_interface > 0.0
+        # Divided-difference radius of the Cauchy table A (solver._Tables).
         self.diag_eps = 1e-9 * self.l
 
     def part_keys(self, piece):
@@ -229,22 +230,19 @@ class TipEnrichedBasis:
         ends = (0.0, self.l0) if arc == 0 else (self.l0, self.l)
         return tuple(self.functions(arc, key, np.array(ends)))
 
-    def scale_powers(self, layout):
-        return np.ones(layout.total)
-
     def densities(self, full, layout, l0, l):
         return TipResolvedDensities(
             self, [(full[layout.a_cols(p)], full[layout.b_cols(p)]) for p in range(8)]
         )
 
-    def collocation_points(self, oversample=DEFAULT_OVERSAMPLE):
-        """On each arc, oversample times as many points as the arc has
+    def collocation_points(self):
+        """On each arc, OVERSAMPLE times as many points as the arc has
         Legendre functions, at its Chebyshev points, and at each end
-        oversample times as many as a zone has functions, at the Chebyshev
+        OVERSAMPLE times as many as a zone has functions, at the Chebyshev
         points of the zone variable."""
-        m = int(round(oversample * (self.n + 1)))
+        m = int(round(OVERSAMPLE * (self.n + 1)))
         x = -np.cos(np.pi * (np.arange(m) + 0.5) / m)
-        k = int(round(oversample * self.zone.k))
+        k = int(round(OVERSAMPLE * self.zone.k))
         d = self.zone.distance(-np.cos(np.pi * (np.arange(k) + 0.5) / k))
         out = []
         for start, end in ((0.0, self.l0), (self.l0, self.l)):
@@ -300,7 +298,7 @@ def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):
         rule=TIP_RULE,
         delta=2.0 * basis.d_min,
         taper_exponent=0.0,
-        tip_weight=DEFAULT_CONSTRAINT_WEIGHT,
+        tip_weight=CONSTRAINT_WEIGHT,
         basis=basis,
         points=basis.collocation_points(),
     )

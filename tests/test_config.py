@@ -52,6 +52,16 @@ def test_unknown_section_and_key_rejected():
         parse_config_text(GOOD.replace("mu_gpa = 40.0", "mu_gpa = 40.0\nshininess = 3"))
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["oversample", "tip_inset", "tie_constant_terms", "taper_exponent",
+     "bond_weight", "constraint_weight", "force_weight"],
+)
+def test_fixed_solver_constants_are_not_numerics_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config_text(GOOD.replace("order = 12", f"order = 12\n{key} = 1"))
+
+
 def test_invalid_poisson_named_in_error():
     with pytest.raises(ConfigError, match="Poisson"):
         parse_config_text(GOOD.replace("nu = 0.25", "nu = 0.7"))
@@ -81,13 +91,16 @@ def test_constant_tractions_config():
 
 
 def test_dump_roundtrip():
-    rc = parse_config_text(GOOD)
-    text = dump_config(rc)
-    rc2 = parse_config_text(text)
-    assert rc2.numerics.order == rc.numerics.order
-    assert rc2.setup.load.sigma1 == rc.setup.load.sigma1
-    assert rc2.setup.contour.l0 == pytest.approx(rc.setup.contour.l0)
-    assert rc2.setup.surface.gamma_interface == rc.setup.surface.gamma_interface
+    for rc in (parse_config_text(GOOD), cs.scenario_config("fig6")):
+        text = dump_config(rc)
+        rc2 = parse_config_text(text)
+        assert rc2.numerics == rc.numerics
+        assert rc2.setup.load.sigma1 == rc.setup.load.sigma1
+        assert rc2.setup.contour.l0 == pytest.approx(rc.setup.contour.l0)
+        assert rc2.setup.surface.gamma_interface == rc.setup.surface.gamma_interface
+        assert set(rc2.raw["numerics"]) == {
+            "order", "nodes_per_panel", "panels_per_arc", "adaptive_quadrature", "rcond"
+        }
 
 
 def test_scenario_configs_build():

@@ -80,8 +80,6 @@ def test_assemble_shapes(reference_setup):
     assert system.meta["full_coefficients"] == cs.full_coefficient_count(n)
     assert len(system.row_tags) == system.matrix.shape[0]
     assert system.row_weights.shape == (system.matrix.shape[0],)
-    tied = cs.assemble(reference_setup, n, tie_constant_terms=True)
-    assert tied.matrix.shape[1] == 14 * n + 20
     with pytest.raises(ValueError):
         cs.assemble(reference_setup, 3)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import crackst as cs
-from crackst import tips, validation
+from crackst import solver, tips, validation
+from crackst.kernels import DIAG_EPS_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +138,19 @@ def test_batched_stress_trace_matches_single_points(reference_setup, reference_s
             assert np.allclose(batched, single, rtol=1e-12, atol=0.0)
     square = validation.stress_trace(resolved[0], reference_setup, s[:4].reshape(2, 2), "inclusion", "plus")
     assert square.shape == (2, 2)
+
+
+def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monkeypatch):
+    """The tip basis' small diag_eps is the Cauchy table's divided-difference
+    radius only: the regular kernels switch to their near-diagonal expansion
+    at DIAG_EPS_FACTOR * l, where the raw quotients lose digits."""
+    seen, regular_kernels = [], solver._regular_kernels
+
+    def spy(contour, s_field, t, dt, s_src, tau, eps):
+        seen.append(eps)
+        return regular_kernels(contour, s_field, t, dt, s_src, tau, eps)
+
+    monkeypatch.setattr(solver, "_regular_kernels", spy)
+    cs.solve_tip_resolved(reference_setup, 24)
+    assert seen
+    assert all(eps == DIAG_EPS_FACTOR * reference_setup.contour.l for eps in seen)
