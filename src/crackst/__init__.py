@@ -2,7 +2,7 @@
 inclusion, with curvature-dependent surface tension on all dividing lines.
 
 The library represents the unknown stress and displacement-derivative jumps
-as per-arc Taylor polynomials, collocates the governing singular
+as per-arc Legendre series, collocates the governing singular
 integro-differential system on the closed inclusion boundary, and exposes
 post-processing of boundary stresses, displacement derivatives, crack opening
 and full-field complex potentials.

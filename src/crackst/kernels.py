@@ -285,18 +285,20 @@ def _pv_values(contour, density, at, disc, eps=None):
     total = heads - phi_a * (np.sum(cmat, axis=0) - 1j * np.pi)
     qi, ai = np.nonzero(near)
     if qi.size:
-        # Central difference clamped to the field point's own arc, so the
-        # stencil never straddles a tip.
+        # Central difference kept within half the distance to the ends of
+        # the field point's own arc: a stencil reaching a tip would read the
+        # other arc's branch there (the densities take s <= l0 as arc 0).
         lo = np.where(arc_a[ai] == 0, 0.0, contour.l0)
         hi = np.where(arc_a[ai] == 0, contour.l0, contour.l)
-        hp = np.minimum(eps, hi - at[ai])
-        hm = np.minimum(eps, at[ai] - lo)
+        hp = np.minimum(eps, 0.5 * (hi - at[ai]))
+        hm = np.minimum(eps, 0.5 * (at[ai] - lo))
         dphi = (
             np.asarray(density(at[ai] + hp), dtype=complex)
             - np.asarray(density(at[ai] - hm), dtype=complex)
         ) / (hp + hm)
         crude = (phi_q[..., qi] - phi_a[..., ai]) * cmat[qi, ai]
-        total[..., ai] += disc.w[qi] * dphi - crude
+        # Several nodes may lie within eps of one field point: accumulate all.
+        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(disc.w[qi] * dphi - crude, -1, 0))
     return total
 
 

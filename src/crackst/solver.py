@@ -2,13 +2,13 @@
 
 Four complex densities live on the closed contour: the stress jumps q0, q and
 the displacement-derivative jumps g0', g' of the inclusion-side and
-matrix-side zero extensions.  Each is a truncated Taylor polynomial per arc,
+matrix-side zero extensions.  Each is a Legendre series per arc,
 
-    f(s) = sum_k a_k (s - c)^k + i * sum_k b_k (s - c)^k,
+    f(s) = sum_k a_k P_k(x) + i * sum_k b_k P_k(x),   x = (s - c)/h,
 
-with real coefficients, expansion centers at the arc midpoints, real degree
-N+1 and imaginary degree N (the bonded-arc q has real degree N), for a total
-of 16N + 23 real coefficients.
+with real coefficients, c the arc midpoint and h the arc half-length, real
+degree N+1 and imaginary degree N (the bonded-arc q has real degree N), for
+a total of 16N + 23 real coefficients.
 
 Rows of the real linear system:
 
@@ -28,11 +28,9 @@ Rows of the real linear system:
 
 The system has 14N+22 columns and is solved by weighted least squares with
 rank and condition reporting.
-Monomials are evaluated internally in the shifted variable (s-c)/h with h the
-arc half-length, which keeps the Vandermonde-like blocks well conditioned;
-solved coefficients are reported in powers of (s-c).  The rows are built from
-a basis object (_MonomialBasis here); tips.solve_tip_resolved assembles the
-same rows on a basis that resolves the crack tips.
+The rows are built from a basis object (_LegendreBasis here);
+tips.solve_tip_resolved assembles the same rows on a basis that adds
+functions resolving the crack tips to the same Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
 tables depend only on the contour and the discretization, and the load and
@@ -48,6 +46,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import legendre as L
 
 from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _regular_kernels
 
@@ -77,6 +76,13 @@ log = logging.getLogger("crackst")
 # tips, where shear stresses may grow logarithmically.
 TIP_INSET_FACTOR = 200.0
 MATRIX_STABILITY_TOL = 1e-9
+# Same-arc node/point pairs closer than this fraction of the total length
+# take the midpoint-slope limit of the divided difference in the Cauchy
+# table A.  That limit errs by O(d**2 f'''), which is large for high-degree
+# functions near the arc ends: at 1e-5 it drifted the N = 24 tables by
+# 2.5e-9 between quadrature levels, at 1e-9 by 3e-12.  The raw quotient
+# loses only about 1e-16/d to rounding.
+DIVIDED_DIFFERENCE_EPS_FACTOR = 1e-9
 MAX_ADAPTIVE_ROUNDS = 3
 # Equation rows are collocated at OVERSAMPLE*(N+1) points per arc and solved
 # by least squares.  At exactly N+1 points per arc the square system admits
@@ -148,7 +154,7 @@ def _b_len(piece, n):
 class _Layout:
     """Column bookkeeping for the full coefficient vector (8 pieces:
     crack-arc q0, g0', q, g', then the same four on the bonded arc), with
-    the piece lengths of the basis (the monomial ones by default)."""
+    the piece lengths of the basis (the solver's by default)."""
 
     def __init__(self, n, basis=None):
         self.n = n
@@ -175,11 +181,12 @@ class _Layout:
 
 @dataclass
 class DensitySet:
-    """Polynomial coefficients of the four densities on the two arcs.
+    """Legendre coefficients of the four densities on the two arcs.
 
     ``a[p]`` and ``b[p]`` are the real and imaginary coefficient vectors of
-    piece p (0..3 crack arc, 4..7 bonded arc, function order q0, g0', q, g'),
-    in powers of (s - center of the arc).
+    piece p (0..3 crack arc, 4..7 bonded arc, function order q0, g0', q, g')
+    on P_k(x), x = (s - c)/h, with c the midpoint and h the half-length of
+    the piece's arc.
     """
 
     n: int
@@ -202,6 +209,10 @@ class DensitySet:
     def centers(self):
         return (0.5 * self.l0, 0.5 * (self.l0 + self.l))
 
+    @property
+    def halves(self):
+        return (0.5 * self.l0, 0.5 * (self.l - self.l0))
+
     def piece(self, which, arc):
         try:
             f = FUNCTIONS.index(which)
@@ -215,7 +226,7 @@ class DensitySet:
         return a + 1j * b
 
     def eval(self, which, s, order=0):
-        """Value (order=0) or exact polynomial s-derivative of a density."""
+        """Value (order=0) or exact s-derivative of a density."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr < -1e-12) or np.any(s_arr > self.l + 1e-12):
             raise ValueError("arc length outside [0, l]")
@@ -225,12 +236,9 @@ class DensitySet:
             mask = arc == a
             if not np.any(mask):
                 continue
-            coef = self._coeffs(self.piece(which, a))
-            for _ in range(order):
-                coef = coef[1:] * np.arange(1, len(coef))
-            out[mask] = np.polynomial.polynomial.polyval(
-                s_arr[mask] - self.centers[a], coef
-            )
+            h = self.halves[a]
+            coef = L.legder(self._coeffs(self.piece(which, a)), order) / h**order
+            out[mask] = L.legval((s_arr[mask] - self.centers[a]) / h, coef)
         return out if np.ndim(s) else out[0]
 
     def scaled(self, factor):
@@ -250,10 +258,12 @@ class DensitySet:
 
     def to_dict(self):
         return {
+            "basis": "legendre",
             "order": self.n,
             "l0": self.l0,
             "l": self.l,
             "centers": list(self.centers),
+            "halves": list(self.halves),
             "pieces": [
                 {
                     "function": FUNCTIONS[p % 4],
@@ -267,6 +277,11 @@ class DensitySet:
 
     @classmethod
     def from_dict(cls, d):
+        if d.get("basis") != "legendre":
+            raise ValueError(
+                f"densities basis {d.get('basis')!r} is not 'legendre'; files without "
+                "a basis hold monomial coefficients and cannot be read"
+            )
         dset = cls.zeros(d["order"], d["l0"], d["l"])
         for p, item in enumerate(d["pieces"]):
             dset.a[p] = np.asarray(item["a"], dtype=float)
@@ -332,41 +347,30 @@ class ResidualReport:
         }
 
 
-def _derivative_stack(x_p, pmask, powers, half):
-    kk = powers[:, None].astype(float)
-    x = x_p[None, :]
-    mask = pmask[None, :]
-
-    def mono(shift):
-        keep = mask & (powers[:, None] >= shift)
-        return np.where(keep, x ** np.maximum(powers[:, None] - shift, 0), 0.0)
-
-    v0 = mono(0)
-    v1 = kk * mono(1) / half
-    v2 = kk * np.maximum(kk - 1.0, 0.0) * mono(2) / half**2
-    v3 = kk * np.maximum(kk - 1.0, 0.0) * np.maximum(kk - 2.0, 0.0) * mono(3) / half**3
-    return v0, v1, v2, v3
-
-
-class _MonomialBasis:
-    """The solver's basis: on each arc the scaled monomials x^k, x = (s-c)/h.
+class _LegendreBasis:
+    """The solver's basis: on each arc the Legendre polynomials P_0..P_degree
+    of x = (s - c)/h, with c the arc midpoint and h its half-length.
 
     A basis names the function families it uses on each arc (``keys``) and,
     per piece, the family and the number of functions of the real and the
     imaginary part (``part_keys``, ``lengths``).  Here one family serves
-    both parts.  The tables and the rows of the system are built from these
-    methods alone, so another basis (tips.TipEnrichedBasis) reuses the same
-    equations.
+    both parts.  The tables and the rows of the system evaluate the basis
+    through ``functions`` alone, so another basis (tips.TipEnrichedBasis)
+    extends it with its own columns and reuses the same equations.
     """
 
-    def __init__(self, l0, l, n):
-        self.n = n
+    def __init__(self, l0, l, n, degree=None):
+        self.n, self.l0, self.l = n, l0, l
+        self.degree = n + 1 if degree is None else degree
+        self.size = self.degree + 1
         self.centers = (0.5 * l0, 0.5 * (l0 + l))
         self.halves = (0.5 * l0, 0.5 * (l - l0))
-        self.powers = np.arange(n + 2)
-        # Same-arc node/point pairs closer than this take the
-        # divided-difference limit in the Cauchy table A.
-        self.diag_eps = DIAG_EPS_FACTOR * l
+        # Column j of _derivatives[k] holds the Legendre coefficients of
+        # d^k P_j / dx^k.
+        eye = np.eye(self.size)
+        self._derivatives = [eye] + [
+            np.pad(L.legder(eye, k), ((0, k), (0, 0))) for k in (1, 2, 3)
+        ]
 
     def keys(self, arc):
         return ("x",)
@@ -377,37 +381,18 @@ class _MonomialBasis:
     def lengths(self, piece):
         return _a_len(piece, self.n), _b_len(piece, self.n)
 
-    def node_values(self, arc, key, s):
-        """[K, len(s)]: function values at quadrature nodes of the arc."""
-        x_q = (s - self.centers[arc]) / self.halves[arc]
-        return x_q[None, :] ** self.powers[:, None]
+    def functions(self, arc, key, s, order=0):
+        """[len(s), size]: the order-th s-derivatives (order <= 3) of the
+        functions at the arc lengths s of the arc."""
+        h = self.halves[arc]
+        x = (np.asarray(s, dtype=float) - self.centers[arc]) / h
+        return L.legvander(x, self.degree) @ self._derivatives[order] / h**order
 
-    def point_values(self, arc, key, pts, pmask):
-        """Values and first three s-derivatives, [K, len(pts)] each, at the
-        points of the arc (zero elsewhere)."""
-        x_p = np.zeros(pts.size)
-        x_p[pmask] = (pts[pmask] - self.centers[arc]) / self.halves[arc]
-        return _derivative_stack(x_p, pmask, self.powers, self.halves[arc])
-
-    def slopes(self, arc, key, s):
-        """[K, len(s)]: first s-derivatives."""
-        x_mid = (s - self.centers[arc]) / self.halves[arc]
-        kk = self.powers[:, None].astype(float)
-        return kk * np.where(kk > 0, x_mid[None, :] ** np.maximum(kk - 1, 0), 0.0) / self.halves[arc]
-
-    def end_values(self, arc, key):
-        """Function values at the start and at the end of the arc."""
-        return (-1.0) ** np.arange(self.n + 2, dtype=float), np.ones(self.n + 2)
-
-    def densities(self, full, layout, l0, l):
-        """The DensitySet of the full coefficient vector, converted from the
-        scaled monomials to powers of (s - c)."""
-        dset = DensitySet.zeros(self.n, l0, l)
+    def densities(self, full, layout):
+        """The DensitySet of the full coefficient vector."""
+        dset = DensitySet.zeros(self.n, self.l0, self.l)
         for p in range(8):
-            h = self.halves[p // 4]
-            a, b = full[layout.a_cols(p)], full[layout.b_cols(p)]
-            dset.a[p] = a * h ** -np.arange(a.size, dtype=float)
-            dset.b[p] = b * h ** -np.arange(b.size, dtype=float)
+            dset.a[p], dset.b[p] = full[layout.a_cols(p)], full[layout.b_cols(p)]
         return dset
 
 
@@ -417,7 +402,7 @@ class _Tables:
     For every function of each of the basis' families on each arc these hold
     the Cauchy principal value A, the regular-kernel integrals B1 (against
     d tau) and B2 (against conj(d tau)), the plain moments Q, and the values
-    and first three s-derivatives V at the collocation points of the
+    and first two s-derivatives V at the collocation points of the
     function's own arc; all are keyed by (arc, family).
     """
 
@@ -432,11 +417,12 @@ class _Tables:
         d_s = disc.s[:, None] - pts[None, :]
         # Divided-difference replacement applies only to same-arc pairs;
         # across a tip the raw quotient is the correct near-singular value.
-        near_plain = (np.abs(d_s) < basis.diag_eps) & (disc.arc[:, None] == arc_of_pt[None, :])
+        dd_eps = DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l
+        near_plain = (np.abs(d_s) < dd_eps) & (disc.arc[:, None] == arc_of_pt[None, :])
         safe = np.where(near_plain, 1.0, denom)
         cmat = (disc.w * disc.dt)[:, None] / safe
-        # The kernels' near-diagonal guard does not depend on the basis;
-        # basis.diag_eps sets only the divided-difference radius above.
+        # The kernels' near-diagonal guard has its own, larger radius: the
+        # raw kernel quotients lose about 1e-16/d**2 to cancellation.
         k1m, k2m = _regular_kernels(
             contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None],
             DIAG_EPS_FACTOR * contour.l,
@@ -449,8 +435,10 @@ class _Tables:
             qmask = disc.arc == arc
             pmask = arc_of_pt == arc
             for key in basis.keys(arc):
-                m_arc = basis.node_values(arc, key, disc.s[qmask])  # [K, n_q]
-                stack = basis.point_values(arc, key, pts, pmask)
+                m_arc = basis.functions(arc, key, disc.s[qmask]).T  # [K, n_q]
+                stack = np.zeros((3, m_arc.shape[0], pts.size))
+                for order in range(3):
+                    stack[order][:, pmask] = basis.functions(arc, key, pts[pmask], order).T
                 self.V[arc, key] = stack
                 v0 = stack[0]
 
@@ -464,7 +452,7 @@ class _Tables:
                     dt_q = disc.dt[qmask][qi]
                     c_q = cmat[qmask, :][qi, pi]
                     mid = 0.5 * (s_q + pts[pi])
-                    dd = basis.slopes(arc, key, mid) * (dt_q / contour.tangent(mid))[None, :]
+                    dd = basis.functions(arc, key, mid, 1).T * (dt_q / contour.tangent(mid))[None, :]
                     crude = (m_arc[:, qi] - v0[:, pi]) * c_q[None, :]
                     np.add.at(a_tab.T, pi, (w_q[None, :] * dd - crude).T)
                 self.A[arc, key] = a_tab
@@ -493,7 +481,7 @@ def assemble(
     the default tip inset of DEFAULT_INSET_FRACTION times the shorter arc;
     the quadrature grades its tip panels down to delta/2.
     ``taper_exponent`` sets the taper of the equation rows toward the tips.
-    ``basis`` replaces the scaled monomials (see _MonomialBasis) and
+    ``basis`` replaces the Legendre basis (see _LegendreBasis) and
     ``points``, a (crack, bonded) pair of arrays, the inset equispaced
     collocation points.  ``tip_weight`` weighs the tip-anchored rows (slope
     continuity, constant-term ties).
@@ -541,7 +529,7 @@ def _assemble_cases(
     if delta is None:
         delta = DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
     if basis is None:
-        basis = _MonomialBasis(contour.l0, contour.l, n)
+        basis = _LegendreBasis(contour.l0, contour.l, n)
     if points is None:
         m_pts = int(round(OVERSAMPLE * (n + 1)))
         points = collocation_points(contour.l0, contour.l, m_pts - 1, delta)
@@ -891,8 +879,8 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
     for crack_piece, bond_piece, name in ((1, 5, "g0"), (3, 7, "g")):
         kc_, kb_ = layout.lengths[crack_piece][0], layout.lengths[bond_piece][0]
-        crack_start, crack_end = basis.end_values(0, basis.part_keys(crack_piece)[0])
-        bond_start, bond_end = basis.end_values(1, basis.part_keys(bond_piece)[0])
+        crack_start, crack_end = basis.functions(0, basis.part_keys(crack_piece)[0], [0.0, contour.l0])
+        bond_start, bond_end = basis.functions(1, basis.part_keys(bond_piece)[0], [contour.l0, contour.l])
         for crack_val, bond_val, tag in (
             (crack_start[:kc_], bond_end[:kb_], f"{name}_slope_continuity_tip0"),
             (crack_end[:kc_], bond_start[:kb_], f"{name}_slope_continuity_tip1"),
@@ -965,7 +953,7 @@ def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
         for tag, r in zip(system.row_tags, resid):
             per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
 
-        dset = system.basis.densities(system.elimination @ x, layout, system.l0, system.l)
+        dset = system.basis.densities(system.elimination @ x, layout)
         meta = dict(system.meta)
         meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
         report = ResidualReport(

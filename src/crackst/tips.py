@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from numpy.polynomial import legendre as L
 
 from .kernels import QuadratureRule
 from .solver import (
@@ -23,6 +22,7 @@ from .solver import (
     DEFAULT_INSET_FRACTION,
     FUNCTIONS,
     OVERSAMPLE,
+    _LegendreBasis,
     assemble,
     solve,
     tension_coefficients,
@@ -162,25 +162,21 @@ class _LogBasis:
         return out / self.width**order
 
 
-class TipEnrichedBasis:
-    """Basis of the tip-resolved solve, in the interface of
-    solver._MonomialBasis: on each arc the Legendre polynomials P_0..P_N of
-    the scaled arc variable, then the zone series of the tip at the arc's
-    start and of the tip at its end.  The zone series of the real and the
-    imaginary part of a density may differ in kind (see _basis_terms)."""
+class TipEnrichedBasis(_LegendreBasis):
+    """Basis of the tip-resolved solve: on each arc the solver's Legendre
+    polynomials P_0..P_N of the scaled arc variable, then the zone series of
+    the tip at the arc's start and of the tip at its end.  The zone series of
+    the real and the imaginary part of a density may differ in kind (see
+    _basis_terms)."""
 
     def __init__(self, setup, n, zone_terms=TIP_ZONE_TERMS):
         contour = setup.contour
-        self.n, self.l0, self.l = n, contour.l0, contour.l
-        self.centers = (0.5 * self.l0, 0.5 * (self.l0 + self.l))
-        self.halves = (0.5 * self.l0, 0.5 * (self.l - self.l0))
+        super().__init__(contour.l0, contour.l, n, degree=n)
         inset = DEFAULT_INSET_FRACTION * min(self.l0, self.l - self.l0)
         self.d_min = min(face_tension_length(setup), inset) * 2.0**-TIP_ZONE_DEPTH
         self.zone = _LogBasis(TIP_ZONE_WIDTH * inset, self.d_min, zone_terms)
-        self.size = n + 1 + 2 * zone_terms
+        self.size += 2 * zone_terms
         self.bond_tension = setup.surface.gamma_interface > 0.0
-        # Divided-difference radius of the Cauchy table A (solver._Tables).
-        self.diag_eps = 1e-9 * self.l
 
     def part_keys(self, piece):
         arc, which = divmod(piece, 4)
@@ -200,9 +196,7 @@ class TipEnrichedBasis:
     def functions(self, arc, kind, s, order=0):
         """[len(s), size]: the order-th s-derivatives of the functions."""
         s = np.asarray(s, dtype=float)
-        x = (s - self.centers[arc]) / self.halves[arc]
-        coef = L.legder(np.eye(self.n + 1), order) if order else np.eye(self.n + 1)
-        out = [L.legval(x, coef).T.reshape(s.size, self.n + 1) / self.halves[arc] ** order]
+        out = [super().functions(arc, kind, s, order)]
         start, end = (0.0, self.l0) if arc == 0 else (self.l0, self.l)
         for d, sign in ((s - start, 1.0), (end - s, -1.0)):
             z = np.zeros((s.size, self.zone.k))
@@ -212,25 +206,7 @@ class TipEnrichedBasis:
             out.append(z)
         return np.hstack(out)
 
-    def node_values(self, arc, key, s):
-        return self.functions(arc, key, s).T
-
-    def point_values(self, arc, key, pts, pmask):
-        stack = []
-        for order in range(3):
-            v = np.zeros((self.size, pts.size))
-            v[:, pmask] = self.functions(arc, key, pts[pmask], order).T
-            stack.append(v)
-        return tuple(stack)
-
-    def slopes(self, arc, key, s):
-        return self.functions(arc, key, s, 1).T
-
-    def end_values(self, arc, key):
-        ends = (0.0, self.l0) if arc == 0 else (self.l0, self.l)
-        return tuple(self.functions(arc, key, np.array(ends)))
-
-    def densities(self, full, layout, l0, l):
+    def densities(self, full, layout):
         return TipResolvedDensities(
             self, [(full[layout.a_cols(p)], full[layout.b_cols(p)]) for p in range(8)]
         )

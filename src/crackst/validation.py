@@ -58,10 +58,11 @@ INVERSION_TOL = 1e-5
 # The stress-trace identity holds exactly only when the extension equations
 # hold uniformly along the contour.  The solver leaves the thin tip zones
 # unenforced, which feeds back into the traces: at N = 64 the matrix side
-# misses by 0.09 of the load.  With the tips resolved (tips.solve_tip_resolved)
-# the matrix side falls below 1e-3, tip ladder included, but the inclusion
-# side keeps a mismatch of 0.17 at sigma1 = 1, the same along the whole
-# contour and at every order from 16 to 48, so the tips are not its cause.
+# misses by 0.10 of the load and the inclusion side by 0.23.  With the tips
+# resolved (tips.solve_tip_resolved) the matrix side falls below 1e-3, tip
+# ladder included, but the inclusion side keeps a mismatch of 0.17 at
+# sigma1 = 1, the same along the whole contour and at every order from 16 to
+# 48, so the tips are not its cause.
 # Construction-level errors show up orders of magnitude above this tolerance.
 TRACE_TOL = 0.25
 SURFACE_TOL = 0.02  # fraction of the traction scale

@@ -24,14 +24,20 @@ def test_collocation_points_arithmetic():
 
 
 def test_density_set_evaluation():
+    # Coefficients are on P_k(x), x = (s - c)/h; the crack arc [0, pi] has
+    # c = h = pi/2.
     dset = cs.DensitySet.zeros(4, np.pi, 2 * np.pi)
     assert cs.eval_density(dset, "q0", 1.0) == 0.0
     dset.a[0][0] = 1.0  # constant q0 on the crack arc
     assert cs.eval_density(dset, "q0", 0.5) == pytest.approx(1.0)
     dset2 = cs.DensitySet.zeros(4, np.pi, 2 * np.pi)
-    dset2.a[1][1] = 1.0  # g0' = (s - pi/2) on the crack
+    dset2.a[1][1] = 1.0  # g0' = P_1(x) = (s - pi/2)/(pi/2) on the crack
     assert cs.eval_density(dset2, "g0p", np.pi / 2) == pytest.approx(0.0, abs=1e-15)
-    assert cs.eval_density(dset2, "g0p", 0.0) == pytest.approx(-np.pi / 2)
+    assert cs.eval_density(dset2, "g0p", 0.0) == pytest.approx(-1.0)
+    assert cs.eval_density(dset2, "g0p", 0.25 * np.pi) == pytest.approx(-0.5)
+    dset2.b[5][2] = 1.0  # g0' = i P_2(x) on the bonded arc [pi, 2 pi]
+    x = (4.0 - 1.5 * np.pi) / (0.5 * np.pi)
+    assert cs.eval_density(dset2, "g0p", 4.0) == pytest.approx(0.5j * (3.0 * x**2 - 1.0))
     with pytest.raises(ValueError):
         cs.eval_density(dset2, "nope", 0.0)
     with pytest.raises(ValueError):
@@ -39,20 +45,21 @@ def test_density_set_evaluation():
 
 
 def test_density_derivatives():
+    h = 0.5 * np.pi  # half-length of the crack arc
     dset = cs.DensitySet.zeros(4, np.pi, 2 * np.pi)
-    dset.a[1][2] = 1.0
-    assert cs.eval_density_derivatives(dset, "g0p", 0.3, 2) == pytest.approx(2.0)
-    dset.b[1][1] = 0.5
-    c = dset.centers[0]
-    assert cs.eval_density_derivatives(dset, "g0p", c, 1) == pytest.approx(2.0 * 0.0 + 0.0 + 0.5j, abs=1e-15) or True
-    # first derivative at the center is a1 + i b1
+    dset.a[1][2] = 1.0  # P_2(x) = (3 x^2 - 1)/2
+    assert cs.eval_density_derivatives(dset, "g0p", 0.3, 2) == pytest.approx(3.0 / h**2)
+    # a1 P_1(x) + i b1 P_1(x) has the s-derivative (a1 + i b1)/h everywhere.
     dset3 = cs.DensitySet.zeros(4, np.pi, 2 * np.pi)
     dset3.a[1][1] = 0.7
     dset3.b[1][1] = -0.2
-    assert cs.eval_density_derivatives(dset3, "g0p", c, 1) == pytest.approx(0.7 - 0.2j)
+    for s in (0.2, dset3.centers[0], 2.9):
+        assert cs.eval_density_derivatives(dset3, "g0p", s, 1) == pytest.approx((0.7 - 0.2j) / h)
     dset4 = cs.DensitySet.zeros(4, np.pi, 2 * np.pi)
-    dset4.a[1][3] = 1.0
-    assert cs.eval_density_derivatives(dset4, "g0p", 1.2, 3) == pytest.approx(6.0)
+    dset4.a[1][3] = 1.0  # P_3(x) = (5 x^3 - 3 x)/2
+    assert cs.eval_density_derivatives(dset4, "g0p", 1.2, 3) == pytest.approx(15.0 / h**3)
+    x = (1.2 - h) / h
+    assert cs.eval_density_derivatives(dset4, "g0p", 1.2, 1) == pytest.approx((7.5 * x**2 - 1.5) / h)
     with pytest.raises(ValueError):
         cs.eval_density_derivatives(dset4, "g0p", 1.2, 4)
 
@@ -63,10 +70,18 @@ def test_density_set_roundtrip():
     for p in range(8):
         dset.a[p] = rng.normal(size=dset.a[p].size)
         dset.b[p] = rng.normal(size=dset.b[p].size)
-    back = cs.DensitySet.from_dict(dset.to_dict())
+    saved = dset.to_dict()
+    assert saved["basis"] == "legendre"
+    assert saved["halves"] == [0.5 * np.pi, 0.5 * np.pi]
+    back = cs.DensitySet.from_dict(saved)
     s = np.linspace(0.0, 2 * np.pi, 11)
     for name in ("q0", "g0p", "q", "gp"):
         assert np.allclose(back.eval(name, s), dset.eval(name, s))
+    # A file without a basis holds monomial coefficients: reading it as
+    # Legendre coefficients would give other densities.
+    del saved["basis"]
+    with pytest.raises(ValueError, match="basis"):
+        cs.DensitySet.from_dict(saved)
 
 
 def test_assemble_shapes(reference_setup):
@@ -274,13 +289,13 @@ def test_solve_cases_names_failing_case(unit_semicircle):
         load=cs.RemoteLoad(0.0, 0.0, 0.0),
     )
     # Face tractions no polynomial can follow, on a matrix truncated to rank
-    # 129 of 134 by rcond; the unloaded cases fit exactly.
+    # 132 of 134 by rcond; the unloaded cases fit exactly.
     square_wave = cs.CrackTractions(
         f1=lambda s: np.sign(np.sin(40.0 * s)), f2=lambda s: -np.sign(np.sin(40.0 * s))
     )
     cases = [unloaded, replace(unloaded, tractions=square_wave), unloaded]
     with pytest.raises(cs.SingularSystemError, match="case 1") as err:
-        cs.solve_cases(cases, 8, rcond=1e-4)
+        cs.solve_cases(cases, 8, rcond=1e-3)
     assert err.value.case == 1
 
 
@@ -290,7 +305,7 @@ def test_solver_warnings(reference_setup, caplog):
     same = replace(reference_setup, inclusion=reference_setup.matrix, load=cs.RemoteLoad(0.0, 0.0))
     coarse = cs.QuadratureRule(nodes_per_panel=4, panels_per_arc=2)
     with caplog.at_level("WARNING", logger="crackst"):
-        _, report = cs.solve_problem(same, 8, rule=coarse, rcond=1e-4)
+        _, report = cs.solve_problem(same, 8, rule=coarse, rcond=1e-3)
     assert report.rank < report.cols and report.degenerate_pair
     assert report.meta["quadrature_stabilized"] is False
     messages = " | ".join(r.getMessage() for r in caplog.records if r.name == "crackst")
@@ -299,12 +314,13 @@ def test_solver_warnings(reference_setup, caplog):
     assert "degenerate material pair" in messages
 
 
+# cols is the full rank 14N + 22.
 @pytest.mark.parametrize(
-    "shape, n, rank",
-    [("semicircle", 16, 246), ("semicircle", 24, 358), ("semicircle", 32, 461),
-     ("semicircle", 48, 533), ("semicircle", 64, 577), ("ellipse", 24, 358)],
+    "shape, n, cols",
+    [("semicircle", 16, 246), ("semicircle", 24, 358), ("semicircle", 32, 470),
+     ("semicircle", 48, 694), ("semicircle", 64, 918), ("ellipse", 24, 358)],
 )
-def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, caplog, shape, n, rank):
+def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, caplog, shape, n, cols):
     # The first-order near-diagonal kernel limit left a drift floor of 5e-9
     # to 1e-8, above MATRIX_STABILITY_TOL, at N = 24 and 64 and on the ellipse.
     setup = reference_setup
@@ -315,4 +331,4 @@ def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, cap
     assert report.meta["quadrature_stabilized"] is True
     assert report.meta["batch"]["table_builds"] == 2
     assert not any("did not stabilize" in r.getMessage() for r in caplog.records)
-    assert report.rank == rank
+    assert report.rank == report.cols == cols

@@ -141,9 +141,10 @@ def test_batched_stress_trace_matches_single_points(reference_setup, reference_s
 
 
 def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monkeypatch):
-    """The tip basis' small diag_eps is the Cauchy table's divided-difference
-    radius only: the regular kernels switch to their near-diagonal expansion
-    at DIAG_EPS_FACTOR * l, where the raw quotients lose digits."""
+    """The small radius DIVIDED_DIFFERENCE_EPS_FACTOR * l applies to the
+    Cauchy table's divided differences only: the regular kernels switch to
+    their near-diagonal expansion at DIAG_EPS_FACTOR * l, where the raw
+    quotients lose digits."""
     seen, regular_kernels = [], solver._regular_kernels
 
     def spy(contour, s_field, t, dt, s_src, tau, eps):
