@@ -111,9 +111,10 @@ def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=Non
     )
     post.write_boundary_fields_csv(os.path.join(outdir, "boundary_fields.csv"), both)
     vreport.write_json(os.path.join(outdir, "validation.json"))
-    # Stage timings vary between runs, so they stay out of summary.json.
+    # Stage timings vary between runs, so they stay out of summary.json and validation.json.
+    timings = {**report.meta.get("timings", {}), **vreport.timings}
     with open(os.path.join(outdir, "timings.json"), "w") as fh:
-        json.dump({k: report.meta.get(k) for k in ("timings", "batch")}, fh, indent=2, sort_keys=True)
+        json.dump({"timings": timings, "batch": report.meta.get("batch")}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return post.write_summary_json(
         os.path.join(outdir, "summary.json"), dset, setup, report, extra=extra, with_tip_fits=tip_fits

@@ -174,6 +174,13 @@ def parse_config_text(text):
         adaptive_quadrature=_read(parser, "numerics", "adaptive_quadrature", bool, default=True),
         rcond=_read(parser, "numerics", "rcond", float, default=1e-13),
     ) if parser.has_section("numerics") else Numerics()
+    for key, ok, need in (
+        ("nodes_per_panel", numerics.nodes_per_panel >= 4, "at least 4"),
+        ("panels_per_arc", numerics.panels_per_arc >= 1, "at least 1"),
+        ("rcond", 0.0 <= numerics.rcond < 1.0, "finite and in [0, 1)"),
+    ):
+        if not ok:
+            raise ConfigError(f"bad value for [numerics] {key}: {getattr(numerics, key)!r}, need {need}")
 
     output_dir = (
         _read(parser, "output", "directory", str, default="out")

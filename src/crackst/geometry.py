@@ -30,6 +30,8 @@ __all__ = [
 
 # 5-point Gauss-Legendre rule of the arc-length table's local integrals.
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# s -> theta inversions kept per reparametrized contour.
+THETA_MEMO_SIZE = 64
 
 
 class Contour:
@@ -172,11 +174,21 @@ class _ReparametrizedContour(Contour):
         return self._s_grid[idx] + np.sum(_GL5_WEIGHTS * self._speed(nodes), axis=-1) * half
 
     def _s_to_theta(self, s):
-        s = self.wrap(np.asarray(s, dtype=float))
-        theta = np.interp(s, self._s_grid, self._theta_grid)
-        for _ in range(4):
-            theta = theta - (self._theta_to_s(theta) - s) / self._speed(theta)
-        return theta
+        # The maps of one point set share one inversion, memoized on the
+        # input's bytes (oldest dropped first) and handed out read-only.
+        s = np.asarray(s, dtype=float)
+        memo = vars(self).setdefault("_thetas", {})
+        key = (s.shape, s.tobytes())
+        if key not in memo:
+            if len(memo) >= THETA_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            s = self.wrap(s)
+            theta = np.interp(s, self._s_grid, self._theta_grid)
+            for _ in range(4):
+                theta = theta - (self._theta_to_s(theta) - s) / self._speed(theta)
+            memo[key] = np.asarray(theta)
+            memo[key].flags.writeable = False
+        return memo[key]
 
     def _speed(self, theta):
         return np.abs(self._r_prime(theta))

@@ -22,7 +22,8 @@ singularity subtraction,
 which keeps composite Gauss-Legendre panels spectrally accurate for smooth
 per-arc densities.  Densities may jump at the crack tips; panels never
 straddle a tip, and an optional geometric grading of the end panels resolves
-the resulting near-tip boundary layers.
+the resulting near-tip boundary layers.  The nodes ascend in s over both arcs,
+which the bisection search for near node/field pairs relies on.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "TipProximityError",
     "QuadratureRule",
     "Discretization",
-    "kernel_k1",
-    "kernel_k2",
     "k1",
     "k2",
     "cauchy_pv",
@@ -63,17 +62,6 @@ class TipProximityError(ValueError):
 def circular_distance(s_a, s_b, period):
     d = np.abs(np.mod(s_a - s_b, period))
     return np.minimum(d, period - d)
-
-
-def kernel_k1(t, dt_field, tau):
-    """Raw first regular kernel; no diagonal guard (tau != t required)."""
-    return -1.0 / (tau - t) + (np.conj(dt_field) / dt_field) / (np.conj(tau) - np.conj(t))
-
-
-def kernel_k2(t, dt_field, tau):
-    """Raw second regular kernel; no diagonal guard (tau != t required)."""
-    dbar = np.conj(tau) - np.conj(t)
-    return 1.0 / dbar - (tau - t) / dbar**2 * (np.conj(dt_field) / dt_field)
 
 
 def k1(contour, s_field, s_src):
@@ -111,9 +99,12 @@ def _regular_kernels(contour, s_field, t, dt, s_src, tau, eps):
     l = contour.l
     d = np.mod(s_src - s_field + 0.5 * l, l) - 0.5 * l
     near = np.abs(d) < eps
-    tau = np.where(near, t + 1.0, tau)
-    out1 = np.asarray(kernel_k1(t, dt, tau), dtype=complex)
-    out2 = np.asarray(kernel_k2(t, dt, tau), dtype=complex)
+    # Both quotients share dz = tau - t; conj(dz) is conj(tau) - conj(t) bit for bit.
+    dz = np.asarray(tau - t, dtype=complex)
+    dz[near] = 1.0
+    dbar, ratio = np.conj(dz), np.conj(dt) / dt
+    out1 = np.asarray(-1.0 / dz + ratio / dbar, dtype=complex)
+    out2 = np.asarray(1.0 / dbar - dz / dbar**2 * ratio, dtype=complex)
     if np.any(near):
         s_near = np.broadcast_to(s_field, near.shape)[near]
         dt_near = np.broadcast_to(dt, near.shape)[near]
@@ -258,6 +249,24 @@ def _check_off_tips(contour, s_field, tip_eps=None):
             )
 
 
+def _cauchy_matrix(disc, at, t, arc_at, eps):
+    """w dtau/(tau - t) of the nodes (rows) at the field points at, t(at)
+    (columns), in one complex array, and the same-arc pairs (qi, ai) with
+    |disc.s - at| < eps in row-major order; their denominators are set to 1
+    for the caller's divided differences.  The pairs are found by bisection
+    in disc.s, which ascends over both arcs, so no dense mask is built."""
+    lo = np.searchsorted(disc.s, at - 2.0 * eps, side="left")
+    counts = np.searchsorted(disc.s, at + 2.0 * eps, side="right") - lo
+    ai = np.repeat(np.arange(at.size), counts)
+    qi = np.arange(ai.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    keep = (np.abs(disc.s[qi] - at[ai]) < eps) & (disc.arc[qi] == arc_at[ai])
+    order = np.lexsort((ai[keep], qi[keep]))
+    qi, ai = qi[keep][order], ai[keep][order]
+    cmat = np.subtract.outer(disc.tau, t)
+    cmat[qi, ai] = 1.0
+    return np.divide((disc.w * disc.dt)[:, None], cmat, out=cmat), qi, ai
+
+
 def _pv_values(contour, density, at, disc, eps=None):
     """Vectorized subtraction PV of int density/(tau - t(at)) dtau.
 
@@ -274,16 +283,11 @@ def _pv_values(contour, density, at, disc, eps=None):
     # pairs on the same arc; across a tip the density may jump, and the raw
     # quotient is then the correct (near-singular) integrand value.
     arc_a = np.where(contour.wrap(at) <= contour.l0, 0, 1)
-    near = (np.abs(disc.s[:, None] - at[None, :]) < eps) & (
-        disc.arc[:, None] == arc_a[None, :]
-    )
-    denom = np.where(near, 1.0, disc.tau[:, None] - t_a[None, :])
-    cmat = (disc.w * disc.dt)[:, None] / denom
+    cmat, qi, ai = _cauchy_matrix(disc, at, t_a, arc_a, eps)
     # One matrix-vector product per density keeps its summation order.
     heads = [row @ cmat for row in phi_q.reshape(-1, disc.n_nodes)]
     heads = np.reshape(heads, phi_q.shape[:-1] + (at.size,))
     total = heads - phi_a * (np.sum(cmat, axis=0) - 1j * np.pi)
-    qi, ai = np.nonzero(near)
     if qi.size:
         # Central difference kept within half the distance to the ends of
         # the field point's own arc: a stencil reaching a tip would read the

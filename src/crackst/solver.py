@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as L
 
-from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _regular_kernels
+from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _cauchy_matrix, _regular_kernels
 
 __all__ = [
     "FUNCTIONS",
@@ -413,14 +413,10 @@ class _Tables:
         self.rho_p = contour.curvature(pts)
         self.rhop_p = contour.curvature_derivative(pts)
 
-        denom = disc.tau[:, None] - t_p[None, :]
-        d_s = disc.s[:, None] - pts[None, :]
         # Divided-difference replacement applies only to same-arc pairs;
         # across a tip the raw quotient is the correct near-singular value.
         dd_eps = DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l
-        near_plain = (np.abs(d_s) < dd_eps) & (disc.arc[:, None] == arc_of_pt[None, :])
-        safe = np.where(near_plain, 1.0, denom)
-        cmat = (disc.w * disc.dt)[:, None] / safe
+        cmat, near_q, near_p = _cauchy_matrix(disc, pts, t_p, arc_of_pt, dd_eps)
         # The kernels' near-diagonal guard has its own, larger radius: the
         # raw kernel quotients lose about 1e-16/d**2 to cancellation.
         k1m, k2m = _regular_kernels(
@@ -433,6 +429,7 @@ class _Tables:
         self.A, self.B1, self.B2, self.Q, self.V = {}, {}, {}, {}, {}
         for arc in (0, 1):
             qmask = disc.arc == arc
+            arc_start = np.flatnonzero(qmask)[0]  # the nodes of an arc are contiguous
             pmask = arc_of_pt == arc
             for key in basis.keys(arc):
                 m_arc = basis.functions(arc, key, disc.s[qmask]).T  # [K, n_q]
@@ -445,15 +442,13 @@ class _Tables:
                 t1 = m_arc @ cmat[qmask, :]
                 a_tab = t1 - v0 * (g_all - 1j * np.pi)[None, :]
                 # Exact divided-difference replacement for near node/point pairs.
-                qi, pi = np.nonzero(near_plain[qmask, :])
+                on_arc = disc.arc[near_q] == arc
+                qi, pi = near_q[on_arc], near_p[on_arc]
                 if qi.size:
-                    s_q = disc.s[qmask][qi]
-                    w_q = disc.w[qmask][qi]
-                    dt_q = disc.dt[qmask][qi]
-                    c_q = cmat[qmask, :][qi, pi]
+                    s_q, w_q, dt_q = disc.s[qi], disc.w[qi], disc.dt[qi]
                     mid = 0.5 * (s_q + pts[pi])
                     dd = basis.functions(arc, key, mid, 1).T * (dt_q / contour.tangent(mid))[None, :]
-                    crude = (m_arc[:, qi] - v0[:, pi]) * c_q[None, :]
+                    crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
                     np.add.at(a_tab.T, pi, (w_q[None, :] * dd - crude).T)
                 self.A[arc, key] = a_tab
 
@@ -640,8 +635,9 @@ def _drift(mat, rhs, mat2, rhs2):
     the matrix scale and to each right-hand-side column's own scale."""
     scale = max(float(np.max(np.abs(mat2))), 1e-300)
     rscale = np.maximum(np.max(np.abs(rhs2), axis=0), scale * 1e-6)
+    diff = np.subtract(mat2, mat)
     return max(
-        float(np.max(np.abs(mat2 - mat))) / scale,
+        float(np.max(np.abs(diff, out=diff))) / scale,
         float(np.max(np.max(np.abs(rhs2 - rhs), axis=0) / rscale)),
     )
 
@@ -922,9 +918,9 @@ def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
     mat, vec = system.matrix * w[:, None], rhs * w[:, None]
     col_scale = np.max(np.abs(mat), axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    scaled = mat / col_scale
+    scaled = np.divide(mat, col_scale, out=mat)
     sol, _, rank, sing = np.linalg.lstsq(scaled, vec, rcond=rcond)
-    sol = sol / col_scale[:, None]
+    sol /= col_scale[:, None]
     cond = float(sing[0] / sing[-1]) if sing.size and sing[-1] > 0 else np.inf
     lstsq_s = time.perf_counter() - t0
     if rank < scaled.shape[1]:

@@ -21,6 +21,7 @@ restatement of the fit:
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,8 @@ class ValidationCheck:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
+    # Seconds per check family; they vary between runs, so to_dict omits them.
+    timings: dict = field(default_factory=dict)
 
     def add(self, check):
         self.checks.append(check)
@@ -445,15 +448,21 @@ def conservation_checks(dset, setup, rule=None, tolerance=CONSERVATION_TOL):
 
 
 def validate_solution(dset, setup, seed=0, n_inversion=3):
-    """Run the full validation battery; returns a ValidationReport."""
+    """Run the full validation battery; returns a ValidationReport whose
+    ``timings`` give the seconds of each check family."""
     report = ValidationReport()
     trials = _trial_densities(setup.contour, seed, n_inversion)
-    checks = cauchy_inversion_checks(setup.contour, [trial for _, trial in trials])
-    for (kind, _), check in zip(trials, checks):
+    families = (
+        ("inversion_s", lambda: cauchy_inversion_checks(setup.contour, [trial for _, trial in trials])),
+        ("surface_s", lambda: [original_bc_residual(dset, setup)]),
+        ("trace_s", lambda: [trace_consistency(dset, setup, seed=seed)]),
+        ("conservation_s", lambda: conservation_checks(dset, setup)),
+    )
+    for name, run in families:
+        start = time.perf_counter()
+        for check in run():
+            report.add(check)
+        report.timings[name] = time.perf_counter() - start
+    for (kind, _), check in zip(trials, report.checks):
         check.details["trial"] = kind
-        report.add(check)
-    report.add(original_bc_residual(dset, setup))
-    report.add(trace_consistency(dset, setup, seed=seed))
-    for check in conservation_checks(dset, setup):
-        report.add(check)
     return report

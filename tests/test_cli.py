@@ -53,6 +53,34 @@ def test_solve_writes_artifacts(tmp_path):
     assert summary["order"] == 8
 
 
+def test_solve_writes_stage_timings(tmp_path):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "timed")
+    assert main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 0
+    timings = json.loads(open(os.path.join(out, "timings.json")).read())["timings"]
+    stages = {"tables_s", "rows_s", "lstsq_s", "inversion_s", "surface_s", "trace_s", "conservation_s"}
+    assert set(timings) == stages
+    assert all(value >= 0.0 for value in timings.values())
+    assert "timings" not in open(os.path.join(out, "validation.json")).read()
+
+
+@pytest.mark.parametrize("line", ["nodes_per_panel = 2", "panels_per_arc = 0", "rcond = nan"])
+def test_bad_numerics_exit_with_config_error(tmp_path, line):
+    import subprocess
+    import sys
+
+    import crackst
+
+    path = tmp_path / "bad.ini"
+    path.write_text(BASE.format(sigma1=1.0, gamma_i=0.1) + line + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crackst.__file__)))
+    cmd = [sys.executable, "-m", "crackst.cli", "solve", "--config", str(path), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "config error:" in proc.stderr and line.split()[0] in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_solve_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")

@@ -67,6 +67,29 @@ def test_invalid_poisson_named_in_error():
         parse_config_text(GOOD.replace("nu = 0.25", "nu = 0.7"))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("nodes_per_panel", "2"),
+        ("nodes_per_panel", "3"),
+        ("panels_per_arc", "0"),
+        ("rcond", "-1"),
+        ("rcond", "nan"),
+        ("rcond", "inf"),
+        ("rcond", "1.0"),
+    ],
+)
+def test_bad_numerics_named_in_error(key, value):
+    with pytest.raises(ConfigError, match=f"\\[numerics\\] {key}"):
+        parse_config_text(GOOD.replace("order = 12", f"order = 12\n{key} = {value}"))
+
+
+def test_numerics_bounds_are_inclusive():
+    text = GOOD.replace("order = 12", "order = 12\nnodes_per_panel = 4\npanels_per_arc = 1\nrcond = 0")
+    numerics = parse_config_text(text).numerics
+    assert (numerics.nodes_per_panel, numerics.panels_per_arc, numerics.rcond) == (4, 1, 0.0)
+
+
 def test_missing_required_section():
     bad = GOOD.replace("[load]", "[output2]").replace("sigma1_mpa = 1.0", "")
     with pytest.raises(ConfigError):

@@ -6,9 +6,8 @@ from crackst.kernels import (
     Discretization,
     QuadratureRule,
     _regular_kernels,
-    kernel_k1,
-    kernel_k2,
 )
+from reference_kernels import kernel_k1, kernel_k2
 
 
 @pytest.fixture(scope="module")

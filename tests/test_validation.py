@@ -134,6 +134,15 @@ def test_validate_solution_report(tmp_path, reference_solution, reference_setup)
     assert len(data["checks"]) == len(report.checks)
 
 
+def test_validate_solution_times_each_check_family(reference_solution, reference_setup):
+    dset, _ = reference_solution
+    report = cs.validate_solution(dset, reference_setup)
+    assert set(report.timings) == {"inversion_s", "surface_s", "trace_s", "conservation_s"}
+    assert all(value >= 0.0 for value in report.timings.values())
+    assert "timings" not in report.to_dict()
+    assert [c.details.get("trial") for c in report.checks[:3]] == ["polynomial", "trigonometric", "polynomial"]
+
+
 def test_validation_quadrature_finer_than_assembly():
     rule = val._default_rule()
     base = cs.QuadratureRule()
