@@ -58,7 +58,7 @@ def _checked_order(value):
 def _load_config(args):
     """The run configuration of --config with the --order override applied."""
     run_config = parse_config(args.config)
-    if args.order:
+    if args.order is not None:
         run_config.numerics.order = args.order
     run_config.numerics.order = _checked_order(run_config.numerics.order)
     return run_config
@@ -371,7 +371,7 @@ def cmd_scenario(args):
         return EXIT_USAGE
     entry = SCENARIOS[name]
     try:
-        order = _checked_order(args.order) if args.order else None
+        order = None if args.order is None else _checked_order(args.order)
     except ConfigError as exc:
         print(f"scenario setup error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -440,7 +440,7 @@ def build_parser():
             p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", help="output directory (default from config)")
         # Parsed as a number so that a non-integer order gets the usage exit code.
-        p.add_argument("--order", type=float, default=0, help="polynomial order override")
+        p.add_argument("--order", type=float, help="polynomial order override")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     def tip_fits_flag(p):

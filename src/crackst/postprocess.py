@@ -21,7 +21,6 @@ which resolves the tips, and only where that field passes the ladder checks
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -394,11 +393,7 @@ def write_boundary_fields_csv(path, field):
         np.real(field.gp),
         np.imag(field.gp),
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELD_COLUMNS)
-        for row in zip(*cols):
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(path, _FIELD_COLUMNS, cols)
 
 
 def write_deformed_boundary_csv(path, columns):
@@ -411,17 +406,17 @@ def write_deformed_boundary_csv(path, columns):
         "x_deformed_matrix",
         "y_deformed_matrix",
     ]
+    _write_csv(path, names, [columns[name] for name in names])
+
+
+def _write_csv(path, names, columns):
+    """A header and one row per sample, integer columns as %d and the others
+    as %.12e, with CRLF line ends as csv.writer writes them."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*(columns[name] for name in names)):
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12e}"
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def tip_fits(setup, n):

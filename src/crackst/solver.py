@@ -37,10 +37,17 @@ tables depend only on the contour and the discretization, and the load and
 the crack-face tractions enter only the right-hand side, so the tables are
 built once per quadrature level and each matrix is factorized once for all
 of its loads.
+
+The rows are streamed: ``_assemble_rows`` yields them block by block, and
+each block is eliminated straight into the one preallocated matrix of its
+group.  The quadrature drift compares each block of a level with the same
+block of the coarser level, whose rows are rebuilt from its kept tables
+rather than stored, so one eliminated matrix per group is held at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -309,7 +316,7 @@ class LinearSystem:
     rhs: np.ndarray
     row_tags: list
     row_weights: np.ndarray  # least-squares weights, one per row
-    elimination: np.ndarray  # maps free coefficients to the full vector
+    elimination: tuple  # (free, linked, sources, lam); see _elimination
     n: int
     l0: float
     l: float
@@ -504,8 +511,11 @@ def _assemble_cases(
 
     The adaptive quadrature runs level by level: each level builds the
     operator tables once for all groups still drifting, and a group's drift
-    is the largest over its matrix and all of its columns.  The keywords are
-    those of ``assemble``.
+    is the largest change from the previous level over its matrix and all of
+    its columns, relative to the matrix scale and to each column's own
+    scale.  The previous level is kept as tables only: its rows are rebuilt
+    block by block beside the new level's.  The keywords are those of
+    ``assemble``.
     """
     if n < MIN_ORDER:
         raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
@@ -537,11 +547,18 @@ def _assemble_cases(
     for i, setup in enumerate(setups):
         by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
     groups = list(by_key.values())
-    built = [None] * len(groups)  # (matrix, rhs, tags, weights, meta) per group
+    layout = _Layout(n, basis)
+    elims = [_elimination(setups[cases[0]], layout) for cases in groups]
+    n_rows = 4 * pts.size + 4 * points[0].size + 2 * points[1].size + 10
+    built = [None] * len(groups)  # (matrix, rhs, tags, weights) per group
+    metas = [None] * len(groups)
     rows_s = [0.0] * len(groups)
     tables_s, table_builds, row_assemblies = 0.0, 0, 0
     pending = list(range(len(groups)))
-    for level in range(1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
+    levels = 1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1
+    row_args = (points, taper_exponent, tip_weight)
+    coarse = None
+    for level in range(levels):
         if level:
             rule = rule.refined()
         t0 = time.perf_counter()
@@ -549,33 +566,54 @@ def _assemble_cases(
         tab = _Tables(contour, pts, arc_of_pt, disc, basis)
         tables_s += time.perf_counter() - t0
         table_builds += 1
-        for g in pending:
+        # An adaptive rule's first level is only the coarse side of the first drift.
+        for g in pending if level or levels == 1 else ():
             t0 = time.perf_counter()
-            mat, rhs, tags, wts = _assemble_rows(
-                [setups[i] for i in groups[g]], basis, tab, points, taper_exponent, tip_weight
-            )
+            free, linked, sources, lam = elims[g]
+            cases = [setups[i] for i in groups[g]]
+            if built[g] is None:  # refilled at each further level the group drifts
+                built[g] = (np.empty((n_rows, free.size)), np.empty((n_rows, len(cases))),
+                            [None] * n_rows, np.empty(n_rows))
+            matrix, rhs, tags, wts = built[g]
+            fine = _assemble_rows(cases, basis, tab, *row_args)
+            prev = () if coarse is None else _assemble_rows(cases, basis, coarse, *row_args)
+            peaks = []  # per block: max|fine|, max|fine - coarse|, and both per rhs column
+            r0 = 0
+            for (rows, b, block_tags, w), old in itertools.zip_longest(fine, prev):
+                r1 = r0 + rows.shape[0]
+                np.take(rows, free, axis=1, out=matrix[r0:r1])
+                matrix[r0:r1, sources] += lam * np.take(rows, linked, axis=1)
+                rhs[r0:r1], wts[r0:r1] = b, w
+                tags[r0:r1] = block_tags
+                if old is not None:
+                    peaks.append((np.max(np.abs(rows)), np.max(np.abs(rows - old[0])),
+                                  np.max(np.abs(b), axis=0), np.max(np.abs(b - old[1]), axis=0)))
+                r0 = r1
+                del rows, b, old  # the next blocks are built without these
             meta = {
                 "quadrature_nodes": int(disc.n_nodes),
                 "nodes_per_panel": rule.nodes_per_panel,
                 "panels_per_arc": rule.panels_per_arc,
                 "tip_panel": 0.5 * delta,
             }
-            if level:
-                meta["quadrature_drift"] = _drift(built[g][0], built[g][1], mat, rhs)
+            if coarse is not None:
+                fine_max, diff_max, rhs_max, rhs_diff = (np.max(v, axis=0) for v in zip(*peaks))
+                scale = max(float(fine_max), 1e-300)
+                rscale = np.maximum(rhs_max, scale * 1e-6)
+                meta["quadrature_drift"] = max(float(diff_max) / scale, float(np.max(rhs_diff / rscale)))
                 meta["quadrature_stabilized"] = meta["quadrature_drift"] < MATRIX_STABILITY_TOL
-            built[g] = (mat, rhs, tags, wts, meta)
+            metas[g] = meta
             rows_s[g] += time.perf_counter() - t0
-            row_assemblies += 1
-        del tab, disc
+            row_assemblies += 1 if coarse is None else 2
+        coarse = tab
         if level:
-            pending = [g for g in pending if not built[g][4]["quadrature_stabilized"]]
+            pending = [g for g in pending if not metas[g]["quadrature_stabilized"]]
             if not pending:
                 break
 
-    layout = _Layout(n, basis)
     systems = []
     for g, cases in enumerate(groups):
-        mat, rhs, tags, wts, meta = built[g]
+        (matrix, rhs, tags, wts), meta = built[g], metas[g]
         setup = setups[cases[0]]
         if meta.get("quadrature_stabilized") is False:
             log.warning(
@@ -588,11 +626,6 @@ def _assemble_cases(
                 "degenerate material pair mu0*kappa*(kappa0+1) = mu*kappa0*(kappa+1) "
                 "(cases %s); the solve proceeds and reports its condition", cases,
             )
-        t0 = time.perf_counter()
-        elim, free, linked, sources, lam = _elimination(setup, layout)
-        matrix = np.take(mat, free, axis=1)  # C order, like mat (mat[:, free] is not)
-        matrix[:, sources] += lam * np.take(mat, linked, axis=1)
-        rows_s[g] += time.perf_counter() - t0
         meta.update(
             {
                 "order": n,
@@ -619,7 +652,7 @@ def _assemble_cases(
             rhs=rhs,
             row_tags=tags,
             row_weights=wts,
-            elimination=elim,
+            elimination=elims[g],
             n=n,
             l0=contour.l0,
             l=contour.l,
@@ -628,18 +661,6 @@ def _assemble_cases(
         )
         systems.append((system, cases))
     return systems
-
-
-def _drift(mat, rhs, mat2, rhs2):
-    """Largest change from (mat, rhs) to the finer (mat2, rhs2), relative to
-    the matrix scale and to each right-hand-side column's own scale."""
-    scale = max(float(np.max(np.abs(mat2))), 1e-300)
-    rscale = np.maximum(np.max(np.abs(rhs2), axis=0), scale * 1e-6)
-    diff = np.subtract(mat2, mat)
-    return max(
-        float(np.max(np.abs(diff, out=diff))) / scale,
-        float(np.max(np.max(np.abs(rhs2 - rhs), axis=0) / rscale)),
-    )
 
 
 def tension_coefficients(setup):
@@ -656,13 +677,13 @@ def tension_coefficients(setup):
 
 
 def _elimination(setup, layout):
-    """Full-vector reconstruction map: bonded-arc g' coefficients of degree
-    >= 1 follow the bonded-arc g0' coefficients with factor
-    lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
+    """Bonded-arc g' coefficients of degree >= 1 follow the bonded-arc g0'
+    coefficients with factor lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
 
-    Returns (map, free, linked, sources, lam): the map [full, free] and the
-    parts that apply it to a matrix's columns, mat[:, free] plus lam times
-    mat[:, linked] added to the free columns at ``sources``."""
+    Returns (free, linked, sources, lam): a matrix over the full vector
+    becomes mat[:, free] plus lam times mat[:, linked] added to the free
+    columns at ``sources``, and a free solution x the full vector with
+    full[free] = x and full[linked] = lam * x[sources]."""
     mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
     mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
     lam = -mu * (kap0 + 1.0) / (mu0 * (kap + 1.0))
@@ -675,20 +696,17 @@ def _elimination(setup, layout):
         links[int(b_dst[kk])] = int(b_src[kk])
     free = [c for c in range(layout.total) if c not in links]
     pos = {c: i for i, c in enumerate(free)}
-    elim = np.zeros((layout.total, len(free)))
-    for c in free:
-        elim[c, pos[c]] = 1.0
-    for dst, src in links.items():
-        elim[dst, pos[src]] = lam
-    linked = list(links)
-    return elim, free, linked, [pos[links[c]] for c in linked], lam
+    sources = [pos[src] for src in links.values()]
+    return np.array(free), np.array(list(links)), np.array(sources), lam
 
 
 def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
     """Rows on one level's tables for setups that share materials and surface
-    tension: (matrix, rhs [rows, len(setups)], tags, weights).  The matrix
-    comes from the first setup; each setup's load and crack-face tractions
-    give its right-hand-side column."""
+    tension, as blocks (rows, rhs [rows, len(setups)], tags, weights) in the
+    order of the system.  The matrix comes from the first setup; each
+    setup's load and crack-face tractions give its right-hand-side column.
+    A complex family block is dropped once its real and imaginary rows have
+    been taken."""
     setup = setups[0]
     contour = setup.contour
     layout = _Layout(basis.n, basis)
@@ -699,7 +717,6 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
 
     n_pts = tab.pts.size
     n_cases = len(setups)
-    rows, rhs, tags, wts = [], [], [], []
 
     def taper(sel_pts, lo, hi):
         d = np.minimum(sel_pts - lo, hi - sel_pts) / (hi - lo)
@@ -709,9 +726,10 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
     w_bond = taper(bond_pts, contour.l0, contour.l)
     w_both = np.concatenate([w_crack, w_bond])
 
-    def family(direct, a_fac, b1_fac, b2_fac, pieces):
-        """Complex coefficient block [n_pts, full] of one density family."""
-        z = np.zeros((n_pts, layout.total), dtype=complex)
+    def family(z, direct, a_fac, b1_fac, b2_fac, pieces):
+        """Add the complex coefficients of one density family to the block z
+        [n_pts, full].  The families of one equation have disjoint columns,
+        so each adds to zeros."""
         for p in pieces:
             arc = p // 4
             ka, kb = layout.lengths[p]
@@ -726,42 +744,46 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
             z[:, layout.b_cols(p)] += (
                 1j * base[key_b][:kb] - 1j * b2_fac * tab.B2[arc, key_b][:kb]
             ).T
-        return z
 
-    def push_complex(z, rvec, tag, weight):
+    def complex_rows(z, rvec, tag, weight):
         for part, suffix in ((np.real, "_re"), (np.imag, "_im")):
-            rows.append(part(z))
-            rhs.append(part(rvec))
-            tags.extend([f"{tag}{suffix}"] * z.shape[0])
-            wts.append(np.broadcast_to(weight, (z.shape[0],)))
+            size = z.shape[0]
+            yield part(z), part(rvec), [tag + suffix] * size, np.broadcast_to(weight, (size,))
 
     # Zero extension of the inclusion outside the contour.
-    z_inc = family(
+    z_inc = np.zeros((n_pts, layout.total), dtype=complex)
+    family(
+        z_inc,
         direct=-0.5j * (kap0 + 1.0),
         a_fac=(kap0 - 1.0) / (2.0 * np.pi),
         b1_fac=-1.0 / (2.0 * np.pi),
         b2_fac=-1.0 / (2.0 * np.pi),
         pieces=(1, 5),
     )
-    z_inc += family(
+    family(
+        z_inc,
         direct=0.0,
         a_fac=2.0 * kap0 / ((kap0 + 1.0) * 1j * np.pi),
         b1_fac=kap0 / ((kap0 + 1.0) * 1j * np.pi),
         b2_fac=1.0 / ((kap0 + 1.0) * 1j * np.pi),
         pieces=(0, 4),
     )
-    push_complex(z_inc, np.zeros((n_pts, n_cases), dtype=complex), "inclusion_extension", w_both)
+    yield from complex_rows(z_inc, np.zeros((n_pts, n_cases), dtype=complex), "inclusion_extension", w_both)
+    del z_inc
 
     # Zero extension of the matrix inside the contour, with the
     # single-valuedness integral and the remote-load terms.
-    z_mat = family(
+    z_mat = np.zeros((n_pts, layout.total), dtype=complex)
+    family(
+        z_mat,
         direct=0.5j * (kap + 1.0),
         a_fac=(kap - 1.0) / (2.0 * np.pi),
         b1_fac=-1.0 / (2.0 * np.pi),
         b2_fac=-1.0 / (2.0 * np.pi),
         pieces=(3, 7),
     )
-    z_mat += family(
+    family(
+        z_mat,
         direct=0.0,
         a_fac=2.0 * kap / ((kap + 1.0) * 1j * np.pi),
         b1_fac=kap / ((kap + 1.0) * 1j * np.pi),
@@ -786,7 +808,8 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
         ],
         axis=1,
     )
-    push_complex(z_mat, -load_term, "matrix_extension", w_both)
+    yield from complex_rows(z_mat, -load_term, "matrix_extension", w_both)
+    del z_mat
 
     # Surface-tension conditions on the crack faces and the traction-jump
     # condition on the bonded arc.
@@ -815,18 +838,12 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
             rhop * v_im[0][:kb, sel].T + rho * v_im[1][:kb, sel].T
         )
         row_im[:, layout.a_cols(g_piece)] -= coef * v_re[2][:ka, sel].T
-        rows.append(row_re)
-        rhs.append(rhs_re)
-        tags.extend([f"{tag}_re"] * sel.size)
-        wts.append(np.broadcast_to(weight, (sel.size,)))
-        rows.append(row_im)
-        rhs.append(rhs_im)
-        tags.extend([f"{tag}_im"] * sel.size)
-        wts.append(np.broadcast_to(weight, (sel.size,)))
+        for row, b, suffix in ((row_re, rhs_re, "_re"), (row_im, rhs_im, "_im")):
+            yield row, b, [tag + suffix] * sel.size, np.broadcast_to(weight, (sel.size,))
 
     c_plus, c_minus, c_iface = tension_coefficients(setup)
-    tension_rows(crack_sel, 0, c_plus, (0,), 1, 0.5 * np.real(f1), 0.5 * np.imag(f1), "crack_plus", w_crack)
-    tension_rows(crack_sel, 0, c_minus, (2,), 3, -0.5 * np.real(f2), -0.5 * np.imag(f2), "crack_minus", w_crack)
+    yield from tension_rows(crack_sel, 0, c_plus, (0,), 1, 0.5 * np.real(f1), 0.5 * np.imag(f1), "crack_plus", w_crack)
+    yield from tension_rows(crack_sel, 0, c_minus, (2,), 3, -0.5 * np.real(f2), -0.5 * np.imag(f2), "crack_minus", w_crack)
     zero = np.zeros((bond_pts.size, n_cases))
     # With a vanishing interface tension the jump condition reads q0 + q = 0,
     # whose content is smooth (the tip logarithms cancel in the sum), so it
@@ -836,7 +853,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
         w_jump = BOND_WEIGHT
     else:
         w_jump = w_bond
-    tension_rows(bond_sel, 1, c_iface, (4, 6), 5, zero, zero, "bond_jump", w_jump)
+    yield from tension_rows(bond_sel, 1, c_iface, (4, 6), 5, zero, zero, "bond_jump", w_jump)
 
     # Constant-term tie of the bonded-arc slope proportionality (the higher
     # coefficients are eliminated exactly).
@@ -847,10 +864,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
         row = np.zeros((1, layout.total))
         row[0, src] = (kap0 + 1.0) / mu0
         row[0, dst] = (kap + 1.0) / mu
-        rows.append(row)
-        rhs.append(np.zeros((1, n_cases)))
-        tags.append(tag)
-        wts.append(np.array([tip_weight]))
+        yield row, np.zeros((1, n_cases)), [tag], np.array([tip_weight])
 
     # Total-force balance: int (q0 - q) d tau = 0 over the whole contour.
     zf = np.zeros((1, layout.total), dtype=complex)
@@ -858,7 +872,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
         q_a, q_b = moments(piece)
         zf[0, layout.a_cols(piece)] += sign * q_a
         zf[0, layout.b_cols(piece)] += 1j * sign * q_b
-    push_complex(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", FORCE_WEIGHT)
+    yield from complex_rows(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", FORCE_WEIGHT)
 
     # Single-valuedness of the displacements along the crack: the same
     # integral that is folded into the matrix-side equation must itself
@@ -869,7 +883,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
         q_a, q_b = moments(piece)
         zsv[0, layout.a_cols(piece)] += fac * q_a
         zsv[0, layout.b_cols(piece)] += 1j * fac * q_b
-    push_complex(zsv, np.zeros((1, n_cases), dtype=complex), "single_valuedness", CONSTRAINT_WEIGHT)
+    yield from complex_rows(zsv, np.zeros((1, n_cases), dtype=complex), "single_valuedness", CONSTRAINT_WEIGHT)
 
     # Continuity of Re g0' and Re g' across both tips: tip 0 joins the start
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
@@ -884,15 +898,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
             row = np.zeros((1, layout.total))
             row[0, layout.a_cols(crack_piece)] = crack_val
             row[0, layout.a_cols(bond_piece)] = -bond_val
-            rows.append(row)
-            rhs.append(np.zeros((1, n_cases)))
-            tags.append(tag)
-            wts.append(np.array([tip_weight]))
-
-    mat = np.vstack(rows)
-    vec = np.concatenate(rhs).astype(float)
-    wvec = np.concatenate(wts).astype(float)
-    return mat, vec, tags, wvec
+            yield row, np.zeros((1, n_cases)), [tag], np.array([tip_weight])
 
 
 def solve(system, rcond=1e-13, fail_residual=0.05):
@@ -916,7 +922,7 @@ def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
     rhs = system.rhs.reshape(system.rhs.shape[0], -1)
     w = system.row_weights
     mat, vec = system.matrix * w[:, None], rhs * w[:, None]
-    col_scale = np.max(np.abs(mat), axis=0)
+    col_scale = np.maximum(np.max(mat, axis=0), -np.min(mat, axis=0))  # max |mat| without a copy
     col_scale[col_scale == 0.0] = 1.0
     scaled = np.divide(mat, col_scale, out=mat)
     sol, _, rank, sing = np.linalg.lstsq(scaled, vec, rcond=rcond)
@@ -949,7 +955,10 @@ def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
         for tag, r in zip(system.row_tags, resid):
             per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
 
-        dset = system.basis.densities(system.elimination @ x, layout)
+        free, linked, sources, lam = system.elimination
+        full = np.zeros(layout.total)
+        full[free], full[linked] = x, lam * x[sources]
+        dset = system.basis.densities(full, layout)
         meta = dict(system.meta)
         meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
         report = ResidualReport(

@@ -1,0 +1,110 @@
+"""Whole-matrix reference form of the solver's assembly, kept to pin the
+streamed assembly bit for bit.
+
+Each level stacks all row blocks of ``_assemble_rows`` with ``vstack``, the
+drift compares the whole matrices of two levels, the elimination takes and
+adds whole columns, and the densities come from a dense elimination map.
+The arithmetic of every entry is the library's.
+"""
+
+import numpy as np
+
+from crackst import solver
+
+
+def drift(mat, rhs, mat2, rhs2):
+    """Largest change from (mat, rhs) to the finer (mat2, rhs2), relative to
+    the matrix scale and to each right-hand-side column's own scale."""
+    scale = max(float(np.max(np.abs(mat2))), 1e-300)
+    rscale = np.maximum(np.max(np.abs(rhs2), axis=0), scale * 1e-6)
+    diff = np.subtract(mat2, mat)
+    return max(
+        float(np.max(np.abs(diff, out=diff))) / scale,
+        float(np.max(np.max(np.abs(rhs2 - rhs), axis=0) / rscale)),
+    )
+
+
+def stacked_rows(setups, basis, tab, points, taper_exponent, tip_weight):
+    """(matrix, rhs, tags, weights) of one level, every block stacked."""
+    blocks = list(solver._assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight))
+    mat = np.vstack([b[0] for b in blocks])
+    rhs = np.concatenate([b[1] for b in blocks]).astype(float)
+    tags = [tag for b in blocks for tag in b[2]]
+    weights = np.concatenate([b[3] for b in blocks]).astype(float)
+    return mat, rhs, tags, weights
+
+
+def elimination_map(elimination, total):
+    """The dense [full, free] map of (free, linked, sources, lam)."""
+    free, linked, sources, lam = elimination
+    elim = np.zeros((total, len(free)))
+    elim[free, np.arange(len(free))] = 1.0
+    elim[linked, sources] = lam
+    return elim
+
+
+def assemble_cases(
+    setups,
+    n,
+    rule=None,
+    delta=None,
+    taper_exponent=solver.DEFAULT_TAPER,
+    tip_weight=solver.TIP_ROW_WEIGHT,
+    basis=None,
+    points=None,
+):
+    """One dict per group of ``solver._assemble_cases``: the eliminated
+    matrix, rhs, tags, weights, the drift of every refinement (``drifts``),
+    the group's elimination parts and the basis and layout."""
+    contour = setups[0].contour
+    rule = solver.QuadratureRule() if rule is None else rule
+    if delta is None:
+        delta = solver.DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
+    if basis is None:
+        basis = solver._LegendreBasis(contour.l0, contour.l, n)
+    if points is None:
+        m_pts = int(round(solver.OVERSAMPLE * (n + 1)))
+        points = solver.collocation_points(contour.l0, contour.l, m_pts - 1, delta)
+    pts = np.concatenate(points)
+    arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
+    layout = solver._Layout(n, basis)
+
+    by_key = {}
+    for i, setup in enumerate(setups):
+        by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
+    out = []
+    for cases in by_key.values():
+        group = [setups[i] for i in cases]
+        level_rule, levels, drifts = rule, [], []
+        for level in range(1 + solver.MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
+            if level:
+                level_rule = level_rule.refined()
+            disc = level_rule.discretize(contour, 0.5 * delta)
+            tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
+            levels.append(stacked_rows(group, basis, tab, points, taper_exponent, tip_weight))
+            if level:
+                drifts.append(drift(*levels[-2][:2], *levels[-1][:2]))
+                if drifts[-1] < solver.MATRIX_STABILITY_TOL:
+                    break
+        mat, rhs, tags, weights = levels[-1]
+        free, linked, sources, lam = elimination = solver._elimination(group[0], layout)
+        matrix = np.take(mat, free, axis=1)
+        matrix[:, sources] += lam * np.take(mat, linked, axis=1)
+        out.append(dict(matrix=matrix, rhs=rhs, tags=tags, weights=weights, drifts=drifts,
+                        elimination=elimination, basis=basis, layout=layout, cases=cases))
+    return out
+
+
+def densities(system, rcond=1e-13):
+    """The densities of every rhs column of a reference system: the solver's
+    equilibrated least-squares solve, then the dense elimination map."""
+    rhs = system["rhs"].reshape(system["rhs"].shape[0], -1)
+    w = system["weights"]
+    mat, vec = system["matrix"] * w[:, None], rhs * w[:, None]
+    col_scale = np.max(np.abs(mat), axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    sol = np.linalg.lstsq(np.divide(mat, col_scale, out=mat), vec, rcond=rcond)[0]
+    sol /= col_scale[:, None]
+    layout = system["layout"]
+    elim = elimination_map(system["elimination"], layout.total)
+    return [system["basis"].densities(elim @ sol[:, j], layout) for j in range(sol.shape[1])]

@@ -1,0 +1,113 @@
+"""The streamed assembly against its whole-matrix reference form
+(reference_assembly.py): equal bit for bit, and leaner in memory."""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import crackst as cs
+from crackst import solver, tips
+
+import reference_assembly as ref
+from test_solver import _fig6_grid
+
+
+def _coefficients(dset):
+    if isinstance(dset, tips.TipResolvedDensities):
+        return [c for pair in dset.coefficients for c in pair]
+    return dset.a + dset.b
+
+
+def _assert_identical(setups, n, **kwargs):
+    """Assemble and solve setups both ways and compare every output."""
+    systems = solver._assemble_cases(setups, n, **kwargs)
+    want = ref.assemble_cases(setups, n, **kwargs)
+    assert len(systems) == len(want)
+    for (system, cases), expected in zip(systems, want):
+        assert cases == expected["cases"]
+        assert system.matrix.flags.c_contiguous
+        assert np.array_equal(system.matrix, expected["matrix"])
+        assert np.array_equal(system.rhs, expected["rhs"])
+        assert np.array_equal(system.row_weights, expected["weights"])
+        assert system.row_tags == expected["tags"]
+        assert system.meta.get("quadrature_drift") == (expected["drifts"] or [None])[-1]
+        got = [dset for dset, _ in solver._solve_columns(system, cases=cases)]
+        for dset, dset_ref in zip(got, ref.densities(expected), strict=True):
+            for c, c_ref in zip(_coefficients(dset), _coefficients(dset_ref), strict=True):
+                assert np.array_equal(c, c_ref) and np.array_equal(np.signbit(c), np.signbit(c_ref))
+    return systems
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_semicircle_matches_reference(reference_setup, n):
+    _assert_identical([reference_setup], n)
+
+
+def test_ellipse_matches_reference(reference_setup):
+    ellipse = replace(reference_setup, contour=cs.elliptical_contour(1.5, 1.0, (0.0, np.pi)))
+    _assert_identical([ellipse], 24)
+
+
+def test_fig6_grid_matches_reference():
+    assert len(_assert_identical(_fig6_grid(), 20)) == 3
+
+
+def test_tip_enriched_basis_matches_reference(reference_setup):
+    basis = tips.TipEnrichedBasis(reference_setup, 24)
+    _assert_identical(
+        [reference_setup], 24, rule=tips.TIP_RULE, delta=2.0 * basis.d_min, taper_exponent=0.0,
+        tip_weight=solver.CONSTRAINT_WEIGHT, basis=basis, points=basis.collocation_points(),
+    )
+
+
+def test_non_adaptive_rule_matches_reference(reference_setup):
+    ((system, _),) = _assert_identical([reference_setup], 16, rule=cs.QuadratureRule(adaptive=False))
+    assert "quadrature_drift" not in system.meta
+    assert system.meta["batch"]["table_builds"] == system.meta["batch"]["row_assemblies"] == 1
+
+
+def test_unstabilized_levels_match_reference(reference_setup, monkeypatch, caplog):
+    # With a zero tolerance no level stabilizes, so each refinement re-runs
+    # the previous level's rows from its kept tables.
+    monkeypatch.setattr(solver, "MATRIX_STABILITY_TOL", 0.0)
+    (expected,) = ref.assemble_cases([reference_setup], 16)
+    assert len(expected["drifts"]) == solver.MAX_ADAPTIVE_ROUNDS == 3
+    for rounds in (1, 2):
+        monkeypatch.setattr(solver, "MAX_ADAPTIVE_ROUNDS", rounds)
+        system = cs.assemble(reference_setup, 16)
+        assert system.meta["quadrature_drift"] == expected["drifts"][rounds - 1]
+    monkeypatch.setattr(solver, "MAX_ADAPTIVE_ROUNDS", 3)
+    with caplog.at_level("WARNING", logger="crackst"):
+        ((system, _),) = _assert_identical([reference_setup], 16)
+    assert system.meta["quadrature_stabilized"] is False
+    assert system.meta["batch"]["table_builds"] == 4
+    assert system.meta["batch"]["row_assemblies"] == 6
+    assert any("did not stabilize" in r.getMessage() for r in caplog.records)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_assemble_peak_memory(reference_setup):
+    """The coarse level is held as tables, not rows, and the rows go
+    straight into the one eliminated matrix (whole-matrix assembly: 3.63x)."""
+    cs.assemble(reference_setup, 48)  # fills the discretization memo
+    system, peak = _traced_peak(cs.assemble, reference_setup, 48)
+    assert peak <= 3.2 * system.matrix.nbytes
+
+
+def test_solve_peak_memory(reference_setup):
+    """The solve holds the weighted matrix and no |A| beside it (2.00x with
+    one)."""
+    system = cs.assemble(reference_setup, 48)
+    _, peak = _traced_peak(cs.solve, system)
+    assert peak <= 1.25 * system.matrix.nbytes

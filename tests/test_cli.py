@@ -282,3 +282,18 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crackst.__file__)))
     code = "import sys, crackst.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_order_zero_is_rejected(tmp_path, capsys):
+    # An order of 0 is checked like any other, not taken for "no override".
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "zero")
+    for argv in (
+        ["scenario", "fig6"],
+        ["solve", "--config", cfg],
+        ["validate", "--config", cfg],
+        ["sweep", "--config", cfg, "--param", "gamma0", "--values", "0.1"],
+    ):
+        assert main(argv + ["--order", "0", "--out", out, "--quiet"]) == 1
+        assert "order must be an integer of at least 4, got 0" in capsys.readouterr().err
+        assert not os.path.exists(out)

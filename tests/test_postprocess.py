@@ -145,6 +145,50 @@ def test_deformed_boundary_csv(tmp_path, reference_solution, reference_setup):
     }
 
 
+def _reference_csv(path, names, columns):
+    """The csv.writer form of the CSV writers: each value formatted alone,
+    integers as str(int) and the rest as %.12e."""
+
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.12e}"
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in zip(*columns):
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_csv_writers_match_csv_writer_reference(tmp_path, reference_solution, reference_setup):
+    dset, _ = reference_solution
+    fld = post.boundary_fields(dset, reference_setup, np.linspace(0.1, 6.0, 40))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300, 5e-324])
+    fld.sigma_n_plus0[: special.size] = special
+    fld.g0p.real[: special.size], fld.g0p.imag[: special.size] = special, -special[::-1]
+    assert fld.arc.dtype.kind == "i" and set(fld.arc) == {0, 1}
+    names = list(post._FIELD_COLUMNS)
+    columns = [getattr(fld, name) for name in (
+        "s", "arc", "sigma_n_plus0", "tau_n_plus0", "sigma_n_minus", "tau_n_minus",
+        "ut_plus0", "un_plus0", "ut_minus", "un_minus")]
+    for name in ("q0", "q", "g0p", "gp"):
+        columns += [np.real(getattr(fld, name)), np.imag(getattr(fld, name))]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    post.write_boundary_fields_csv(got, fld)
+    _reference_csv(want, names, columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"nan" in got.read_bytes() and b"-0.000000000000e+00" in got.read_bytes()
+
+    cols = post.deformed_boundary(dset, reference_setup, scale=2.0, n_samples=30)
+    cols["x_deformed_matrix"][:3] = [-0.0, np.nan, -np.inf]
+    post.write_deformed_boundary_csv(got, cols)
+    names = ["s", "x_undeformed", "y_undeformed", "x_deformed_inclusion",
+             "y_deformed_inclusion", "x_deformed_matrix", "y_deformed_matrix"]
+    _reference_csv(want, names, [cols[name] for name in names])
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_summary_json(tmp_path, reference_solution, reference_setup):
     dset, report = reference_solution
     path = tmp_path / "summary.json"
