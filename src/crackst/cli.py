@@ -242,14 +242,6 @@ def _field_curves(dset, setup, arc, n=241):
     return s, post.boundary_fields(dset, setup, s)
 
 
-def _write_columns_csv(path, header, columns):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
-
-
 # Each scenario writes its data files and returns the solution of its base
 # configuration, (dset, report), for the standard artifacts.
 
@@ -267,7 +259,7 @@ def _scenario_fig1(entry, run_config, outdir, quiet):
         curves[order] = g
     header = ["s"] + [f"{part}_g0_prime_order{n}" for n in entry["orders_sweep"] for part in ("re", "im")]
     cols = [s_ref] + [vals for n in entry["orders_sweep"] for vals in (np.real(curves[n]), np.imag(curves[n]))]
-    _write_columns_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
+    post._write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
     return solved.get(run_config.numerics.order) or _solve_run(run_config, quiet)
 
 
@@ -299,7 +291,7 @@ def _scenario_fig2_fig3(name, entry, run_config, outdir, quiet):
                     side = "plus_0" if "plus0" in attr else "minus"
                     header.append(f"{qname}_{side}_gamma{gamma:g}")
                     cols.append(getattr(fld, attr))
-            _write_columns_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
+            post._write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
     return base
 
 
@@ -308,7 +300,7 @@ def _scenario_fig4(entry, run_config, outdir, quiet):
     setup = run_config.setup
     s = np.linspace(1e-3 * dset.l0, 0.5 * dset.l0, 161)  # right half of the crack
     fld = post.boundary_fields(dset, setup, s)
-    _write_columns_csv(
+    post._write_csv(
         os.path.join(outdir, "fig4_displacement_derivatives.csv"),
         ["s", "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus"],
         [s, fld.ut_plus0, fld.un_plus0, fld.ut_minus, fld.un_minus],
@@ -331,7 +323,7 @@ def _scenario_fig5(entry, run_config, outdir, quiet):
 def _scenario_fig5a(entry, run_config, outdir, quiet):
     dset, report = _solve_run(run_config, quiet)
     s, fld = _field_curves(dset, run_config.setup, 1)
-    _write_columns_csv(
+    post._write_csv(
         os.path.join(outdir, "fig5a_stress_bond.csv"),
         ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
         [s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
@@ -346,21 +338,21 @@ def _scenario_fig6(entry, run_config, outdir, quiet):
         for a, g in grid
     ]
     *solved, base = _solve_runs(cases + [run_config], quiet)
-    rows = []
-    for (alpha, gamma0), case, (dset, _) in zip(grid, cases, solved):
-        rows.append(
-            [
-                _fmt(alpha),
-                _fmt(gamma0),
-                _fmt(post.max_crack_opening(dset, case.setup)),
-                _fmt(post.max_crack_opening(dset, case.setup, window=(0.0, 1.0))),
-                _fmt(post.max_crack_aperture(dset, case.setup)),
-            ]
+    rows = [
+        (
+            alpha,
+            gamma0,
+            post.max_crack_opening(dset, case.setup),
+            post.max_crack_opening(dset, case.setup, window=(0.0, 1.0)),
+            post.max_crack_aperture(dset, case.setup),
         )
-    with open(os.path.join(outdir, "fig6_opening.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"])
-        writer.writerows(rows)
+        for (alpha, gamma0), case, (dset, _) in zip(grid, cases, solved)
+    ]
+    post._write_csv(
+        os.path.join(outdir, "fig6_opening.csv"),
+        ["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"],
+        np.array(rows, dtype=float).T,
+    )
     return base
 
 

@@ -24,6 +24,14 @@ per-arc densities.  Densities may jump at the crack tips; panels never
 straddle a tip, and an optional geometric grading of the end panels resolves
 the resulting near-tip boundary layers.  The nodes ascend in s over both arcs,
 which the bisection search for near node/field pairs relies on.
+
+Principal values are evaluated in blocks of PV_BLOCK_POINTS = 128 field
+points, so their kernel matrix takes O(nodes) memory however many points are
+asked for.  Each field point's value is the one a single whole-matrix
+evaluation gives, bit for bit on one BLAS thread: the blocks keep every
+point's summation order, and a one-point remainder joins the block before it,
+because a one-column matrix-vector product takes another BLAS path and rounds
+differently.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ TIP_EPS_FACTOR = 1e-6
 # Discretizations kept per contour, oldest dropped first.  A solve and its
 # validation use about 8; graded stress traces add one per tip depth.
 DISCRETIZATION_MEMO_SIZE = 64
+# Field points per block of a principal-value evaluation; the block's kernel
+# matrix holds nodes x PV_BLOCK_POINTS complex entries (one more at most).
+PV_BLOCK_POINTS = 128
 
 
 class TipProximityError(ValueError):
@@ -271,7 +282,8 @@ def _pv_values(contour, density, at, disc, eps=None):
     """Vectorized subtraction PV of int density/(tau - t(at)) dtau.
 
     ``density`` may return a stack of densities on leading axes; they share
-    the kernel matrix and the near-diagonal pairs.
+    the kernel matrix and the near-diagonal pairs.  The kernel matrix is
+    built for PV_BLOCK_POINTS field points at a time (see _pv_blocks).
     """
     at = np.asarray(at, dtype=float)
     phi_q = np.asarray(density(disc.s), dtype=complex)
@@ -283,11 +295,26 @@ def _pv_values(contour, density, at, disc, eps=None):
     # pairs on the same arc; across a tip the density may jump, and the raw
     # quotient is then the correct (near-singular) integrand value.
     arc_a = np.where(contour.wrap(at) <= contour.l0, 0, 1)
-    cmat, qi, ai = _cauchy_matrix(disc, at, t_a, arc_a, eps)
-    # One matrix-vector product per density keeps its summation order.
-    heads = [row @ cmat for row in phi_q.reshape(-1, disc.n_nodes)]
-    heads = np.reshape(heads, phi_q.shape[:-1] + (at.size,))
-    total = heads - phi_a * (np.sum(cmat, axis=0) - 1j * np.pi)
+    rows = phi_q.reshape(-1, disc.n_nodes)
+    heads = np.empty((rows.shape[0], at.size), dtype=complex)
+    col_sums = np.empty(at.size, dtype=complex)
+    near_q, near_a, near_c = [], [], []
+    for start, stop in _pv_blocks(at.size):
+        block = slice(start, stop)
+        cmat, qi, ai = _cauchy_matrix(disc, at[block], t_a[block], arc_a[block], eps)
+        # One matrix-vector product per density keeps its summation order.
+        for row, head in zip(rows, heads):
+            head[block] = row @ cmat
+        col_sums[block] = np.sum(cmat, axis=0)
+        near_q.append(qi)
+        near_a.append(ai + start)
+        near_c.append(cmat[qi, ai])
+        del cmat  # before the next block's matrix is built
+    heads = heads.reshape(phi_q.shape[:-1] + (at.size,))
+    total = heads - phi_a * (col_sums - 1j * np.pi)
+    # Each field point's pairs lie in one block, in ascending node order, so
+    # np.add.at adds them in the order of the whole-matrix search.
+    qi, ai, c_near = (np.concatenate(parts) for parts in (near_q, near_a, near_c))
     if qi.size:
         # Central difference kept within half the distance to the ends of
         # the field point's own arc: a stencil reaching a tip would read the
@@ -300,10 +327,21 @@ def _pv_values(contour, density, at, disc, eps=None):
             np.asarray(density(at[ai] + hp), dtype=complex)
             - np.asarray(density(at[ai] - hm), dtype=complex)
         ) / (hp + hm)
-        crude = (phi_q[..., qi] - phi_a[..., ai]) * cmat[qi, ai]
+        crude = (phi_q[..., qi] - phi_a[..., ai]) * c_near
         # Several nodes may lie within eps of one field point: accumulate all.
         np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(disc.w[qi] * dphi - crude, -1, 0))
     return total
+
+
+def _pv_blocks(n_points):
+    """(start, stop) of the field-point blocks of _pv_values: PV_BLOCK_POINTS
+    wide, with a one-point remainder joined to the block before it, since a
+    one-column product takes another BLAS path and rounds differently.  An
+    empty field gives one empty block."""
+    starts = list(range(0, n_points, PV_BLOCK_POINTS)) or [0]
+    if len(starts) > 1 and n_points - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n_points])
 
 
 def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None, diag_eps=None):

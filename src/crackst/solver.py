@@ -424,13 +424,6 @@ class _Tables:
         # across a tip the raw quotient is the correct near-singular value.
         dd_eps = DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l
         cmat, near_q, near_p = _cauchy_matrix(disc, pts, t_p, arc_of_pt, dd_eps)
-        # The kernels' near-diagonal guard has its own, larger radius: the
-        # raw kernel quotients lose about 1e-16/d**2 to cancellation.
-        k1m, k2m = _regular_kernels(
-            contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None],
-            DIAG_EPS_FACTOR * contour.l,
-        )
-
         g_all = np.sum(cmat, axis=0)
 
         self.A, self.B1, self.B2, self.Q, self.V = {}, {}, {}, {}, {}
@@ -438,6 +431,12 @@ class _Tables:
             qmask = disc.arc == arc
             arc_start = np.flatnonzero(qmask)[0]  # the nodes of an arc are contiguous
             pmask = arc_of_pt == arc
+            # The kernels' near-diagonal guard has its own, larger radius: the
+            # raw kernel quotients lose about 1e-16/d**2 to cancellation.
+            k1m, k2m = _regular_kernels(
+                contour, pts, t_p, dt_p, disc.s[qmask, None], disc.tau[qmask, None],
+                DIAG_EPS_FACTOR * contour.l,
+            )
             for key in basis.keys(arc):
                 m_arc = basis.functions(arc, key, disc.s[qmask]).T  # [K, n_q]
                 stack = np.zeros((3, m_arc.shape[0], pts.size))
@@ -461,8 +460,8 @@ class _Tables:
 
                 wdt = disc.w[qmask] * disc.dt[qmask]
                 wdtc = disc.w[qmask] * np.conj(disc.dt[qmask])
-                self.B1[arc, key] = (m_arc * wdt[None, :]) @ k1m[qmask, :]
-                self.B2[arc, key] = (m_arc * wdtc[None, :]) @ k2m[qmask, :]
+                self.B1[arc, key] = (m_arc * wdt[None, :]) @ k1m
+                self.B2[arc, key] = (m_arc * wdtc[None, :]) @ k2m
                 self.Q[arc, key] = m_arc @ wdt
 
 

@@ -105,6 +105,14 @@ def test_assemble_peak_memory(reference_setup):
     assert peak <= 3.2 * system.matrix.nbytes
 
 
+def test_assemble_peak_memory_at_n24(reference_setup):
+    """At N = 24 the k1/k2 kernel tables weigh as much as the matrix; they
+    are built per arc, on that arc's nodes only (over all nodes: 4.26x)."""
+    cs.assemble(reference_setup, 24)
+    system, peak = _traced_peak(cs.assemble, reference_setup, 24)
+    assert peak <= 3.6 * system.matrix.nbytes
+
+
 def test_solve_peak_memory(reference_setup):
     """The solve holds the weighted matrix and no |A| beside it (2.00x with
     one)."""

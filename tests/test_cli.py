@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from crackst.cli import main
+from crackst import postprocess as post
+from crackst.cli import _fmt, main
 
 BASE = """
 [contour]
@@ -297,3 +298,36 @@ def test_order_zero_is_rejected(tmp_path, capsys):
         assert main(argv + ["--order", "0", "--out", out, "--quiet"]) == 1
         assert "order must be an integer of at least 4, got 0" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+def _columns_csv_reference(path, header, columns):
+    """csv.writer with each value formatted alone by cli._fmt: how the fig1,
+    fig2, fig3, fig4, fig5a and fig6 CSVs were written before they went
+    through postprocess._write_csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_fmt(v) for v in row])
+
+
+def test_column_csvs_match_csv_writer_reference(tmp_path):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300, 5e-324]
+    s = np.linspace(1e-3, 3.0, 12)
+    curve = np.sin(s)
+    curve[: len(special)] = special
+    header = ["s", "re_g0_prime_order16", "im_g0_prime_order16"]
+    columns = [s, curve, -curve[::-1]]
+    # fig6_opening.csv: one tuple per grid point, the angle given as an int.
+    rows = [(0, 0.1, v, -v, 2.0 * v) for v in special]
+    fig6 = ["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for names, cols, written in (
+        (header, columns, columns),
+        (fig6, list(zip(*rows)), np.array(rows, dtype=float).T),
+    ):
+        post._write_csv(got, names, written)
+        _columns_csv_reference(want, names, cols)
+        assert got.read_bytes() == want.read_bytes()
+        for token in (b"nan", b"-inf", b"-0.000000000000e+00"):
+            assert token in got.read_bytes()

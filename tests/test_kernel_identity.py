@@ -2,14 +2,23 @@
 (reference_kernels.py): equal bit for bit, and leaner in memory."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crackst as cs
+from crackst import kernels
 from crackst import validation as val
 from crackst.geometry import THETA_MEMO_SIZE
-from crackst.kernels import DIAG_EPS_FACTOR, QuadratureRule, _cauchy_matrix, _pv_values, _regular_kernels
+from crackst.kernels import (
+    DIAG_EPS_FACTOR,
+    PV_BLOCK_POINTS,
+    QuadratureRule,
+    _cauchy_matrix,
+    _pv_values,
+    _regular_kernels,
+)
 from crackst.solver import DIVIDED_DIFFERENCE_EPS_FACTOR
 
 import reference_kernels as ref
@@ -20,6 +29,8 @@ CONTOURS = {
     "slim_ellipse": lambda: cs.elliptical_contour(2.0, 0.7, (0.3, 2.0)),
 }
 TIP_PANELS = (None, 1e-6, 1e-4)  # fractions of l
+# Field-point counts about the width of the principal value's blocks.
+BLOCK_COUNTS = (0, 1, 2, 127, 128, 129, 130, 255, 256, 257)
 
 
 @pytest.fixture(scope="module", params=sorted(CONTOURS))
@@ -40,6 +51,20 @@ def _field_sets(contour, disc):
     }
 
 
+def _block_sets(contour, disc):
+    """Field sets of each of BLOCK_COUNTS points: at random, and packed 1e-4 l
+    apart about a node so that the block boundary at PV_BLOCK_POINTS falls
+    inside a run of points that pair with the same nodes at eps = 1e-3 l."""
+    rng = np.random.default_rng(11)
+    centre = disc.s[disc.n_nodes // 4]
+    sets = {}
+    for count in BLOCK_COUNTS:
+        sets[f"random{count}"] = rng.uniform(0.0, contour.l, count)
+        steps = np.arange(count) - PV_BLOCK_POINTS + 0.5
+        sets[f"cluster{count}"] = contour.wrap(centre + 1e-4 * contour.l * steps)
+    return sets
+
+
 def _stacked_density(contour):
     trials = [trial for _, trial in val._trial_densities(contour, 3, 2)]
     return lambda s: np.stack([trial(s) for trial in trials])
@@ -57,10 +82,12 @@ def test_pv_values_match_dense_reference(contour, tip):
     disc = QuadratureRule().discretize(contour, None if tip is None else tip * contour.l)
     density = _stacked_density(contour)
     # At 1e-3 l several nodes pair with one field point.
+    field_sets = {**_field_sets(contour, disc), **_block_sets(contour, disc)}
     for eps in (1e-3 * contour.l, None):
-        for name, at in _field_sets(contour, disc).items():
+        for name, at in field_sets.items():
             got = _pv_values(contour, density, at, disc, eps)
             want = ref.pv_values(contour, density, at, disc, eps)
+            assert got.shape == want.shape == (2, at.size), (name, eps)
             assert np.array_equal(got, want), (name, eps)
 
 
@@ -112,20 +139,76 @@ def test_theta_memo_matches_fresh_contour_and_is_bounded():
     assert np.array_equal(warm._s_to_theta(s), theta)
 
 
-def test_inversion_check_peak_memory(unit_semicircle):
-    """The inner Cauchy application of the inversion check builds one complex
-    [inner nodes x outer nodes] matrix and no dense temporaries beside it."""
-    contour = unit_semicircle
-    trials = [trial for _, trial in val._trial_densities(contour, 0, 3)]
-    val.cauchy_inversion_checks(contour, trials)  # fills the discretization memo
+def _pv_block_bound(contour):
+    """Peak allocation allowed for a validation pass: 2.5 of the inner
+    application's block matrix, [inner nodes x PV_BLOCK_POINTS] complex."""
+    inner = val._default_rule().discretize(contour, val.INNER_TIP_GRADING * contour.l).n_nodes
+    return inner, 2.5 * inner * PV_BLOCK_POINTS * np.dtype(complex).itemsize
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # fills the discretization and theta memos
     tracemalloc.start()
     try:
-        val.cauchy_inversion_checks(contour, trials)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rule = val._default_rule()
-    inner = rule.discretize(contour, val.INNER_TIP_GRADING * contour.l).n_nodes
-    outer = rule.discretize(contour, 1e-4 * contour.l).n_nodes
+    return peak
+
+
+def test_inversion_check_peak_memory(unit_semicircle):
+    """The inner Cauchy application of the inversion check builds its kernel
+    matrix PV_BLOCK_POINTS outer nodes at a time, never the whole
+    [inner nodes x outer nodes] matrix, and no dense temporaries beside it."""
+    contour = unit_semicircle
+    trials = [trial for _, trial in val._trial_densities(contour, 0, 3)]
+    peak = _traced_peak(val.cauchy_inversion_checks, contour, trials)
+    inner, bound = _pv_block_bound(contour)
+    outer = val._default_rule().discretize(contour, 1e-4 * contour.l).n_nodes
     assert (inner, outer) == (1440, 1056)
-    assert peak <= 1.25 * inner * outer * np.dtype(complex).itemsize
+    assert peak <= bound
+
+
+@pytest.fixture(scope="module")
+def solutions(reference_setup):
+    """The reference setup and its 1.5:1 ellipse twin, each solved at N = 24."""
+    ellipse = replace(reference_setup, contour=CONTOURS["ellipse"]())
+    return {
+        name: (cs.solve_problem(setup, 24)[0], setup)
+        for name, setup in (("semicircle", reference_setup), ("ellipse", ellipse))
+    }
+
+
+def test_validate_solution_peak_memory(solutions):
+    dset, setup = solutions["ellipse"]
+    peak = _traced_peak(val.validate_solution, dset, setup)
+    assert peak <= _pv_block_bound(setup.contour)[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("name", ["semicircle", "ellipse"])
+def test_validate_solution_matches_dense_pv(solutions, name, seed, monkeypatch):
+    """Every check of the battery, stress traces and inversion included, is
+    bit-identical to a run on the whole-matrix principal value."""
+    dset, setup = solutions[name]
+    blocked = val.validate_solution(dset, setup, seed=seed).to_dict()
+    monkeypatch.setattr(kernels, "_pv_values", ref.pv_values)
+    dense = val.validate_solution(dset, setup, seed=seed).to_dict()
+    assert [c["name"] for c in blocked["checks"]] == [c["name"] for c in dense["checks"]]
+    for got, want in zip(blocked["checks"], dense["checks"]):
+        assert got["value"] == want["value"] and got["details"] == want["details"], got["name"]
+
+
+def test_inversion_check_builds_blocks(unit_semicircle, monkeypatch):
+    widths = []
+
+    def spy(disc, at, *args):
+        widths.append(at.size)
+        return _cauchy_matrix(disc, at, *args)
+
+    monkeypatch.setattr(kernels, "_cauchy_matrix", spy)
+    trials = [trial for _, trial in val._trial_densities(unit_semicircle, 0, 3)]
+    val.cauchy_inversion_checks(unit_semicircle, trials)
+    assert widths and max(widths) <= PV_BLOCK_POINTS + 1
+    assert sum(widths) > 1056  # the outer nodes and the near-pair stencils
