@@ -259,7 +259,7 @@ def _scenario_fig1(entry, run_config, outdir, quiet):
         curves[order] = g
     header = ["s"] + [f"{part}_g0_prime_order{n}" for n in entry["orders_sweep"] for part in ("re", "im")]
     cols = [s_ref] + [vals for n in entry["orders_sweep"] for vals in (np.real(curves[n]), np.imag(curves[n]))]
-    post._write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
+    post.write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
     return solved.get(run_config.numerics.order) or _solve_run(run_config, quiet)
 
 
@@ -291,7 +291,7 @@ def _scenario_fig2_fig3(name, entry, run_config, outdir, quiet):
                     side = "plus_0" if "plus0" in attr else "minus"
                     header.append(f"{qname}_{side}_gamma{gamma:g}")
                     cols.append(getattr(fld, attr))
-            post._write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
+            post.write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
     return base
 
 
@@ -300,7 +300,7 @@ def _scenario_fig4(entry, run_config, outdir, quiet):
     setup = run_config.setup
     s = np.linspace(1e-3 * dset.l0, 0.5 * dset.l0, 161)  # right half of the crack
     fld = post.boundary_fields(dset, setup, s)
-    post._write_csv(
+    post.write_csv(
         os.path.join(outdir, "fig4_displacement_derivatives.csv"),
         ["s", "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus"],
         [s, fld.ut_plus0, fld.un_plus0, fld.ut_minus, fld.un_minus],
@@ -323,7 +323,7 @@ def _scenario_fig5(entry, run_config, outdir, quiet):
 def _scenario_fig5a(entry, run_config, outdir, quiet):
     dset, report = _solve_run(run_config, quiet)
     s, fld = _field_curves(dset, run_config.setup, 1)
-    post._write_csv(
+    post.write_csv(
         os.path.join(outdir, "fig5a_stress_bond.csv"),
         ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
         [s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
@@ -348,7 +348,7 @@ def _scenario_fig6(entry, run_config, outdir, quiet):
         )
         for (alpha, gamma0), case, (dset, _) in zip(grid, cases, solved)
     ]
-    post._write_csv(
+    post.write_csv(
         os.path.join(outdir, "fig6_opening.csv"),
         ["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"],
         np.array(rows, dtype=float).T,

@@ -31,7 +31,11 @@ asked for.  Each field point's value is the one a single whole-matrix
 evaluation gives, bit for bit on one BLAS thread: the blocks keep every
 point's summation order, and a one-point remainder joins the block before it,
 because a one-column matrix-vector product takes another BLAS path and rounds
-differently.
+differently.  A threaded OpenBLAS splits each product's field points between
+threads at places that depend on the product's width and rounds the last
+points of each share through that other path, so there blocked and
+whole-matrix values may differ in their last bits (the whole-matrix values
+themselves change with the thread count).
 """
 
 from __future__ import annotations

@@ -393,7 +393,7 @@ def write_boundary_fields_csv(path, field):
         np.real(field.gp),
         np.imag(field.gp),
     ]
-    _write_csv(path, _FIELD_COLUMNS, cols)
+    write_csv(path, _FIELD_COLUMNS, cols)
 
 
 def write_deformed_boundary_csv(path, columns):
@@ -406,10 +406,10 @@ def write_deformed_boundary_csv(path, columns):
         "x_deformed_matrix",
         "y_deformed_matrix",
     ]
-    _write_csv(path, names, [columns[name] for name in names])
+    write_csv(path, names, [columns[name] for name in names])
 
 
-def _write_csv(path, names, columns):
+def write_csv(path, names, columns):
     """A header and one row per sample, integer columns as %d and the others
     as %.12e, with CRLF line ends as csv.writer writes them."""
     columns = [np.asarray(c) for c in columns]

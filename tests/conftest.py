@@ -1,14 +1,4 @@
-import os
-
-# One BLAS thread, as perfbench runs: a threaded OpenBLAS splits a
-# matrix-vector product's columns between threads at points that depend on
-# the product's width, so the bit-identity tests of the blocked kernels
-# against their whole-matrix references hold only on one thread.  Set before
-# numpy is first imported, which loads OpenBLAS.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import numpy as np  # noqa: E402
+import numpy as np
 import pytest
 
 import crackst as cs

@@ -4,12 +4,14 @@ streamed assembly bit for bit.
 Each level stacks all row blocks of ``_assemble_rows`` with ``vstack``, the
 drift compares the whole matrices of two levels, the elimination takes and
 adds whole columns, and the densities come from a dense elimination map.
-The arithmetic of every entry is the library's.
+The k1/k2 kernel tables are built over all nodes and sliced per arc.  The
+arithmetic of every entry is the library's.
 """
 
 import numpy as np
 
 from crackst import solver
+from crackst.kernels import DIAG_EPS_FACTOR, _regular_kernels
 
 
 def drift(mat, rhs, mat2, rhs2):
@@ -32,6 +34,25 @@ def stacked_rows(setups, basis, tab, points, taper_exponent, tip_weight):
     tags = [tag for b in blocks for tag in b[2]]
     weights = np.concatenate([b[3] for b in blocks]).astype(float)
     return mat, rhs, tags, weights
+
+
+def regular_tables(contour, pts, arc_of_pt, disc, basis):
+    """(B1, B2) keyed by (arc, family) as ``solver._Tables`` holds them, from
+    k1/k2 tables built once over all nodes and sliced to each arc's rows."""
+    t_p, dt_p = contour.point(pts), contour.tangent(pts)
+    k1m, k2m = _regular_kernels(
+        contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None], DIAG_EPS_FACTOR * contour.l,
+    )
+    b1, b2 = {}, {}
+    for arc in (0, 1):
+        qmask = disc.arc == arc
+        wdt = disc.w[qmask] * disc.dt[qmask]
+        wdtc = disc.w[qmask] * np.conj(disc.dt[qmask])
+        for key in basis.keys(arc):
+            m_arc = basis.functions(arc, key, disc.s[qmask]).T
+            b1[arc, key] = (m_arc * wdt[None, :]) @ k1m[qmask, :]
+            b2[arc, key] = (m_arc * wdtc[None, :]) @ k2m[qmask, :]
+    return b1, b2
 
 
 def elimination_map(elimination, total):

@@ -62,6 +62,30 @@ def test_tip_enriched_basis_matches_reference(reference_setup):
     )
 
 
+@pytest.mark.parametrize("enriched", [False, True])
+def test_per_arc_kernel_tables_match_sliced_reference(reference_setup, enriched):
+    """B1/B2 from the per-arc k1/k2 tables equal those from tables built over
+    all nodes and sliced to each arc, for both bases."""
+    contour, n = reference_setup.contour, 24
+    if enriched:
+        basis = tips.TipEnrichedBasis(reference_setup, n)
+        points, rule, delta = basis.collocation_points(), tips.TIP_RULE, 2.0 * basis.d_min
+    else:
+        basis, rule = solver._LegendreBasis(contour.l0, contour.l, n), cs.QuadratureRule()
+        delta = solver.DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
+        m_pts = int(round(solver.OVERSAMPLE * (n + 1)))
+        points = solver.collocation_points(contour.l0, contour.l, m_pts - 1, delta)
+    pts = np.concatenate(points)
+    arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
+    disc = rule.discretize(contour, 0.5 * delta)
+    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
+    want_b1, want_b2 = ref.regular_tables(contour, pts, arc_of_pt, disc, basis)
+    assert tab.B1.keys() == want_b1.keys() and tab.B2.keys() == want_b2.keys()
+    for key in want_b1:
+        assert np.array_equal(tab.B1[key], want_b1[key]), key
+        assert np.array_equal(tab.B2[key], want_b2[key]), key
+
+
 def test_non_adaptive_rule_matches_reference(reference_setup):
     ((system, _),) = _assert_identical([reference_setup], 16, rule=cs.QuadratureRule(adaptive=False))
     assert "quadrature_drift" not in system.meta

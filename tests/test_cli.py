@@ -303,7 +303,7 @@ def test_order_zero_is_rejected(tmp_path, capsys):
 def _columns_csv_reference(path, header, columns):
     """csv.writer with each value formatted alone by cli._fmt: how the fig1,
     fig2, fig3, fig4, fig5a and fig6 CSVs were written before they went
-    through postprocess._write_csv."""
+    through postprocess.write_csv."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -326,7 +326,7 @@ def test_column_csvs_match_csv_writer_reference(tmp_path):
         (header, columns, columns),
         (fig6, list(zip(*rows)), np.array(rows, dtype=float).T),
     ):
-        post._write_csv(got, names, written)
+        post.write_csv(got, names, written)
         _columns_csv_reference(want, names, cols)
         assert got.read_bytes() == want.read_bytes()
         for token in (b"nan", b"-inf", b"-0.000000000000e+00"):

@@ -22,6 +22,7 @@ from crackst.kernels import (
 from crackst.solver import DIVIDED_DIFFERENCE_EPS_FACTOR
 
 import reference_kernels as ref
+from blas_threads import _thread_controls, one_blas_thread
 
 CONTOURS = {
     "semicircle": lambda: cs.circular_contour(1.0, (0.0, np.pi)),
@@ -79,6 +80,9 @@ def test_nodes_ascend(contour, tip):
 
 @pytest.mark.parametrize("tip", TIP_PANELS)
 def test_pv_values_match_dense_reference(contour, tip):
+    """Bit for bit on one BLAS thread (see blas_threads); at the thread count
+    the process started with the blocked and whole-matrix products may round
+    some columns through different kernels, so there they agree to rounding."""
     disc = QuadratureRule().discretize(contour, None if tip is None else tip * contour.l)
     density = _stacked_density(contour)
     # At 1e-3 l several nodes pair with one field point.
@@ -88,7 +92,23 @@ def test_pv_values_match_dense_reference(contour, tip):
             got = _pv_values(contour, density, at, disc, eps)
             want = ref.pv_values(contour, density, at, disc, eps)
             assert got.shape == want.shape == (2, at.size), (name, eps)
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.all(np.abs(got - want) <= 1e-11 * scale), (name, eps)
+            with one_blas_thread():
+                got = _pv_values(contour, density, at, disc, eps)
+                want = ref.pv_values(contour, density, at, disc, eps)
             assert np.array_equal(got, want), (name, eps)
+
+
+def test_one_blas_thread_sets_and_restores_the_count():
+    controls = _thread_controls()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    get, _ = controls
+    before = get()
+    with one_blas_thread():
+        assert get() == 1
+    assert get() == before
 
 
 @pytest.mark.parametrize("tip", TIP_PANELS)
@@ -190,11 +210,13 @@ def test_validate_solution_peak_memory(solutions):
 @pytest.mark.parametrize("name", ["semicircle", "ellipse"])
 def test_validate_solution_matches_dense_pv(solutions, name, seed, monkeypatch):
     """Every check of the battery, stress traces and inversion included, is
-    bit-identical to a run on the whole-matrix principal value."""
+    bit-identical to a run on the whole-matrix principal value (on one BLAS
+    thread, see blas_threads)."""
     dset, setup = solutions[name]
-    blocked = val.validate_solution(dset, setup, seed=seed).to_dict()
-    monkeypatch.setattr(kernels, "_pv_values", ref.pv_values)
-    dense = val.validate_solution(dset, setup, seed=seed).to_dict()
+    with one_blas_thread():
+        blocked = val.validate_solution(dset, setup, seed=seed).to_dict()
+        monkeypatch.setattr(kernels, "_pv_values", ref.pv_values)
+        dense = val.validate_solution(dset, setup, seed=seed).to_dict()
     assert [c["name"] for c in blocked["checks"]] == [c["name"] for c in dense["checks"]]
     for got, want in zip(blocked["checks"], dense["checks"]):
         assert got["value"] == want["value"] and got["details"] == want["details"], got["name"]
