@@ -14,8 +14,6 @@ from .geometry import (
     EllipseContour,
     TabulatedContour,
     circular_contour,
-    curvature,
-    derivative,
     elliptical_contour,
 )
 from .kernels import (
@@ -23,8 +21,6 @@ from .kernels import (
     TipProximityError,
     cauchy_pv,
     contour_integral,
-    k1,
-    k2,
     singular_apply,
 )
 from .model import (
@@ -60,9 +56,6 @@ from .solver import (
     SingularSystemError,
     assemble,
     collocation_points,
-    eval_density,
-    eval_density_derivatives,
-    full_coefficient_count,
     solve,
     solve_cases,
     solve_problem,
@@ -72,7 +65,6 @@ from .validation import (
     ValidationCheck,
     ValidationReport,
     conservation_checks,
-    inversion_check,
     original_bc_residual,
     trace_consistency,
     validate_solution,
@@ -101,7 +93,6 @@ __all__ = [
     "dump_config",
     "face_tension_length",
     "interface_fields",
-    "inversion_check",
     "max_crack_aperture",
     "max_crack_opening",
     "original_bc_residual",
@@ -135,15 +126,8 @@ __all__ = [
     "circular_contour",
     "collocation_points",
     "contour_integral",
-    "curvature",
-    "derivative",
     "elliptical_contour",
-    "eval_density",
-    "eval_density_derivatives",
     "far_field_constants",
-    "full_coefficient_count",
-    "k1",
-    "k2",
     "kolosov",
     "m_coefficients",
     "singular_apply",

@@ -57,8 +57,8 @@ class Numerics:
 
     def assemble_kwargs(self):
         """Keywords for solver.assemble beyond the quadrature rule: none, as
-        every field sets the rule or the solve.  Kept for callers that unpack
-        it into assemble."""
+        every field sets the rule or the solve.  Its only caller is the
+        benchmark's perfbench/worker.py, which unpacks it into assemble."""
         return {}
 
 

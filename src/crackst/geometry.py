@@ -24,8 +24,6 @@ __all__ = [
     "TabulatedContour",
     "circular_contour",
     "elliptical_contour",
-    "curvature",
-    "derivative",
 ]
 
 # 5-point Gauss-Legendre rule of the arc-length table's local integrals.
@@ -68,16 +66,6 @@ class Contour:
     def third_derivative(self, s):
         rho = self.curvature(s)
         return (1j * self.curvature_derivative(s) - rho**2) * self.tangent(s)
-
-    def derivative(self, s, order):
-        """d^order t/ds^order for order in {1, 2, 3}."""
-        if order == 1:
-            return self.tangent(s)
-        if order == 2:
-            return self.second_derivative(s)
-        if order == 3:
-            return self.third_derivative(s)
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
 
     @property
     def tips(self):
@@ -314,13 +302,3 @@ def elliptical_contour(a, b, crack_arc):
     """Ellipse with the crack spanning the parameter interval ``crack_arc``."""
     start, end = crack_arc
     return EllipseContour(a, b, start, end)
-
-
-def curvature(contour, s):
-    """Signed curvature rho(s) = Im(t''(s) * conj(t'(s)))."""
-    return contour.curvature(s)
-
-
-def derivative(contour, s, order):
-    """Derivative of the position t(s) of the given order (1, 2 or 3)."""
-    return contour.derivative(s, order)

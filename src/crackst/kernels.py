@@ -9,8 +9,8 @@ The two regular kernels are
 with t' the unit tangent at the field point.  Both are smooth along a smooth
 contour; their diagonal limits are i*rho/t' and -i*rho/conj(t'), and both
 vanish identically on straight segments.  Close to the diagonal the raw
-quotients cancel, so every kernel evaluation (the solver's tables, the stress
-traces, k1 and k2) goes through _regular_kernels, which switches to a
+quotients cancel, so every kernel evaluation (the solver's tables and the
+stress traces) goes through _regular_kernels, which switches to a
 second-order expansion about the field point there.
 
 Principal values of Cauchy integrals over the closed contour are computed by
@@ -49,8 +49,6 @@ __all__ = [
     "TipProximityError",
     "QuadratureRule",
     "Discretization",
-    "k1",
-    "k2",
     "cauchy_pv",
     "singular_apply",
     "contour_integral",
@@ -77,25 +75,6 @@ class TipProximityError(ValueError):
 def circular_distance(s_a, s_b, period):
     d = np.abs(np.mod(s_a - s_b, period))
     return np.minimum(d, period - d)
-
-
-def k1(contour, s_field, s_src):
-    """First regular kernel, with the near-diagonal guard of _regular_kernels."""
-    return _kernels_on(contour, s_field, s_src)[0]
-
-
-def k2(contour, s_field, s_src):
-    """Second regular kernel, with the near-diagonal guard of _regular_kernels."""
-    return _kernels_on(contour, s_field, s_src)[1]
-
-
-def _kernels_on(contour, s_field, s_src):
-    s_field = np.asarray(s_field, dtype=float)
-    s_src = np.asarray(s_src, dtype=float)
-    return _regular_kernels(
-        contour, s_field, contour.point(s_field), contour.tangent(s_field),
-        s_src, contour.point(s_src), DIAG_EPS_FACTOR * contour.l,
-    )
 
 
 def _regular_kernels(contour, s_field, t, dt, s_src, tau, eps):

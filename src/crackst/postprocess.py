@@ -239,12 +239,19 @@ def tip_ladder(setup):
     return face_tension_length(setup) * 2.0 ** -np.array(list(TIP_LADDER), dtype=float)
 
 
+def _ladder_points(dset, setup, tip):
+    """Distances tip_ladder(setup) from tip 0 or 1 and their arc lengths."""
+    if tip not in (0, 1):
+        raise ValueError(f"tip must be 0 or 1, got {tip!r}")
+    d = tip_ladder(setup)
+    return d, (d if tip == 0 else dset.l0 - d)
+
+
 def tip_ladder_checks(dset, setup, tip=0):
     """original_bc_residual and trace_consistency of a field at the ladder
     points of one tip, with their standing tolerances taken on the load
     scale rather than on the field's own stress near the tip."""
-    d = tip_ladder(setup)
-    s = d if tip == 0 else dset.l0 - d
+    _, s = _ladder_points(dset, setup, tip)
     scale = max(setup.load.magnitude, 1e-12)
     return [
         original_bc_residual(dset, setup, s_samples=s, scale=scale),
@@ -279,8 +286,7 @@ def tip_exponents(dset, setup, tip=0):
     growth toward the tip) and the relative residual of the a + b*log(d) fit
     of the shear stress.
     """
-    d = tip_ladder(setup)
-    s = d if tip == 0 else dset.l0 - d
+    d, s = _ladder_points(dset, setup, tip)
     stress = 2.0 * dset.eval("q0", s)
     sigma = np.abs(np.real(stress))
     tau = np.imag(stress)

@@ -14,8 +14,9 @@ Rows of the real linear system:
 
   * the two singular integral equations that force the zero extensions
     (vanishing displacement derivative of the inclusion outside the contour
-    and of the matrix inside it), collocated at N+1 interior points per arc,
-    real and imaginary parts split; the matrix-side equation carries the
+    and of the matrix inside it), collocated at the basis' points (for the
+    Legendre basis OVERSAMPLE*(N+1) interior points per arc), real and
+    imaginary parts split; the matrix-side equation carries the
     single-valuedness integral and the remote-load terms;
   * the four real surface-tension conditions on the crack faces at the
     crack-arc points, and the two traction-jump conditions on the bonded arc
@@ -28,9 +29,10 @@ Rows of the real linear system:
 
 The system has 14N+22 columns and is solved by weighted least squares with
 rank and condition reporting.
-The rows are built from a basis object (_LegendreBasis here);
-tips.solve_tip_resolved assembles the same rows on a basis that adds
-functions resolving the crack tips to the same Legendre block.
+The rows are built from a basis object (_LegendreBasis here), which also
+sets their points and weights; tips.solve_tip_resolved assembles the same
+rows on a basis that adds functions resolving the crack tips to the same
+Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
 tables depend only on the contour and the discretization, and the load and
@@ -64,13 +66,10 @@ __all__ = [
     "ResidualReport",
     "SingularSystemError",
     "collocation_points",
-    "eval_density",
-    "eval_density_derivatives",
     "assemble",
     "solve",
     "solve_problem",
     "solve_cases",
-    "full_coefficient_count",
     "tension_coefficients",
 ]
 
@@ -79,9 +78,6 @@ MIN_ORDER = 4
 
 log = logging.getLogger("crackst")
 
-# Collocation points stay l/(TIP_INSET_FACTOR*(N+1)) away from the crack
-# tips, where shear stresses may grow logarithmically.
-TIP_INSET_FACTOR = 200.0
 MATRIX_STABILITY_TOL = 1e-9
 # Same-arc node/point pairs closer than this fraction of the total length
 # take the midpoint-slope limit of the divided difference in the Cauchy
@@ -117,6 +113,10 @@ BOND_WEIGHT = 5.0
 CONSTRAINT_WEIGHT = 100.0
 FORCE_WEIGHT = 10.0
 TIP_ROW_WEIGHT = 1.0
+# A rank-deficient solve fails when its best fit misses the right-hand side
+# by more than this fraction of the data scale; a deficient but consistent
+# system still has a well-defined minimum-norm solution.
+FAIL_RESIDUAL = 0.05
 
 
 class SingularSystemError(RuntimeError):
@@ -130,17 +130,10 @@ class SingularSystemError(RuntimeError):
         self.case = case
 
 
-def full_coefficient_count(n):
-    """Total real coefficients of the density representation: 16N + 23."""
-    return 16 * n + 23
-
-
-def collocation_points(l0, l, n, delta=None):
+def collocation_points(l0, l, n, delta):
     """N+1 equally spaced interior points on each arc, inset delta from tips."""
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
-    if delta is None:
-        delta = l / (TIP_INSET_FACTOR * (n + 1))
     if delta <= 0.0:
         raise ValueError(f"tip inset must be positive, got {delta}")
     if 2.0 * delta >= min(l0, l - l0):
@@ -248,15 +241,6 @@ class DensitySet:
             out[mask] = L.legval((s_arr[mask] - self.centers[a]) / h, coef)
         return out if np.ndim(s) else out[0]
 
-    def scaled(self, factor):
-        return DensitySet(
-            n=self.n,
-            l0=self.l0,
-            l=self.l,
-            a=[factor * a for a in self.a],
-            b=[factor * b for b in self.b],
-        )
-
     def max_abs_coefficient(self):
         return max(
             max((np.max(np.abs(v)) for v in self.a), default=0.0),
@@ -294,18 +278,6 @@ class DensitySet:
             dset.a[p] = np.asarray(item["a"], dtype=float)
             dset.b[p] = np.asarray(item["b"], dtype=float)
         return dset
-
-
-def eval_density(dset, which, s):
-    """Density value at arc length s (which in q0, g0p, q, gp)."""
-    return dset.eval(which, s)
-
-
-def eval_density_derivatives(dset, which, s, order):
-    """Exact polynomial derivative of a density (order 1, 2 or 3)."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
-    return dset.eval(which, s, order=order)
 
 
 @dataclass
@@ -364,7 +336,16 @@ class _LegendreBasis:
     both parts.  The tables and the rows of the system evaluate the basis
     through ``functions`` alone, so another basis (tips.TipEnrichedBasis)
     extends it with its own columns and reuses the same equations.
+
+    A basis also sets where the rows sit and how they weigh: its
+    ``collocation_points``, the tip inset ``delta`` they keep (the
+    quadrature grades its tip panels down to delta/2), the ``taper_exponent``
+    of the equation rows toward the tips and the ``tip_weight`` of the
+    tip-anchored rows (slope continuity, constant-term ties).
     """
+
+    taper_exponent = DEFAULT_TAPER
+    tip_weight = TIP_ROW_WEIGHT
 
     def __init__(self, l0, l, n, degree=None):
         self.n, self.l0, self.l = n, l0, l
@@ -372,6 +353,7 @@ class _LegendreBasis:
         self.size = self.degree + 1
         self.centers = (0.5 * l0, 0.5 * (l0 + l))
         self.halves = (0.5 * l0, 0.5 * (l - l0))
+        self.delta = DEFAULT_INSET_FRACTION * min(l0, l - l0)
         # Column j of _derivatives[k] holds the Legendre coefficients of
         # d^k P_j / dx^k.
         eye = np.eye(self.size)
@@ -401,6 +383,12 @@ class _LegendreBasis:
         for p in range(8):
             dset.a[p], dset.b[p] = full[layout.a_cols(p)], full[layout.b_cols(p)]
         return dset
+
+    def collocation_points(self):
+        """(crack, bonded) arrays of OVERSAMPLE * (N + 1) equispaced points
+        per arc, inset delta from the tips."""
+        m = int(round(OVERSAMPLE * (self.n + 1)))
+        return collocation_points(self.l0, self.l, m - 1, self.delta)
 
 
 class _Tables:
@@ -465,45 +453,22 @@ class _Tables:
                 self.Q[arc, key] = m_arc @ wdt
 
 
-def assemble(
-    setup,
-    n,
-    rule=None,
-    delta=None,
-    taper_exponent=DEFAULT_TAPER,
-    tip_weight=TIP_ROW_WEIGHT,
-    basis=None,
-    points=None,
-):
+def assemble(setup, n, rule=None, basis=None):
     """Assemble the real collocation system for the given problem and order.
 
     The system is solved by weighted least squares (weights are stored on
-    the system and reported residuals are unweighted).  ``delta`` overrides
-    the default tip inset of DEFAULT_INSET_FRACTION times the shorter arc;
-    the quadrature grades its tip panels down to delta/2.
-    ``taper_exponent`` sets the taper of the equation rows toward the tips.
-    ``basis`` replaces the Legendre basis (see _LegendreBasis) and
-    ``points``, a (crack, bonded) pair of arrays, the inset equispaced
-    collocation points.  ``tip_weight`` weighs the tip-anchored rows (slope
-    continuity, constant-term ties).
+    the system and reported residuals are unweighted).  ``rule`` is the
+    quadrature (QuadratureRule() by default).  ``basis`` replaces the
+    Legendre basis of order n (see _LegendreBasis); the basis also sets the
+    collocation points, their tip inset, the row taper and the weight of the
+    tip-anchored rows.
     """
-    ((system, _),) = _assemble_cases(
-        [setup], n, rule, delta, taper_exponent, tip_weight, basis, points
-    )
+    ((system, _),) = _assemble_cases([setup], n, rule, basis)
     system.rhs = system.rhs[:, 0]
     return system
 
 
-def _assemble_cases(
-    setups,
-    n,
-    rule=None,
-    delta=None,
-    taper_exponent=DEFAULT_TAPER,
-    tip_weight=TIP_ROW_WEIGHT,
-    basis=None,
-    points=None,
-):
+def _assemble_cases(setups, n, rule=None, basis=None):
     """Systems of setups on one contour: [(LinearSystem, case indices)], one
     per group of setups with equal materials and surface tension, each with
     one right-hand-side column per case of the group (``rhs`` [rows, cases]).
@@ -513,8 +478,8 @@ def _assemble_cases(
     is the largest change from the previous level over its matrix and all of
     its columns, relative to the matrix scale and to each column's own
     scale.  The previous level is kept as tables only: its rows are rebuilt
-    block by block beside the new level's.  The keywords are those of
-    ``assemble``.
+    block by block beside the new level's.  ``rule`` and ``basis`` are
+    those of ``assemble``.
     """
     if n < MIN_ORDER:
         raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
@@ -530,17 +495,11 @@ def _assemble_cases(
             )
     if rule is None:
         rule = QuadratureRule()
-    if delta is None:
-        delta = DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
     if basis is None:
         basis = _LegendreBasis(contour.l0, contour.l, n)
-    if points is None:
-        m_pts = int(round(OVERSAMPLE * (n + 1)))
-        points = collocation_points(contour.l0, contour.l, m_pts - 1, delta)
+    delta, points = basis.delta, basis.collocation_points()
     pts = np.concatenate(points)
-    arc_of_pt = np.concatenate(
-        [np.zeros(points[0].size, dtype=int), np.ones(points[1].size, dtype=int)]
-    )
+    arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
 
     by_key = {}
     for i, setup in enumerate(setups):
@@ -555,7 +514,6 @@ def _assemble_cases(
     tables_s, table_builds, row_assemblies = 0.0, 0, 0
     pending = list(range(len(groups)))
     levels = 1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1
-    row_args = (points, taper_exponent, tip_weight)
     coarse = None
     for level in range(levels):
         if level:
@@ -574,8 +532,8 @@ def _assemble_cases(
                 built[g] = (np.empty((n_rows, free.size)), np.empty((n_rows, len(cases))),
                             [None] * n_rows, np.empty(n_rows))
             matrix, rhs, tags, wts = built[g]
-            fine = _assemble_rows(cases, basis, tab, *row_args)
-            prev = () if coarse is None else _assemble_rows(cases, basis, coarse, *row_args)
+            fine = _assemble_rows(cases, basis, tab)
+            prev = () if coarse is None else _assemble_rows(cases, basis, coarse)
             peaks = []  # per block: max|fine|, max|fine - coarse|, and both per rhs column
             r0 = 0
             for (rows, b, block_tags, w), old in itertools.zip_longest(fine, prev):
@@ -630,7 +588,7 @@ def _assemble_cases(
                 "order": n,
                 "delta": delta,
                 "points_per_arc": int(points[0].size),
-                "taper_exponent": taper_exponent,
+                "taper_exponent": basis.taper_exponent,
                 "full_coefficients": layout.total,
                 "degenerate_pair": setup.is_degenerate_pair,
                 # Work shared with other cases: the tables with all cases of
@@ -699,17 +657,19 @@ def _elimination(setup, layout):
     return np.array(free), np.array(list(links)), np.array(sources), lam
 
 
-def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
+def _assemble_rows(setups, basis, tab):
     """Rows on one level's tables for setups that share materials and surface
     tension, as blocks (rows, rhs [rows, len(setups)], tags, weights) in the
     order of the system.  The matrix comes from the first setup; each
     setup's load and crack-face tractions give its right-hand-side column.
-    A complex family block is dropped once its real and imaginary rows have
+    The rows sit at the tables' points and weigh as the basis sets.  A
+    complex family block is dropped once its real and imaginary rows have
     been taken."""
     setup = setups[0]
     contour = setup.contour
     layout = _Layout(basis.n, basis)
-    crack_pts, bond_pts = points
+    crack_sel, bond_sel = (np.flatnonzero(tab.arc_of_pt == arc) for arc in (0, 1))
+    crack_pts, bond_pts = tab.pts[crack_sel], tab.pts[bond_sel]
 
     mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
     mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
@@ -719,7 +679,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
 
     def taper(sel_pts, lo, hi):
         d = np.minimum(sel_pts - lo, hi - sel_pts) / (hi - lo)
-        return (4.0 * d * np.maximum(1.0 - d, 1e-12)) ** taper_exponent
+        return (4.0 * d * np.maximum(1.0 - d, 1e-12)) ** basis.taper_exponent
 
     w_crack = taper(crack_pts, 0.0, contour.l0)
     w_bond = taper(bond_pts, contour.l0, contour.l)
@@ -812,8 +772,6 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
 
     # Surface-tension conditions on the crack faces and the traction-jump
     # condition on the bonded arc.
-    crack_sel = np.arange(crack_pts.size)
-    bond_sel = np.arange(crack_pts.size, n_pts)
     f1 = np.stack([s.tractions.f1(crack_pts) for s in setups], axis=1)
     f2 = np.stack([s.tractions.f2(crack_pts) for s in setups], axis=1)
 
@@ -863,7 +821,7 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
         row = np.zeros((1, layout.total))
         row[0, src] = (kap0 + 1.0) / mu0
         row[0, dst] = (kap + 1.0) / mu
-        yield row, np.zeros((1, n_cases)), [tag], np.array([tip_weight])
+        yield row, np.zeros((1, n_cases)), [tag], np.array([basis.tip_weight])
 
     # Total-force balance: int (q0 - q) d tau = 0 over the whole contour.
     zf = np.zeros((1, layout.total), dtype=complex)
@@ -897,22 +855,21 @@ def _assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight):
             row = np.zeros((1, layout.total))
             row[0, layout.a_cols(crack_piece)] = crack_val
             row[0, layout.a_cols(bond_piece)] = -bond_val
-            yield row, np.zeros((1, n_cases)), [tag], np.array([tip_weight])
+            yield row, np.zeros((1, n_cases)), [tag], np.array([basis.tip_weight])
 
 
-def solve(system, rcond=1e-13, fail_residual=0.05):
+def solve(system, rcond=1e-13):
     """Least-squares solve with column equilibration and rank reporting.
 
     Truncated directions below ``rcond`` are reported through the effective
     rank; the solve only fails when the matrix is rank deficient *and* the
-    best fit misses the right-hand side by more than ``fail_residual``
-    relative to the data scale (a deficient but consistent system still has a
-    well-defined minimum-norm solution).
+    best fit misses the right-hand side by more than FAIL_RESIDUAL relative
+    to the data scale.
     """
-    return _solve_columns(system, rcond, fail_residual)[0]
+    return _solve_columns(system, rcond)[0]
 
 
-def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
+def _solve_columns(system, rcond=1e-13, cases=None):
     """``solve`` for every right-hand-side column of the system (``rhs``
     [rows] or [rows, columns]) with one factorization; returns one
     (DensitySet, ResidualReport) per column.  ``cases`` names the columns
@@ -942,7 +899,7 @@ def _solve_columns(system, rcond=1e-13, fail_residual=0.05, cases=None):
         resid = system.matrix @ x - b
         data_scale = max(np.max(np.abs(b)), 1.0)
         resid_scale = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if rank < scaled.shape[1] and resid_scale > fail_residual * data_scale:
+        if rank < scaled.shape[1] and resid_scale > FAIL_RESIDUAL * data_scale:
             deficient = _deficient_tags(scaled, system.row_tags, rcond)
             raise SingularSystemError(
                 f"collocation matrix rank {rank} < {scaled.shape[1]} and the "
@@ -992,13 +949,12 @@ def _deficient_tags(scaled, row_tags, rcond):
     return out
 
 
-def solve_problem(setup, n, rule=None, rcond=1e-13, **assemble_kwargs):
+def solve_problem(setup, n, rule=None, rcond=1e-13):
     """Assemble and solve in one step; returns (DensitySet, ResidualReport)."""
-    system = assemble(setup, n, rule=rule, **assemble_kwargs)
-    return solve(system, rcond=rcond)
+    return solve(assemble(setup, n, rule=rule), rcond=rcond)
 
 
-def solve_cases(setups, n, rule=None, rcond=1e-13, **assemble_kwargs):
+def solve_cases(setups, n, rule=None, rcond=1e-13):
     """Solve several setups on one contour object; returns one
     (DensitySet, ResidualReport) per setup, in input order.
 
@@ -1013,7 +969,7 @@ def solve_cases(setups, n, rule=None, rcond=1e-13, **assemble_kwargs):
     SingularSystemError naming its index (``case``) when there are several.
     """
     out = [None] * len(setups)
-    for system, cases in _assemble_cases(setups, n, rule=rule, **assemble_kwargs):
+    for system, cases in _assemble_cases(setups, n, rule=rule):
         named = cases if len(setups) > 1 else None
         for i, result in zip(cases, _solve_columns(system, rcond, cases=named)):
             out[i] = result

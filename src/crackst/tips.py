@@ -19,7 +19,6 @@ from numpy.polynomial import chebyshev as C
 from .kernels import QuadratureRule
 from .solver import (
     CONSTRAINT_WEIGHT,
-    DEFAULT_INSET_FRACTION,
     FUNCTIONS,
     OVERSAMPLE,
     _LegendreBasis,
@@ -167,13 +166,21 @@ class TipEnrichedBasis(_LegendreBasis):
     polynomials P_0..P_N of the scaled arc variable, then the zone series of
     the tip at the arc's start and of the tip at its end.  The zone series of
     the real and the imaginary part of a density may differ in kind (see
-    _basis_terms)."""
+    _basis_terms).
+
+    Its rows run up to the tips: they keep only the inset 2 d_min, are not
+    tapered, and the tip-anchored rows weigh as much as the integral
+    constraints, since here the basis resolves the tips."""
+
+    taper_exponent = 0.0
+    tip_weight = CONSTRAINT_WEIGHT
 
     def __init__(self, setup, n, zone_terms=TIP_ZONE_TERMS):
         contour = setup.contour
         super().__init__(contour.l0, contour.l, n, degree=n)
-        inset = DEFAULT_INSET_FRACTION * min(self.l0, self.l - self.l0)
+        inset = self.delta  # the Legendre basis' inset sets the zone width
         self.d_min = min(face_tension_length(setup), inset) * 2.0**-TIP_ZONE_DEPTH
+        self.delta = 2.0 * self.d_min
         self.zone = _LogBasis(TIP_ZONE_WIDTH * inset, self.d_min, zone_terms)
         self.size += 2 * zone_terms
         self.bond_tension = setup.surface.gamma_interface > 0.0
@@ -262,20 +269,9 @@ def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):
     The rows are the solver's: both extension equations, the face and
     bonded-arc conditions, the bonded-arc slope proportionality, force
     balance, single-valuedness and the continuity of Re g0', Re g' across
-    the tips.  The rows are not tapered, and the tip-anchored rows weigh as
-    much as the integral constraints: here the basis resolves the tips.
-    ``n`` is the Legendre degree on each arc.  Returns
+    the tips, collocated and weighted as TipEnrichedBasis sets, with the
+    quadrature TIP_RULE.  ``n`` is the Legendre degree on each arc.  Returns
     (TipResolvedDensities, ResidualReport).
     """
     basis = TipEnrichedBasis(setup, n, zone_terms)
-    system = assemble(
-        setup,
-        n,
-        rule=TIP_RULE,
-        delta=2.0 * basis.d_min,
-        taper_exponent=0.0,
-        tip_weight=CONSTRAINT_WEIGHT,
-        basis=basis,
-        points=basis.collocation_points(),
-    )
-    return solve(system)
+    return solve(assemble(setup, n, rule=TIP_RULE, basis=basis))

@@ -40,7 +40,6 @@ from .model import m_coefficients
 __all__ = [
     "ValidationCheck",
     "ValidationReport",
-    "inversion_check",
     "cauchy_inversion_checks",
     "original_bc_residual",
     "trace_consistency",
@@ -56,6 +55,10 @@ def _default_rule():
 
 CONSERVATION_TOL = 1e-6
 INVERSION_TOL = 1e-5
+# Off-node points at which the inversion check compares S@S phi with phi,
+# and the trial densities of the validation battery.
+INVERSION_POINTS = 12
+INVERSION_TRIALS = 3
 # The stress-trace identity holds exactly only when the extension equations
 # hold uniformly along the contour.  The solver leaves the thin tip zones
 # unenforced, which feeds back into the traces: at N = 64 the matrix side
@@ -152,24 +155,16 @@ def _trial_densities(contour, seed, count):
     return trials
 
 
-def inversion_check(contour, rule=None, trial_density=None, seed=0, n_eval=12, tolerance=INVERSION_TOL):
-    """Max norm of (S@S - I) applied to a trial density, at off-node points.
+def cauchy_inversion_checks(contour, trials, rule=None):
+    """One check per trial density, in trial order: the max norm of
+    (S@S - I) applied to the trial at INVERSION_POINTS off-node points on the
+    central 90% of the arcs, against INVERSION_TOL.
 
-    ``trial_density`` may be a vectorized callable; by default a seeded
-    per-arc polynomial is used.  The inner application is evaluated with deep
-    tip grading so the outer quadrature sees accurate values near the tips,
-    where a per-arc density generates logarithmic behavior.
-    """
-    if trial_density is None:
-        trial_density = _trial_densities(contour, seed, 1)[0][1]
-    return cauchy_inversion_checks(contour, [trial_density], rule, n_eval, tolerance)[0]
-
-
-def cauchy_inversion_checks(contour, trials, rule=None, n_eval=12, tolerance=INVERSION_TOL):
-    """inversion_check of each of several trial densities, in trial order.
-
-    The trials are stacked on a leading axis, so they share one inner and one
-    outer PV evaluation; each value equals its single-trial inversion_check.
+    The trials are vectorized callables of arc length.  The inner application
+    is evaluated with deep tip grading, so the outer quadrature sees accurate
+    values near the tips, where a per-arc density generates logarithmic
+    behavior.  The trials are stacked on a leading axis and share one inner
+    and one outer PV evaluation; each value equals that of a one-trial call.
     """
     if rule is None:
         rule = _default_rule()
@@ -190,9 +185,9 @@ def cauchy_inversion_checks(contour, trials, rule=None, n_eval=12, tolerance=INV
     # off-node evaluation points on the central 90% of each arc
     at = np.concatenate(
         [
-            np.linspace(0.05 * contour.l0, 0.95 * contour.l0, n_eval // 2 + 1)[:-1] + 0.013,
+            np.linspace(0.05 * contour.l0, 0.95 * contour.l0, INVERSION_POINTS // 2 + 1)[:-1] + 0.013,
             np.linspace(
-                contour.l0 + 0.05 * (l - contour.l0), l - 0.05 * (l - contour.l0), n_eval // 2
+                contour.l0 + 0.05 * (l - contour.l0), l - 0.05 * (l - contour.l0), INVERSION_POINTS // 2
             )
             + 0.017,
         ]
@@ -204,8 +199,8 @@ def cauchy_inversion_checks(contour, trials, rule=None, n_eval=12, tolerance=INV
         ValidationCheck(
             name="cauchy_inversion",
             value=float(err),
-            tolerance=tolerance,
-            passed=err < tolerance,
+            tolerance=INVERSION_TOL,
+            passed=err < INVERSION_TOL,
             details={"n_eval": int(at.size)},
         )
         for err in errs
@@ -247,13 +242,13 @@ def _surface_rhs(setup, s, gamma, d1, d2, d3):
     )
 
 
-def original_bc_residual(dset, setup, s_samples=None, tolerance=SURFACE_TOL, scale=None):
+def original_bc_residual(dset, setup, s_samples=None, scale=None):
     """Residual of the original (unreduced) surface-tension boundary
     conditions, evaluated with the m-coefficients and displacement traces.
 
     Cross-checks the linearization algebra behind the solver's condition
     rows; the mismatch must shrink with the polynomial order.  The tolerance
-    is a fraction of the traction scale: ``scale`` if given, else the larger
+    is SURFACE_TOL times the traction scale: ``scale`` if given, else the larger
     of the load and the field's own max |2 q0| at the crack samples.
     """
     l0, l = dset.l0, dset.l
@@ -293,8 +288,8 @@ def original_bc_residual(dset, setup, s_samples=None, tolerance=SURFACE_TOL, sca
     return ValidationCheck(
         name="surface_condition_residual",
         value=value,
-        tolerance=tolerance * scale,
-        passed=value < tolerance * scale,
+        tolerance=SURFACE_TOL * scale,
+        passed=value < SURFACE_TOL * scale,
         details={"traction_scale": scale, "relative": value / scale},
     )
 
@@ -303,8 +298,13 @@ def stress_trace(dset, setup, s0, phase, side, rule=None):
     """One-sided stress trace through the full integral representation.
 
     ``s0`` is a field point or an array of them; points that share a tip
-    grading share one discretization and one PV evaluation.
+    grading share one discretization and one PV evaluation.  ``phase`` is
+    "inclusion" or "matrix" and ``side`` is "plus" or "minus".
     """
+    if phase not in ("inclusion", "matrix"):
+        raise ValueError(f"phase must be 'inclusion' or 'matrix', got {phase!r}")
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     if rule is None:
         rule = _default_rule()
     contour = setup.contour
@@ -368,7 +368,7 @@ def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
     )
 
 
-def trace_consistency(dset, setup, s_samples=None, seed=0, tolerance=TRACE_TOL, scale=None):
+def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
     """Stress traces via the integral representation vs the algebraic values.
 
     The '+' trace of the inclusion must equal 2 q0 and the '-' trace of the
@@ -402,13 +402,13 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, tolerance=TRACE_TOL, 
     return ValidationCheck(
         name="trace_consistency",
         value=float(worst),
-        tolerance=tolerance,
-        passed=worst < tolerance,
+        tolerance=TRACE_TOL,
+        passed=worst < TRACE_TOL,
         details={"n_samples": int(s_samples.size), "scale": scale},
     )
 
 
-def conservation_checks(dset, setup, rule=None, tolerance=CONSERVATION_TOL):
+def conservation_checks(dset, setup, rule=None):
     """Total-force and single-valuedness integrals by independent quadrature.
 
     The tip panels are graded like the inversion check's inner rule, so the
@@ -433,25 +433,26 @@ def conservation_checks(dset, setup, rule=None, tolerance=CONSERVATION_TOL):
         ValidationCheck(
             name="force_balance",
             value=float(abs(force)),
-            tolerance=tolerance,
-            passed=abs(force) < tolerance,
+            tolerance=CONSERVATION_TOL,
+            passed=abs(force) < CONSERVATION_TOL,
             details={},
         ),
         ValidationCheck(
             name="single_valuedness",
             value=float(abs(single)),
-            tolerance=tolerance,
-            passed=abs(single) < tolerance,
+            tolerance=CONSERVATION_TOL,
+            passed=abs(single) < CONSERVATION_TOL,
             details={},
         ),
     ]
 
 
-def validate_solution(dset, setup, seed=0, n_inversion=3):
-    """Run the full validation battery; returns a ValidationReport whose
+def validate_solution(dset, setup, seed=0):
+    """Run the full validation battery (INVERSION_TRIALS seeded trial
+    densities for the inversion check); returns a ValidationReport whose
     ``timings`` give the seconds of each check family."""
     report = ValidationReport()
-    trials = _trial_densities(setup.contour, seed, n_inversion)
+    trials = _trial_densities(setup.contour, seed, INVERSION_TRIALS)
     families = (
         ("inversion_s", lambda: cauchy_inversion_checks(setup.contour, [trial for _, trial in trials])),
         ("surface_s", lambda: [original_bc_residual(dset, setup)]),

@@ -26,9 +26,9 @@ def drift(mat, rhs, mat2, rhs2):
     )
 
 
-def stacked_rows(setups, basis, tab, points, taper_exponent, tip_weight):
+def stacked_rows(setups, basis, tab):
     """(matrix, rhs, tags, weights) of one level, every block stacked."""
-    blocks = list(solver._assemble_rows(setups, basis, tab, points, taper_exponent, tip_weight))
+    blocks = list(solver._assemble_rows(setups, basis, tab))
     mat = np.vstack([b[0] for b in blocks])
     rhs = np.concatenate([b[1] for b in blocks]).astype(float)
     tags = [tag for b in blocks for tag in b[2]]
@@ -64,28 +64,15 @@ def elimination_map(elimination, total):
     return elim
 
 
-def assemble_cases(
-    setups,
-    n,
-    rule=None,
-    delta=None,
-    taper_exponent=solver.DEFAULT_TAPER,
-    tip_weight=solver.TIP_ROW_WEIGHT,
-    basis=None,
-    points=None,
-):
+def assemble_cases(setups, n, rule=None, basis=None):
     """One dict per group of ``solver._assemble_cases``: the eliminated
     matrix, rhs, tags, weights, the drift of every refinement (``drifts``),
     the group's elimination parts and the basis and layout."""
     contour = setups[0].contour
     rule = solver.QuadratureRule() if rule is None else rule
-    if delta is None:
-        delta = solver.DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
     if basis is None:
         basis = solver._LegendreBasis(contour.l0, contour.l, n)
-    if points is None:
-        m_pts = int(round(solver.OVERSAMPLE * (n + 1)))
-        points = solver.collocation_points(contour.l0, contour.l, m_pts - 1, delta)
+    points = basis.collocation_points()
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
     layout = solver._Layout(n, basis)
@@ -100,9 +87,9 @@ def assemble_cases(
         for level in range(1 + solver.MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
             if level:
                 level_rule = level_rule.refined()
-            disc = level_rule.discretize(contour, 0.5 * delta)
+            disc = level_rule.discretize(contour, 0.5 * basis.delta)
             tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
-            levels.append(stacked_rows(group, basis, tab, points, taper_exponent, tip_weight))
+            levels.append(stacked_rows(group, basis, tab))
             if level:
                 drifts.append(drift(*levels[-2][:2], *levels[-1][:2]))
                 if drifts[-1] < solver.MATRIX_STABILITY_TOL:

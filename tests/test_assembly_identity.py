@@ -56,10 +56,28 @@ def test_fig6_grid_matches_reference():
 
 def test_tip_enriched_basis_matches_reference(reference_setup):
     basis = tips.TipEnrichedBasis(reference_setup, 24)
-    _assert_identical(
-        [reference_setup], 24, rule=tips.TIP_RULE, delta=2.0 * basis.d_min, taper_exponent=0.0,
-        tip_weight=solver.CONSTRAINT_WEIGHT, basis=basis, points=basis.collocation_points(),
-    )
+    _assert_identical([reference_setup], 24, rule=tips.TIP_RULE, basis=basis)
+
+
+def test_bases_set_their_collocation(reference_setup):
+    """The reference form reads the collocation from the basis, so it is
+    pinned here: the solver's inset, tapered rows, and the tip-enriched
+    basis' untapered rows up to 2 d_min from the tips."""
+    contour, n = reference_setup.contour, 24
+    legendre = solver._LegendreBasis(contour.l0, contour.l, n)
+    assert legendre.delta == solver.DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
+    assert (legendre.taper_exponent, legendre.tip_weight) == (solver.DEFAULT_TAPER, solver.TIP_ROW_WEIGHT)
+    m_pts = int(round(solver.OVERSAMPLE * (n + 1)))
+    for got, want in zip(legendre.collocation_points(),
+                         solver.collocation_points(contour.l0, contour.l, m_pts - 1, legendre.delta)):
+        assert np.array_equal(got, want)
+    enriched = tips.TipEnrichedBasis(reference_setup, n)
+    assert enriched.delta == 2.0 * enriched.d_min
+    assert (enriched.taper_exponent, enriched.tip_weight) == (0.0, solver.CONSTRAINT_WEIGHT)
+    assert enriched.zone.width == tips.TIP_ZONE_WIDTH * legendre.delta
+    crack, bond = enriched.collocation_points()
+    assert crack[0] >= enriched.d_min and contour.l0 - crack[-1] >= enriched.d_min
+    assert crack.size == bond.size == m_pts + 2 * int(round(solver.OVERSAMPLE * tips.TIP_ZONE_TERMS))
 
 
 @pytest.mark.parametrize("enriched", [False, True])
@@ -68,16 +86,13 @@ def test_per_arc_kernel_tables_match_sliced_reference(reference_setup, enriched)
     all nodes and sliced to each arc, for both bases."""
     contour, n = reference_setup.contour, 24
     if enriched:
-        basis = tips.TipEnrichedBasis(reference_setup, n)
-        points, rule, delta = basis.collocation_points(), tips.TIP_RULE, 2.0 * basis.d_min
+        basis, rule = tips.TipEnrichedBasis(reference_setup, n), tips.TIP_RULE
     else:
         basis, rule = solver._LegendreBasis(contour.l0, contour.l, n), cs.QuadratureRule()
-        delta = solver.DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
-        m_pts = int(round(solver.OVERSAMPLE * (n + 1)))
-        points = solver.collocation_points(contour.l0, contour.l, m_pts - 1, delta)
+    points = basis.collocation_points()
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
-    disc = rule.discretize(contour, 0.5 * delta)
+    disc = rule.discretize(contour, 0.5 * basis.delta)
     tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
     want_b1, want_b2 = ref.regular_tables(contour, pts, arc_of_pt, disc, basis)
     assert tab.B1.keys() == want_b1.keys() and tab.B2.keys() == want_b2.keys()

@@ -41,8 +41,8 @@ def test_degenerate_crack_span_rejected():
 
 
 def test_curvature_values():
-    assert cs.curvature(cs.circular_contour(1.0, (0.0, np.pi)), 0.7) == pytest.approx(1.0)
-    assert cs.curvature(cs.circular_contour(2.0, (0.0, np.pi)), 1.3) == pytest.approx(0.5)
+    assert cs.circular_contour(1.0, (0.0, np.pi)).curvature(0.7) == pytest.approx(1.0)
+    assert cs.circular_contour(2.0, (0.0, np.pi)).curvature(1.3) == pytest.approx(0.5)
 
 
 def test_ellipse_curvature_against_finite_differences():
@@ -64,11 +64,9 @@ def test_ellipse_curvature_derivative_against_finite_differences():
 
 def test_circle_derivatives():
     c = cs.circular_contour(1.0, (0.0, np.pi))
-    assert cs.derivative(c, 0.0, 1) == pytest.approx(1j)
-    assert cs.derivative(c, 0.0, 2) == pytest.approx(-1.0)
-    assert cs.derivative(c, 0.0, 3) == pytest.approx(-1j)
-    with pytest.raises(ValueError):
-        cs.derivative(c, 0.0, 4)
+    assert c.tangent(0.0) == pytest.approx(1j)
+    assert c.second_derivative(0.0) == pytest.approx(-1.0)
+    assert c.third_derivative(0.0) == pytest.approx(-1j)
 
 
 @pytest.mark.parametrize(

@@ -226,3 +226,10 @@ def test_summary_tip_fits_without_interface_tension(tmp_path, zero_interface_sol
         assert fits["sigma_power_exponent"] is None
         assert fits["tau_log_fit_relative_residual"] is None
         assert "rank" in fits["error"]
+
+
+@pytest.mark.parametrize("fn", [cs.tip_exponents, cs.tip_ladder_checks])
+@pytest.mark.parametrize("tip", [2, -1])
+def test_tip_functions_reject_unknown_tips(zero_dset, reference_setup, fn, tip):
+    with pytest.raises(ValueError, match=f"tip must be 0 or 1, got {tip}"):
+        fn(zero_dset, reference_setup, tip=tip)

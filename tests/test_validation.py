@@ -11,13 +11,13 @@ def circle():
 
 
 def test_inversion_check_constant_density(circle):
-    check = cs.inversion_check(circle, trial_density=lambda s: np.ones_like(s, dtype=complex))
+    check = val.cauchy_inversion_checks(circle, [lambda s: np.ones_like(s, dtype=complex)])[0]
     assert check.passed
     assert check.value < 1e-12
 
 
 def test_inversion_check_quadratic_density(circle):
-    check = cs.inversion_check(circle, trial_density=lambda s: circle.point(s) ** 2)
+    check = val.cauchy_inversion_checks(circle, [lambda s: circle.point(s) ** 2])[0]
     assert check.passed
     assert check.value < 1e-6
 
@@ -30,7 +30,7 @@ def test_inversion_check_random_polynomial(circle):
         u = 2.0 * np.asarray(s) / circle.l - 1.0
         return np.polynomial.polynomial.polyval(u, coeffs) + 0j
 
-    check = cs.inversion_check(circle, trial_density=density)
+    check = val.cauchy_inversion_checks(circle, [density])[0]
     assert check.passed
     assert check.value < 1e-5
 
@@ -153,7 +153,7 @@ def test_batched_inversion_checks_match_single_trials(circle):
     trials = [trial for _, trial in val._trial_densities(circle, 3, 3)]
     batched = val.cauchy_inversion_checks(circle, trials)
     for trial, check in zip(trials, batched):
-        assert check.value == cs.inversion_check(circle, trial_density=trial).value
+        assert check.value == val.cauchy_inversion_checks(circle, [trial])[0].value
 
 
 def test_validation_builds_each_discretization_once(monkeypatch):
@@ -182,3 +182,10 @@ def test_validation_builds_each_discretization_once(monkeypatch):
     assert len(report.checks) == 7
     assert len(built) <= 8
     assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("phase, side, bad", [("inclusoin", "plus", "inclusoin"), ("matrix", "top", "top")])
+def test_stress_trace_rejects_unknown_phase_or_side(reference_setup, phase, side, bad):
+    dset = cs.DensitySet.zeros(6, np.pi, 2 * np.pi)
+    with pytest.raises(ValueError, match=repr(bad)):
+        val.stress_trace(dset, reference_setup, 1.0, phase, side)
