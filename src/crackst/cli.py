@@ -103,12 +103,8 @@ def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=Non
     with open(os.path.join(outdir, "densities.json"), "w") as fh:
         json.dump(dset.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    both = post.boundary_fields(
-        dset, setup, np.concatenate([
-            np.linspace(1e-3 * dset.l0, (1 - 1e-3) * dset.l0, 400),
-            np.linspace(dset.l0 + 1e-3 * (dset.l - dset.l0), dset.l - 1e-3 * (dset.l - dset.l0), 400),
-        ])
-    )
+    samples = [post._arc_samples(0.0, dset.l0, 400), post._arc_samples(dset.l0, dset.l, 400)]
+    both = post.boundary_fields(dset, setup, np.concatenate(samples))
     post.write_boundary_fields_csv(os.path.join(outdir, "boundary_fields.csv"), both)
     vreport.write_json(os.path.join(outdir, "validation.json"))
     # Stage timings vary between runs, so they stay out of summary.json and validation.json.
@@ -235,10 +231,7 @@ def cmd_sweep(args):
 
 
 def _field_curves(dset, setup, arc, n=241):
-    if arc == 0:
-        s = np.linspace(1e-3 * dset.l0, (1 - 1e-3) * dset.l0, n)
-    else:
-        s = np.linspace(dset.l0 + 1e-3 * (dset.l - dset.l0), dset.l - 1e-3 * (dset.l - dset.l0), n)
+    s = post._arc_samples(0.0, dset.l0, n) if arc == 0 else post._arc_samples(dset.l0, dset.l, n)
     return s, post.boundary_fields(dset, setup, s)
 
 
@@ -253,7 +246,7 @@ def _scenario_fig1(entry, run_config, outdir, quiet):
         case = RunConfig(run_config.setup, replace(run_config.numerics, order=order), run_config.output_dir)
         solved[order] = _solve_run(case, quiet)
         dset = solved[order][0]
-        s = np.linspace(1e-3 * dset.l0, (1 - 1e-3) * dset.l0, 241)
+        s = post._arc_samples(0.0, dset.l0, 241)
         s_ref = s
         g = dset.eval("g0p", s)
         curves[order] = g

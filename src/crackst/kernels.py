@@ -184,8 +184,8 @@ class QuadratureRule:
     """Composite Gauss-Legendre rule, per arc, with optional tip grading.
 
     nodes_per_panel must be at least 4; panels_per_arc counts the uniform base
-    panels on each arc.  ``adaptive`` lets consumers double the base panels
-    until assembled quantities stabilize.
+    panels on each arc.  ``adaptive`` lets the solver double the base panels
+    until its operator tables stabilize.
     """
 
     nodes_per_panel: int = 16
@@ -228,6 +228,11 @@ class QuadratureRule:
                 del memo[next(iter(memo))]
             disc = memo[key] = _build_discretization(contour, *key)
         return disc
+
+
+# The fixed rule of the post-hoc validation checks, postprocess.potentials_at
+# and the tip-resolved solve: twice the default base panels per arc.
+FINE_RULE = QuadratureRule(nodes_per_panel=16, panels_per_arc=16, adaptive=False)
 
 
 def _check_off_tips(contour, s_field, tip_eps=None):

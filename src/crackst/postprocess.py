@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import QuadratureRule
+from .kernels import FINE_RULE
 from .solver import SingularSystemError
 from .tips import face_tension_length, solve_tip_resolved
 from .validation import original_bc_residual, trace_consistency
@@ -305,7 +305,7 @@ def tip_exponents(dset, setup, tip=0):
     }
 
 
-def potentials_at(dset, setup, z, region, rule=None):
+def potentials_at(dset, setup, z, region, rule=FINE_RULE):
     """Complex potentials at a point strictly inside (inclusion) or outside
     (matrix) the contour, by quadrature of the density representation.
 
@@ -313,8 +313,6 @@ def potentials_at(dset, setup, z, region, rule=None):
     the boundary traces instead.
     """
     contour = setup.contour
-    if rule is None:
-        rule = QuadratureRule(nodes_per_panel=16, panels_per_arc=16, adaptive=False)
     disc = rule.discretize(contour)
     z = complex(z)
     dist = np.min(np.abs(disc.tau - z))

@@ -40,16 +40,16 @@ the crack-face tractions enter only the right-hand side, so the tables are
 built once per quadrature level and each matrix is factorized once for all
 of its loads.
 
-The rows are streamed: ``_assemble_rows`` yields them block by block, and
+The adaptive quadrature refines until the operator tables stop changing:
+its drift compares the quadrature-dependent tables of a level with those of
+the coarser one.  The rows are then built once per group, on the final
+tables, and streamed: ``_assemble_rows`` yields them block by block, and
 each block is eliminated straight into the one preallocated matrix of its
-group.  The quadrature drift compares each block of a level with the same
-block of the coarser level, whose rows are rebuilt from its kept tables
-rather than stored, so one eliminated matrix per group is held at a time.
+group.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -452,6 +452,19 @@ class _Tables:
                 self.B2[arc, key] = (m_arc * wdtc[None, :]) @ k2m
                 self.Q[arc, key] = m_arc @ wdt
 
+    def drift_from(self, coarse):
+        """Largest change of the quadrature-dependent tables (A, B1, B2, Q)
+        from those of the coarser level, relative to their largest entry
+        here.  V depends on the points only."""
+        pairs = [
+            (fine[key], old[key])
+            for fine, old in zip((self.A, self.B1, self.B2, self.Q), (coarse.A, coarse.B1, coarse.B2, coarse.Q))
+            for key in fine
+        ]
+        scale = max(float(np.max(np.abs(fine))) for fine, _ in pairs)
+        change = max(float(np.max(np.abs(fine - old))) for fine, old in pairs)
+        return change / max(scale, 1e-300)
+
 
 def assemble(setup, n, rule=None, basis=None):
     """Assemble the real collocation system for the given problem and order.
@@ -473,13 +486,13 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     per group of setups with equal materials and surface tension, each with
     one right-hand-side column per case of the group (``rhs`` [rows, cases]).
 
-    The adaptive quadrature runs level by level: each level builds the
-    operator tables once for all groups still drifting, and a group's drift
-    is the largest change from the previous level over its matrix and all of
-    its columns, relative to the matrix scale and to each column's own
-    scale.  The previous level is kept as tables only: its rows are rebuilt
-    block by block beside the new level's.  ``rule`` and ``basis`` are
-    those of ``assemble``.
+    The adaptive quadrature builds the operator tables once per level for
+    all setups and stops when their drift from the coarser level
+    (``_Tables.drift_from``) falls below MATRIX_STABILITY_TOL, or after
+    MAX_ADAPTIVE_ROUNDS refinements; the right-hand sides do not depend on
+    the quadrature.  Each group's rows are then assembled once, on the final
+    tables, and every group reports the same drift.  ``rule`` and ``basis``
+    are those of ``assemble``.
     """
     if n < MIN_ORDER:
         raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
@@ -501,115 +514,87 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
 
+    t0 = time.perf_counter()
+    tab = drift = None
+    for level in range(1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
+        if level:
+            rule = rule.refined()
+        disc = rule.discretize(contour, 0.5 * delta)
+        coarse, tab = tab, _Tables(contour, pts, arc_of_pt, disc, basis)
+        if coarse is not None:
+            drift = tab.drift_from(coarse)
+            if drift < MATRIX_STABILITY_TOL:
+                break
+    del coarse  # the rows are built on the final tables alone
+    tables_s = time.perf_counter() - t0
+    table_builds = level + 1
+    quadrature = {
+        "quadrature_nodes": int(disc.n_nodes),
+        "nodes_per_panel": rule.nodes_per_panel,
+        "panels_per_arc": rule.panels_per_arc,
+        "tip_panel": 0.5 * delta,
+    }
+    if drift is not None:
+        quadrature["quadrature_drift"] = drift
+        quadrature["quadrature_stabilized"] = drift < MATRIX_STABILITY_TOL
+        if drift >= MATRIX_STABILITY_TOL:
+            log.warning(
+                "adaptive quadrature did not stabilize at order %d: "
+                "drift %.3e after %d refinements, tolerance %.0e",
+                n, drift, MAX_ADAPTIVE_ROUNDS, MATRIX_STABILITY_TOL,
+            )
+
     by_key = {}
     for i, setup in enumerate(setups):
         by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
     groups = list(by_key.values())
     layout = _Layout(n, basis)
-    elims = [_elimination(setups[cases[0]], layout) for cases in groups]
     n_rows = 4 * pts.size + 4 * points[0].size + 2 * points[1].size + 10
-    built = [None] * len(groups)  # (matrix, rhs, tags, weights) per group
-    metas = [None] * len(groups)
-    rows_s = [0.0] * len(groups)
-    tables_s, table_builds, row_assemblies = 0.0, 0, 0
-    pending = list(range(len(groups)))
-    levels = 1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1
-    coarse = None
-    for level in range(levels):
-        if level:
-            rule = rule.refined()
-        t0 = time.perf_counter()
-        disc = rule.discretize(contour, 0.5 * delta)
-        tab = _Tables(contour, pts, arc_of_pt, disc, basis)
-        tables_s += time.perf_counter() - t0
-        table_builds += 1
-        # An adaptive rule's first level is only the coarse side of the first drift.
-        for g in pending if level or levels == 1 else ():
-            t0 = time.perf_counter()
-            free, linked, sources, lam = elims[g]
-            cases = [setups[i] for i in groups[g]]
-            if built[g] is None:  # refilled at each further level the group drifts
-                built[g] = (np.empty((n_rows, free.size)), np.empty((n_rows, len(cases))),
-                            [None] * n_rows, np.empty(n_rows))
-            matrix, rhs, tags, wts = built[g]
-            fine = _assemble_rows(cases, basis, tab)
-            prev = () if coarse is None else _assemble_rows(cases, basis, coarse)
-            peaks = []  # per block: max|fine|, max|fine - coarse|, and both per rhs column
-            r0 = 0
-            for (rows, b, block_tags, w), old in itertools.zip_longest(fine, prev):
-                r1 = r0 + rows.shape[0]
-                np.take(rows, free, axis=1, out=matrix[r0:r1])
-                matrix[r0:r1, sources] += lam * np.take(rows, linked, axis=1)
-                rhs[r0:r1], wts[r0:r1] = b, w
-                tags[r0:r1] = block_tags
-                if old is not None:
-                    peaks.append((np.max(np.abs(rows)), np.max(np.abs(rows - old[0])),
-                                  np.max(np.abs(b), axis=0), np.max(np.abs(b - old[1]), axis=0)))
-                r0 = r1
-                del rows, b, old  # the next blocks are built without these
-            meta = {
-                "quadrature_nodes": int(disc.n_nodes),
-                "nodes_per_panel": rule.nodes_per_panel,
-                "panels_per_arc": rule.panels_per_arc,
-                "tip_panel": 0.5 * delta,
-            }
-            if coarse is not None:
-                fine_max, diff_max, rhs_max, rhs_diff = (np.max(v, axis=0) for v in zip(*peaks))
-                scale = max(float(fine_max), 1e-300)
-                rscale = np.maximum(rhs_max, scale * 1e-6)
-                meta["quadrature_drift"] = max(float(diff_max) / scale, float(np.max(rhs_diff / rscale)))
-                meta["quadrature_stabilized"] = meta["quadrature_drift"] < MATRIX_STABILITY_TOL
-            metas[g] = meta
-            rows_s[g] += time.perf_counter() - t0
-            row_assemblies += 1 if coarse is None else 2
-        coarse = tab
-        if level:
-            pending = [g for g in pending if not metas[g]["quadrature_stabilized"]]
-            if not pending:
-                break
-
     systems = []
-    for g, cases in enumerate(groups):
-        (matrix, rhs, tags, wts), meta = built[g], metas[g]
+    for cases in groups:
+        t0 = time.perf_counter()
         setup = setups[cases[0]]
-        if meta.get("quadrature_stabilized") is False:
-            log.warning(
-                "adaptive quadrature did not stabilize at order %d (cases %s): "
-                "drift %.3e after %d refinements, tolerance %.0e",
-                n, cases, meta["quadrature_drift"], MAX_ADAPTIVE_ROUNDS, MATRIX_STABILITY_TOL,
-            )
+        free, linked, sources, lam = elimination = _elimination(setup, layout)
+        matrix, rhs = np.empty((n_rows, free.size)), np.empty((n_rows, len(cases)))
+        tags, wts = [None] * n_rows, np.empty(n_rows)
+        r0 = 0
+        for rows, b, block_tags, w in _assemble_rows([setups[i] for i in cases], basis, tab):
+            r1 = r0 + rows.shape[0]
+            np.take(rows, free, axis=1, out=matrix[r0:r1])
+            matrix[r0:r1, sources] += lam * np.take(rows, linked, axis=1)
+            rhs[r0:r1], wts[r0:r1] = b, w
+            tags[r0:r1] = block_tags
+            r0 = r1
+            del rows, b  # the next block is built without these
         if setup.is_degenerate_pair:
             log.warning(
                 "degenerate material pair mu0*kappa*(kappa0+1) = mu*kappa0*(kappa+1) "
                 "(cases %s); the solve proceeds and reports its condition", cases,
             )
-        meta.update(
-            {
-                "order": n,
-                "delta": delta,
-                "points_per_arc": int(points[0].size),
-                "taper_exponent": basis.taper_exponent,
-                "full_coefficients": layout.total,
-                "degenerate_pair": setup.is_degenerate_pair,
-                # Work shared with other cases: the tables with all cases of
-                # the call, the rows and the factorization with the loads of
-                # the group.
-                "timings": {"tables_s": tables_s, "rows_s": rows_s[g]},
-                "batch": {
-                    "cases": len(setups),
-                    "loads": len(cases),
-                    "table_builds": table_builds,
-                    "row_assemblies": row_assemblies,
-                    "factorizations": len(groups),
-                },
-            }
-        )
+        meta = {
+            **quadrature,
+            "order": n,
+            "delta": delta,
+            "points_per_arc": int(points[0].size),
+            "taper_exponent": basis.taper_exponent,
+            "full_coefficients": layout.total,
+            "degenerate_pair": setup.is_degenerate_pair,
+            # Work shared with other cases: the tables with all cases of the
+            # call, the rows and the factorization with the loads of the group.
+            "timings": {"tables_s": tables_s, "rows_s": time.perf_counter() - t0},
+            "batch": {
+                "cases": len(setups),
+                "loads": len(cases),
+                "table_builds": table_builds,
+                "factorizations": len(groups),
+            },
+        }
         system = LinearSystem(
             matrix=matrix,
             rhs=rhs,
             row_tags=tags,
             row_weights=wts,
-            elimination=elims[g],
+            elimination=elimination,
             n=n,
             l0=contour.l0,
             l=contour.l,
@@ -962,8 +947,8 @@ def solve_cases(setups, n, rule=None, rcond=1e-13):
     and the setups with equal materials and surface tension share one matrix
     and one least-squares factorization, with a right-hand-side column per
     load and crack-face tractions.  A one-case call gives what solve_problem
-    gives, errors included.  Each report's meta carries ``batch`` (the counts of cases,
-    loads sharing its factorization, table builds, row assemblies and
+    gives, errors included.  Each report's meta carries ``batch`` (the
+    counts of cases, loads sharing its factorization, table builds and
     factorizations) and ``timings`` (tables_s for all cases of the call,
     rows_s and lstsq_s for the loads of its group).  A failing case raises
     SingularSystemError naming its index (``case``) when there are several.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .kernels import QuadratureRule
+from .kernels import FINE_RULE
 from .solver import (
     CONSTRAINT_WEIGHT,
     FUNCTIONS,
@@ -44,9 +44,6 @@ TIP_ZONE_WIDTH = 2.0
 TIP_ZONE_TERMS = 32
 TIP_ZONE_STRETCH = 8.0
 TIP_ZONE_DEPTH = 17
-# Quadrature of the tip-resolved solve: base panels per arc and nodes per
-# panel; the tip panels are graded geometrically down to the frozen depth.
-TIP_RULE = QuadratureRule(nodes_per_panel=16, panels_per_arc=16, adaptive=False)
 
 
 def face_tension_length(setup):
@@ -270,8 +267,9 @@ def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):
     bonded-arc conditions, the bonded-arc slope proportionality, force
     balance, single-valuedness and the continuity of Re g0', Re g' across
     the tips, collocated and weighted as TipEnrichedBasis sets, with the
-    quadrature TIP_RULE.  ``n`` is the Legendre degree on each arc.  Returns
+    quadrature kernels.FINE_RULE, its tip panels graded down to d_min.
+    ``n`` is the Legendre degree on each arc.  Returns
     (TipResolvedDensities, ResidualReport).
     """
     basis = TipEnrichedBasis(setup, n, zone_terms)
-    return solve(assemble(setup, n, rule=TIP_RULE, basis=basis))
+    return solve(assemble(setup, n, rule=FINE_RULE, basis=basis))

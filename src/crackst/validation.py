@@ -28,7 +28,7 @@ import numpy as np
 
 from .kernels import (
     DIAG_EPS_FACTOR,
-    QuadratureRule,
+    FINE_RULE,
     _regular_kernels,
     cauchy_pv,
     circular_distance,
@@ -47,11 +47,6 @@ __all__ = [
     "validate_solution",
     "stress_trace",
 ]
-
-# Validation quadrature: double the assembly default per-arc resolution.
-def _default_rule():
-    return QuadratureRule(nodes_per_panel=16, panels_per_arc=16, adaptive=False)
-
 
 CONSERVATION_TOL = 1e-6
 INVERSION_TOL = 1e-5
@@ -155,7 +150,7 @@ def _trial_densities(contour, seed, count):
     return trials
 
 
-def cauchy_inversion_checks(contour, trials, rule=None):
+def cauchy_inversion_checks(contour, trials, rule=FINE_RULE):
     """One check per trial density, in trial order: the max norm of
     (S@S - I) applied to the trial at INVERSION_POINTS off-node points on the
     central 90% of the arcs, against INVERSION_TOL.
@@ -166,8 +161,6 @@ def cauchy_inversion_checks(contour, trials, rule=None):
     behavior.  The trials are stacked on a leading axis and share one inner
     and one outer PV evaluation; each value equals that of a one-trial call.
     """
-    if rule is None:
-        rule = _default_rule()
     if not trials:
         return []
     l = contour.l
@@ -256,21 +249,24 @@ def original_bc_residual(dset, setup, s_samples=None, scale=None):
         s_crack = np.linspace(0.1 * l0, 0.9 * l0, 21)
         s_bond = np.linspace(l0 + 0.1 * (l - l0), l - 0.1 * (l - l0), 21)
     else:
-        s_samples = np.asarray(s_samples, dtype=float)
+        s_samples = np.atleast_1d(np.asarray(s_samples, dtype=float))
+        if not s_samples.size:
+            raise ValueError("original_bc_residual needs at least one sample point, got none")
         s_crack = s_samples[s_samples <= l0]
         s_bond = s_samples[s_samples > l0]
 
     gam = setup.surface
     mismatches = []
-    d1, d2, d3 = _displacement_derivatives(dset, setup, s_crack, "inclusion")
-    lhs = 2.0 * dset.eval("q0", s_crack)
-    rhs = _surface_rhs(setup, s_crack, gam.gamma_plus, d1, d2, d3) + setup.tractions.f1(s_crack)
-    mismatches.append(np.abs(lhs - rhs))
+    if s_crack.size:
+        d1, d2, d3 = _displacement_derivatives(dset, setup, s_crack, "inclusion")
+        lhs = 2.0 * dset.eval("q0", s_crack)
+        rhs = _surface_rhs(setup, s_crack, gam.gamma_plus, d1, d2, d3) + setup.tractions.f1(s_crack)
+        mismatches.append(np.abs(lhs - rhs))
 
-    d1, d2, d3 = _displacement_derivatives(dset, setup, s_crack, "matrix")
-    lhs = -2.0 * dset.eval("q", s_crack)
-    rhs = _surface_rhs(setup, s_crack, gam.gamma_minus, d1, d2, d3) + setup.tractions.f2(s_crack)
-    mismatches.append(np.abs(lhs - rhs))
+        d1, d2, d3 = _displacement_derivatives(dset, setup, s_crack, "matrix")
+        lhs = -2.0 * dset.eval("q", s_crack)
+        rhs = _surface_rhs(setup, s_crack, gam.gamma_minus, d1, d2, d3) + setup.tractions.f2(s_crack)
+        mismatches.append(np.abs(lhs - rhs))
 
     if s_bond.size:
         d1, d2, d3 = _displacement_derivatives(dset, setup, s_bond, "inclusion")
@@ -294,7 +290,7 @@ def original_bc_residual(dset, setup, s_samples=None, scale=None):
     )
 
 
-def stress_trace(dset, setup, s0, phase, side, rule=None):
+def stress_trace(dset, setup, s0, phase, side, rule=FINE_RULE):
     """One-sided stress trace through the full integral representation.
 
     ``s0`` is a field point or an array of them; points that share a tip
@@ -305,8 +301,6 @@ def stress_trace(dset, setup, s0, phase, side, rule=None):
         raise ValueError(f"phase must be 'inclusion' or 'matrix', got {phase!r}")
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    if rule is None:
-        rule = _default_rule()
     contour = setup.contour
     s_all = np.asarray(s0, dtype=float)
     s_flat = s_all.ravel()
@@ -391,6 +385,8 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
             ]
         )
     s_samples = np.atleast_1d(np.asarray(s_samples, dtype=float))
+    if not s_samples.size:
+        raise ValueError("trace_consistency needs at least one sample point, got none")
     if scale is None:
         scale = max(setup.load.magnitude, float(np.max(np.abs(dset.eval("q0", s_samples)))), 1e-12)
     plus0 = stress_trace(dset, setup, s_samples, "inclusion", "plus")
@@ -408,7 +404,7 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
     )
 
 
-def conservation_checks(dset, setup, rule=None):
+def conservation_checks(dset, setup, rule=FINE_RULE):
     """Total-force and single-valuedness integrals by independent quadrature.
 
     The tip panels are graded like the inversion check's inner rule, so the
@@ -416,8 +412,6 @@ def conservation_checks(dset, setup, rule=None):
     polynomial one.
     """
     contour = setup.contour
-    if rule is None:
-        rule = _default_rule()
     tip_panel = INNER_TIP_GRADING * contour.l
     mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
     mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa

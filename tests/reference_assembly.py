@@ -1,8 +1,9 @@
 """Whole-matrix reference form of the solver's assembly, kept to pin the
 streamed assembly bit for bit.
 
-Each level stacks all row blocks of ``_assemble_rows`` with ``vstack``, the
-drift compares the whole matrices of two levels, the elimination takes and
+Every level's tables are kept, the drift compares the tables of two levels
+flattened into one vector, the final level's row blocks of
+``_assemble_rows`` are stacked with ``vstack``, the elimination takes and
 adds whole columns, and the densities come from a dense elimination map.
 The k1/k2 kernel tables are built over all nodes and sliced per arc.  The
 arithmetic of every entry is the library's.
@@ -14,16 +15,15 @@ from crackst import solver
 from crackst.kernels import DIAG_EPS_FACTOR, _regular_kernels
 
 
-def drift(mat, rhs, mat2, rhs2):
-    """Largest change from (mat, rhs) to the finer (mat2, rhs2), relative to
-    the matrix scale and to each right-hand-side column's own scale."""
-    scale = max(float(np.max(np.abs(mat2))), 1e-300)
-    rscale = np.maximum(np.max(np.abs(rhs2), axis=0), scale * 1e-6)
-    diff = np.subtract(mat2, mat)
-    return max(
-        float(np.max(np.abs(diff, out=diff))) / scale,
-        float(np.max(np.max(np.abs(rhs2 - rhs), axis=0) / rscale)),
-    )
+def drift(coarse, fine):
+    """Largest change of the quadrature-dependent tables (A, B1, B2, Q) from
+    the coarser level to the finer one, all tables flattened into one
+    vector, relative to the largest entry of the finer level's."""
+    def flat(tab):
+        return np.concatenate([table[key].ravel() for table in (tab.A, tab.B1, tab.B2, tab.Q)
+                               for key in table])
+    old, new = flat(coarse), flat(fine)
+    return float(np.max(np.abs(new - old))) / max(float(np.max(np.abs(new))), 1e-300)
 
 
 def stacked_rows(setups, basis, tab):
@@ -66,7 +66,8 @@ def elimination_map(elimination, total):
 
 def assemble_cases(setups, n, rule=None, basis=None):
     """One dict per group of ``solver._assemble_cases``: the eliminated
-    matrix, rhs, tags, weights, the drift of every refinement (``drifts``),
+    matrix, rhs, tags, weights, the drift of every refinement of the call
+    (``drifts``, the same for every group),
     the group's elimination parts and the basis and layout."""
     contour = setups[0].contour
     rule = solver.QuadratureRule() if rule is None else rule
@@ -77,24 +78,24 @@ def assemble_cases(setups, n, rule=None, basis=None):
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
     layout = solver._Layout(n, basis)
 
+    level_rule, tables, drifts = rule, [], []
+    for level in range(1 + solver.MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
+        if level:
+            level_rule = level_rule.refined()
+        disc = level_rule.discretize(contour, 0.5 * basis.delta)
+        tables.append(solver._Tables(contour, pts, arc_of_pt, disc, basis))
+        if level:
+            drifts.append(drift(*tables[-2:]))
+            if drifts[-1] < solver.MATRIX_STABILITY_TOL:
+                break
+
     by_key = {}
     for i, setup in enumerate(setups):
         by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
     out = []
     for cases in by_key.values():
         group = [setups[i] for i in cases]
-        level_rule, levels, drifts = rule, [], []
-        for level in range(1 + solver.MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
-            if level:
-                level_rule = level_rule.refined()
-            disc = level_rule.discretize(contour, 0.5 * basis.delta)
-            tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
-            levels.append(stacked_rows(group, basis, tab))
-            if level:
-                drifts.append(drift(*levels[-2][:2], *levels[-1][:2]))
-                if drifts[-1] < solver.MATRIX_STABILITY_TOL:
-                    break
-        mat, rhs, tags, weights = levels[-1]
+        mat, rhs, tags, weights = stacked_rows(group, basis, tables[-1])
         free, linked, sources, lam = elimination = solver._elimination(group[0], layout)
         matrix = np.take(mat, free, axis=1)
         matrix[:, sources] += lam * np.take(mat, linked, axis=1)

@@ -162,7 +162,7 @@ def test_theta_memo_matches_fresh_contour_and_is_bounded():
 def _pv_block_bound(contour):
     """Peak allocation allowed for a validation pass: 2.5 of the inner
     application's block matrix, [inner nodes x PV_BLOCK_POINTS] complex."""
-    inner = val._default_rule().discretize(contour, val.INNER_TIP_GRADING * contour.l).n_nodes
+    inner = kernels.FINE_RULE.discretize(contour, val.INNER_TIP_GRADING * contour.l).n_nodes
     return inner, 2.5 * inner * PV_BLOCK_POINTS * np.dtype(complex).itemsize
 
 
@@ -185,7 +185,7 @@ def test_inversion_check_peak_memory(unit_semicircle):
     trials = [trial for _, trial in val._trial_densities(contour, 0, 3)]
     peak = _traced_peak(val.cauchy_inversion_checks, contour, trials)
     inner, bound = _pv_block_bound(contour)
-    outer = val._default_rule().discretize(contour, 1e-4 * contour.l).n_nodes
+    outer = kernels.FINE_RULE.discretize(contour, 1e-4 * contour.l).n_nodes
     assert (inner, outer) == (1440, 1056)
     assert peak <= bound
 

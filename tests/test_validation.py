@@ -3,6 +3,7 @@ import pytest
 
 import crackst as cs
 from crackst import validation as val
+from crackst.kernels import FINE_RULE
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,26 @@ def test_surface_condition_residual_shrinks_with_order(reference_setup):
         assert report.rank == report.cols, n
         values.append(cs.original_bc_residual(dset, reference_setup).value)
     assert all(a > b for a, b in zip(values, values[1:])), values
+
+
+def test_surface_condition_residual_on_one_arc(reference_solution, reference_setup):
+    """Samples on one arc only check that arc's conditions; the crack block
+    is skipped like the bonded one."""
+    dset, _ = reference_solution
+    crack, bond = [0.5, 1.5, 2.5], [3.5, 4.5, 5.5]
+    values = [cs.original_bc_residual(dset, reference_setup, s_samples=s, scale=1.0).value
+              for s in (crack, bond, crack + bond)]
+    assert values[2] == pytest.approx(max(values[:2]), rel=1e-12)
+    check = cs.original_bc_residual(dset, reference_setup, s_samples=bond)
+    assert check.passed and check.details["traction_scale"] == reference_setup.load.magnitude
+
+
+def test_sampled_checks_reject_empty_samples(reference_solution, reference_setup):
+    dset, _ = reference_solution
+    with pytest.raises(ValueError, match="at least one sample"):
+        cs.original_bc_residual(dset, reference_setup, s_samples=[])
+    with pytest.raises(ValueError, match="at least one sample"):
+        cs.trace_consistency(dset, reference_setup, s_samples=[])
 
 
 def test_trace_consistency_zero_state(reference_setup):
@@ -144,7 +165,7 @@ def test_validate_solution_times_each_check_family(reference_solution, reference
 
 
 def test_validation_quadrature_finer_than_assembly():
-    rule = val._default_rule()
+    rule = FINE_RULE
     base = cs.QuadratureRule()
     assert rule.panels_per_arc >= 2 * base.panels_per_arc
 
