@@ -117,7 +117,9 @@ def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=Non
     )
 
 
-def cmd_solve(args):
+def _solve_config(args):
+    """(run_config, outdir, dset, report, vreport) of a solved and validated
+    --config, or the exit code of a failure after printing its cause."""
     try:
         run_config = _load_config(args)
     except (OSError, ConfigError) as exc:
@@ -129,7 +131,14 @@ def cmd_solve(args):
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    vreport = validate_solution(dset, run_config.setup)
+    return run_config, outdir, dset, report, validate_solution(dset, run_config.setup)
+
+
+def cmd_solve(args):
+    solved = _solve_config(args)
+    if isinstance(solved, int):
+        return solved
+    run_config, outdir, dset, report, vreport = solved
     _write_standard_outputs(outdir, run_config, dset, report, vreport, tip_fits=args.tip_fits)
     if not args.quiet:
         print(f"outputs written to {outdir}")
@@ -393,18 +402,10 @@ def cmd_scenario(args):
 
 
 def cmd_validate(args):
-    try:
-        run_config = _load_config(args)
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    outdir = _out_dir(run_config, args.out)
-    try:
-        dset, report = _solve_run(run_config, args.quiet)
-    except SingularSystemError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    vreport = validate_solution(dset, run_config.setup)
+    solved = _solve_config(args)
+    if isinstance(solved, int):
+        return solved
+    _, outdir, _, _, vreport = solved
     vreport.write_json(os.path.join(outdir, "validation.json"))
     for check in vreport.checks:
         status = "pass" if check.passed else "FAIL"

@@ -42,7 +42,6 @@ class Contour:
 
     l0: float
     l: float
-    counterclockwise: bool = True
 
     def wrap(self, s):
         """Reduce arc length mod l (the junctions s=0(=l) and s=l0 are tips)."""
@@ -66,11 +65,6 @@ class Contour:
     def third_derivative(self, s):
         rho = self.curvature(s)
         return (1j * self.curvature_derivative(s) - rho**2) * self.tangent(s)
-
-    @property
-    def tips(self):
-        """Arc lengths of the two crack tips."""
-        return (0.0, self.l0)
 
     def on_crack(self, s):
         """True where s (mod l) lies on the debonded arc."""
@@ -252,8 +246,9 @@ class TabulatedContour(_ReparametrizedContour):
     periodic cubic spline.
 
     ``samples`` are complex positions in counterclockwise order starting at
-    the leading crack tip; ``crack_end_fraction`` is the fraction of the
-    sample parameter covered by the crack.  Smoothness beyond the spline's
+    the leading crack tip (clockwise samples, which would put the inclusion
+    on the right, are refused); ``crack_end_fraction`` is the fraction of
+    the sample parameter covered by the crack.  Smoothness beyond the spline's
     C^2 is not verified, so derived quantities (notably rho') are only
     approximate.
     """
@@ -267,6 +262,12 @@ class TabulatedContour(_ReparametrizedContour):
             raise ValueError("need at least 8 samples to describe a closed contour")
         if abs(z[0] - z[-1]) > 1e-12 * np.max(np.abs(z - z.mean())):
             z = np.concatenate([z, z[:1]])
+        area = 0.5 * np.sum(np.imag(np.conj(z[:-1]) * z[1:]))  # shoelace, signed
+        if not area > 0.0:
+            raise ValueError(
+                f"samples must run counterclockwise around the inclusion; their signed "
+                f"area is {area:.6g}, so they run clockwise or enclose nothing"
+            )
         u = np.linspace(0.0, 2.0 * np.pi, z.size)
         self._sx = CubicSpline(u, z.real, bc_type="periodic")
         self._sy = CubicSpline(u, z.imag, bc_type="periodic")

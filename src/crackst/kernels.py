@@ -200,10 +200,11 @@ class QuadratureRule:
         if self.panels_per_arc < 1:
             raise ValueError(f"need at least 1 panel per arc, got {self.panels_per_arc}")
 
-    def refined(self, factor=2):
+    def refined(self):
+        """The same rule with twice the panels per arc."""
         return QuadratureRule(
             nodes_per_panel=self.nodes_per_panel,
-            panels_per_arc=self.panels_per_arc * factor,
+            panels_per_arc=self.panels_per_arc * 2,
             adaptive=self.adaptive,
         )
 

@@ -1,4 +1,10 @@
-"""Problem data: materials, remote load, surface tension, crack tractions.
+"""Problem data: materials, remote load, surface tension, crack tractions,
+and the two phases they define.
+
+Every convention that differs between the inclusion and the matrix (density
+names, trace sign, face tension and tractions, far field, material factors)
+is written once, in ``Phase``; ``ProblemSetup.phases`` and ``.phase(name)``
+give the records that the solver, validation and post-processing loop over.
 
 Numerical values are used exactly as given (shear moduli as GPa numbers,
 stresses as MPa numbers, surface-tension parameters as bare numbers on a
@@ -17,6 +23,7 @@ __all__ = [
     "SurfaceTension",
     "RemoteLoad",
     "CrackTractions",
+    "Phase",
     "ProblemSetup",
     "kolosov",
     "far_field_constants",
@@ -164,6 +171,48 @@ class CrackTractions:
         )
 
 
+@dataclass(frozen=True)
+class Phase:
+    """One elastic phase and its Savruk-type densities ``q`` and ``g`` (q0
+    and g0' inside, q and g' outside).
+
+    On the contour the phase's traces are (sigma_n + i tau_n) = sign * 2 q
+    and d(u1 + i u2)/dt = displacement_factor * g', with ``sign`` +1 in the
+    inclusion (the '+' side) and -1 in the matrix (the '-' side).  ``gamma``
+    and ``traction`` belong to the crack face seen from the phase, and
+    ``far_field`` holds (Gamma, Gamma') at infinity, zero inside.
+    """
+
+    name: str
+    mu: float
+    kappa: float
+    q: str
+    g: str
+    sign: float
+    gamma: float
+    traction: object
+    far_field: tuple
+
+    @property
+    def side(self):
+        return "plus" if self.sign > 0 else "minus"
+
+    @property
+    def slope_factor(self):
+        """(kappa + 1) / mu, the weight of g' in the single-valuedness
+        integral and the bonded-arc slope tie."""
+        return (self.kappa + 1.0) / self.mu
+
+    @property
+    def displacement_factor(self):
+        return self.sign * 1j * (self.kappa + 1.0) / (2.0 * self.mu)
+
+    @property
+    def tension_coefficient(self):
+        """gamma (kappa + 1) / (4 mu) of the face's surface-tension condition."""
+        return self.gamma * (self.kappa + 1.0) / (4.0 * self.mu)
+
+
 @dataclass
 class ProblemSetup:
     """Complete problem description: geometry, phases, surface tension, load."""
@@ -176,15 +225,31 @@ class ProblemSetup:
     tractions: CrackTractions = field(default_factory=CrackTractions.zero)
 
     @property
+    def phases(self):
+        """The (inclusion, matrix) Phase records."""
+        inc, mat = self.inclusion, self.matrix
+        return (
+            Phase("inclusion", inc.shear_modulus, inc.kappa, "q0", "g0p", 1.0,
+                  self.surface.gamma_plus, self.tractions.f1, (0.0, 0.0)),
+            Phase("matrix", mat.shear_modulus, mat.kappa, "q", "gp", -1.0,
+                  self.surface.gamma_minus, self.tractions.f2, (self.load.gamma, self.load.gamma_prime)),
+        )
+
+    def phase(self, name):
+        """The Phase called ``name``, "inclusion" or "matrix"."""
+        by_name = {phase.name: phase for phase in self.phases}
+        if name not in by_name:
+            raise ValueError(f"phase must be 'inclusion' or 'matrix', got {name!r}")
+        return by_name[name]
+
+    @property
     def is_degenerate_pair(self):
         """True when mu0*k*(k0+1) == mu*k0*(k+1), e.g. identical phases.
 
         The solve still proceeds; conditioning is reported alongside.
         """
-        mu, k = self.matrix.shear_modulus, self.matrix.kappa
-        mu0, k0 = self.inclusion.shear_modulus, self.inclusion.kappa
-        lhs = mu0 * k * (k0 + 1.0)
-        rhs = mu * k0 * (k + 1.0)
+        inc, mat = self.phases
+        lhs, rhs = (a.mu * b.kappa * (a.kappa + 1.0) for a, b in ((inc, mat), (mat, inc)))
         return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def scaled_load(self, factor):

@@ -10,7 +10,11 @@ densities: on either arc
     d(u1+iu2)/dt from the matrix side           = -i (kappa +1)/(2 mu ) g'
 
 Because |t'| = 1, the tangential/normal split of the arc-length displacement
-derivative, conj(t') * d(u1+iu2)/ds, equals d(u1+iu2)/dt itself.
+derivative, conj(t') * d(u1+iu2)/ds, equals d(u1+iu2)/dt itself.  The signs
+and factors of these traces, and the far field of ``potentials_at``, come
+from the phases' records (model.Phase: ``sign``, ``displacement_factor``,
+``far_field``); each field here is one loop or one call over
+``setup.phases``.
 
 The solver leaves a zone of width delta (its tip inset) at each side of each
 tip unenforced, so there the polynomial densities extrapolate.  The tip
@@ -91,40 +95,27 @@ class BoundaryField:
     gp: np.ndarray
 
 
-def _coefficients(setup):
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
-    return mu, kap, mu0, kap0
+# Suffix of each phase's fields in BoundaryField.
+_FIELD_SUFFIX = {"inclusion": "plus0", "matrix": "minus"}
 
 
 def boundary_fields(dset, setup, s):
     """Evaluate all boundary fields at the given arc lengths."""
     s = np.asarray(s, dtype=float)
-    mu, kap, mu0, kap0 = _coefficients(setup)
-    q0 = dset.eval("q0", s)
-    q = dset.eval("q", s)
-    g0p = dset.eval("g0p", s)
-    gp = dset.eval("gp", s)
-    stress_plus0 = 2.0 * q0
-    stress_minus = -2.0 * q
-    dudt_plus0 = 1j * (kap0 + 1.0) / (2.0 * mu0) * g0p
-    dudt_minus = -1j * (kap + 1.0) / (2.0 * mu) * gp
-    return BoundaryField(
-        s=s,
-        arc=np.where(s <= dset.l0, 0, 1),
-        sigma_n_plus0=np.real(stress_plus0),
-        tau_n_plus0=np.imag(stress_plus0),
-        sigma_n_minus=np.real(stress_minus),
-        tau_n_minus=np.imag(stress_minus),
-        ut_plus0=np.real(dudt_plus0),
-        un_plus0=np.imag(dudt_plus0),
-        ut_minus=np.real(dudt_minus),
-        un_minus=np.imag(dudt_minus),
-        q0=q0,
-        q=q,
-        g0p=g0p,
-        gp=gp,
-    )
+    fields = {}
+    for phase in setup.phases:
+        q, g = dset.eval(phase.q, s), dset.eval(phase.g, s)
+        stress, dudt = phase.sign * 2.0 * q, phase.displacement_factor * g
+        suffix = _FIELD_SUFFIX[phase.name]
+        fields.update({
+            phase.q: q,
+            phase.g: g,
+            f"sigma_n_{suffix}": np.real(stress),
+            f"tau_n_{suffix}": np.imag(stress),
+            f"ut_{suffix}": np.real(dudt),
+            f"un_{suffix}": np.imag(dudt),
+        })
+    return BoundaryField(s=s, arc=np.where(s <= dset.l0, 0, 1), **fields)
 
 
 def _arc_samples(lo, hi, n_samples, edge=1e-3):
@@ -142,13 +133,21 @@ def interface_fields(dset, setup, n_samples=400):
     return boundary_fields(dset, setup, _arc_samples(dset.l0, dset.l, n_samples))
 
 
-def _dudt(dset, setup, s, side):
-    mu, kap, mu0, kap0 = _coefficients(setup)
-    if side == "inclusion":
-        return 1j * (kap0 + 1.0) / (2.0 * mu0) * dset.eval("g0p", s)
-    if side == "matrix":
-        return -1j * (kap + 1.0) / (2.0 * mu) * dset.eval("gp", s)
-    raise ValueError(f"side must be 'inclusion' or 'matrix', got {side!r}")
+def _dudt(dset, phase, s):
+    """d(u1+iu2)/dt from the side of a Phase."""
+    return phase.displacement_factor * dset.eval(phase.g, s)
+
+
+def _opening_dudt(dset, setup, s):
+    """Jump of d(u1+iu2)/dt across the contour, inclusion side minus matrix side."""
+    inclusion, matrix = setup.phases
+    return _dudt(dset, inclusion, s) - _dudt(dset, matrix, s)
+
+
+def _cumulative_trapezoid(s, f):
+    """Cumulative trapezoid integral of f over the samples s, zero at s[0]."""
+    steps = np.diff(s) * 0.5 * (f[1:] + f[:-1])
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def displacements(dset, setup, n_samples=2001):
@@ -160,21 +159,19 @@ def displacements(dset, setup, n_samples=2001):
     bonded arc at its midpoint.  Rigid translation is otherwise undetermined
     by the derivative-only formulation.  Returns (s, u_inclusion, u_matrix).
     """
-    contour = setup.contour
+    inclusion, matrix = setup.phases
     s = np.linspace(0.0, dset.l, n_samples)
-    tangent = contour.tangent(s)
+    tangent = setup.contour.tangent(s)
 
-    def cumulative(side, anchor_s, anchor_value):
-        duds = _dudt(dset, setup, s, side) * tangent
-        # cumulative trapezoid from s[0], then shift so u(anchor_s) = anchor
-        steps = np.diff(s) * 0.5 * (duds[1:] + duds[:-1])
-        u = np.concatenate([[0.0], np.cumsum(steps)])
+    def cumulative(phase, anchor_s, anchor_value):
+        # integrate from s[0], then shift so u(anchor_s) = anchor_value
+        u = _cumulative_trapezoid(s, _dudt(dset, phase, s) * tangent)
         return u - np.interp(anchor_s, s, u.real) - 1j * np.interp(anchor_s, s, u.imag) + anchor_value
 
-    u_inc = cumulative("inclusion", 0.5 * dset.l0, 0.0)
+    u_inc = cumulative(inclusion, 0.5 * dset.l0, 0.0)
     anchor_bond = 0.5 * (dset.l0 + dset.l)
     u_inc_at_bond = np.interp(anchor_bond, s, u_inc.real) + 1j * np.interp(anchor_bond, s, u_inc.imag)
-    u_mat = cumulative("matrix", anchor_bond, u_inc_at_bond)
+    u_mat = cumulative(matrix, anchor_bond, u_inc_at_bond)
     return s, u_inc, u_mat
 
 
@@ -203,8 +200,7 @@ def opening_profile(dset, setup, n_samples=2001, window=(0.0, 1.0)):
     """|jump of d(u1+iu2)/dt| across the crack faces over a window of L0."""
     lo, hi = window
     s = np.linspace(max(lo, 1e-4) * dset.l0, min(hi, 1.0 - 1e-4) * dset.l0, n_samples)
-    jump = _dudt(dset, setup, s, "inclusion") - _dudt(dset, setup, s, "matrix")
-    return s, np.abs(jump)
+    return s, np.abs(_opening_dudt(dset, setup, s))
 
 
 def max_crack_opening(dset, setup, window=OPENING_WINDOW, n_samples=2001):
@@ -226,11 +222,8 @@ def max_crack_aperture(dset, setup, n_samples=2001):
     This aperture measure is an additional output; the primary crack-opening
     number is the derivative-jump maximum of max_crack_opening.
     """
-    contour = setup.contour
     s = np.linspace(0.0, dset.l0, n_samples)
-    jump_deriv = (_dudt(dset, setup, s, "inclusion") - _dudt(dset, setup, s, "matrix")) * contour.tangent(s)
-    steps = np.diff(s) * 0.5 * (jump_deriv[1:] + jump_deriv[:-1])
-    jump = np.concatenate([[0.0], np.cumsum(steps)])
+    jump = _cumulative_trapezoid(s, _opening_dudt(dset, setup, s) * setup.contour.tangent(s))
     return float(np.max(np.abs(jump)))
 
 
@@ -312,6 +305,7 @@ def potentials_at(dset, setup, z, region, rule=FINE_RULE):
     Points within NEAR_BOUNDARY_FACTOR * l of the contour are refused; use
     the boundary traces instead.
     """
+    phase = setup.phase(region)
     contour = setup.contour
     disc = rule.discretize(contour)
     z = complex(z)
@@ -323,23 +317,14 @@ def potentials_at(dset, setup, z, region, rule=FINE_RULE):
         )
     winding = np.sum(disc.w * disc.dt / (disc.tau - z)) / (2j * np.pi)
     inside = abs(winding - 1.0) < 0.5
-    if region == "inclusion" and not inside:
-        raise ValueError("point lies outside the contour but region='inclusion'")
-    if region == "matrix" and inside:
-        raise ValueError("point lies inside the contour but region='matrix'")
+    if inside != (phase.name == "inclusion"):
+        where = "inside" if inside else "outside"
+        raise ValueError(f"point lies {where} the contour but region={region!r}")
 
-    mu, kap, mu0, kap0 = _coefficients(setup)
-    if region == "inclusion":
-        g_name, q_name, kappa = "g0p", "q0", kap0
-        phi_const, psi_const = 0.0, 0.0
-    elif region == "matrix":
-        g_name, q_name, kappa = "gp", "q", kap
-        phi_const, psi_const = setup.load.gamma, setup.load.gamma_prime
-    else:
-        raise ValueError(f"region must be 'inclusion' or 'matrix', got {region!r}")
-
-    g = dset.eval(g_name, disc.s)
-    q = dset.eval(q_name, disc.s)
+    kappa = phase.kappa
+    phi_const, psi_const = phase.far_field
+    g = dset.eval(phase.g, disc.s)
+    q = dset.eval(phase.q, disc.s)
     dtau = disc.w * disc.dt
     inv = 1.0 / (disc.tau - z)
     inv2 = inv * inv
@@ -377,26 +362,10 @@ _FIELD_COLUMNS = [
 
 def write_boundary_fields_csv(path, field):
     """One row per sample with all boundary fields and density traces."""
-    cols = [
-        field.s,
-        field.arc,
-        field.sigma_n_plus0,
-        field.tau_n_plus0,
-        field.sigma_n_minus,
-        field.tau_n_minus,
-        field.ut_plus0,
-        field.un_plus0,
-        field.ut_minus,
-        field.un_minus,
-        np.real(field.q0),
-        np.imag(field.q0),
-        np.real(field.q),
-        np.imag(field.q),
-        np.real(field.g0p),
-        np.imag(field.g0p),
-        np.real(field.gp),
-        np.imag(field.gp),
-    ]
+    traces = ("sigma_n_plus0", "tau_n_plus0", "sigma_n_minus", "tau_n_minus",
+              "ut_plus0", "un_plus0", "ut_minus", "un_minus")
+    cols = [field.s, field.arc, *(getattr(field, name) for name in traces)]
+    cols += [part(getattr(field, name)) for name in ("q0", "q", "g0p", "gp") for part in (np.real, np.imag)]
     write_csv(path, _FIELD_COLUMNS, cols)
 
 

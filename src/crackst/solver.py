@@ -28,7 +28,10 @@ Rows of the real linear system:
     both tips (four rows).
 
 The system has 14N+22 columns and is solved by weighted least squares with
-rank and condition reporting.
+rank and condition reporting.  Each pair of rows that differs only by phase
+is built by one loop over ``setup.phases`` (model.Phase), which holds every
+per-phase convention: density names, trace sign, face tension and tractions,
+far field and the material factors.
 The rows are built from a basis object (_LegendreBasis here), which also
 sets their points and weights; tips.solve_tip_resolved assembles the same
 rows on a basis that adds functions resolving the crack tips to the same
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import legendre as L
@@ -70,7 +73,6 @@ __all__ = [
     "solve",
     "solve_problem",
     "solve_cases",
-    "tension_coefficients",
 ]
 
 FUNCTIONS = ("q0", "g0p", "q", "gp")
@@ -143,6 +145,31 @@ def collocation_points(l0, l, n, delta):
     return crack, bond
 
 
+def _piece(which, arc):
+    """Index of the piece of density ``which`` on arc 0 (crack) or 1 (bonded)."""
+    try:
+        return 4 * arc + FUNCTIONS.index(which)
+    except ValueError:
+        raise ValueError(f"unknown density {which!r}; expected one of {FUNCTIONS}")
+
+
+def _eval_arcs(densities, which, s, arc_values):
+    """The shared body of the densities' ``eval``: checks that s lies in
+    [0, l] and names a density, then fills the points of each arc with
+    arc_values(piece, arc, s of the arc)."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((s_arr >= -1e-12) & (s_arr <= densities.l + 1e-12)):
+        raise ValueError("arc length outside [0, l] or not a number")
+    crack_piece = _piece(which, 0)
+    arc = np.where(s_arr <= densities.l0, 0, 1)
+    out = np.zeros(s_arr.shape, dtype=complex)
+    for a in (0, 1):
+        mask = arc == a
+        if np.any(mask):
+            out[mask] = arc_values(crack_piece + 4 * a, a, s_arr[mask])
+    return out if np.ndim(s) else out[0]
+
+
 def _a_len(piece, n):
     return n + 1 if piece == 6 else n + 2
 
@@ -213,13 +240,6 @@ class DensitySet:
     def halves(self):
         return (0.5 * self.l0, 0.5 * (self.l - self.l0))
 
-    def piece(self, which, arc):
-        try:
-            f = FUNCTIONS.index(which)
-        except ValueError:
-            raise ValueError(f"unknown density {which!r}; expected one of {FUNCTIONS}")
-        return 4 * arc + f
-
     def _coeffs(self, piece):
         a = self.a[piece]
         b = np.pad(self.b[piece], (0, len(a) - len(self.b[piece])))
@@ -227,19 +247,12 @@ class DensitySet:
 
     def eval(self, which, s, order=0):
         """Value (order=0) or exact s-derivative of a density."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr < -1e-12) or np.any(s_arr > self.l + 1e-12):
-            raise ValueError("arc length outside [0, l]")
-        arc = np.where(s_arr <= self.l0, 0, 1)
-        out = np.zeros(s_arr.shape, dtype=complex)
-        for a in (0, 1):
-            mask = arc == a
-            if not np.any(mask):
-                continue
-            h = self.halves[a]
-            coef = L.legder(self._coeffs(self.piece(which, a)), order) / h**order
-            out[mask] = L.legval((s_arr[mask] - self.centers[a]) / h, coef)
-        return out if np.ndim(s) else out[0]
+        def arc_values(piece, arc, s_arc):
+            h = self.halves[arc]
+            coef = L.legder(self._coeffs(piece), order) / h**order
+            return L.legval((s_arc - self.centers[arc]) / h, coef)
+
+        return _eval_arcs(self, which, s, arc_values)
 
     def max_abs_coefficient(self):
         return max(
@@ -605,19 +618,6 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     return systems
 
 
-def tension_coefficients(setup):
-    """Coefficients gamma (kappa + 1) / (4 mu) of the surface-tension
-    conditions: crack face seen from the inclusion, crack face seen from the
-    matrix, bonded line."""
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
-    return (
-        setup.surface.gamma_plus * (kap0 + 1.0) / (4.0 * mu0),
-        setup.surface.gamma_minus * (kap + 1.0) / (4.0 * mu),
-        setup.surface.gamma_interface * (kap0 + 1.0) / (4.0 * mu0),
-    )
-
-
 def _elimination(setup, layout):
     """Bonded-arc g' coefficients of degree >= 1 follow the bonded-arc g0'
     coefficients with factor lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
@@ -626,16 +626,12 @@ def _elimination(setup, layout):
     becomes mat[:, free] plus lam times mat[:, linked] added to the free
     columns at ``sources``, and a free solution x the full vector with
     full[free] = x and full[linked] = lam * x[sources]."""
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
-    lam = -mu * (kap0 + 1.0) / (mu0 * (kap + 1.0))
+    inclusion, matrix = setup.phases
+    lam = -matrix.mu * (inclusion.kappa + 1.0) / (inclusion.mu * (matrix.kappa + 1.0))
+    src, dst = _piece(inclusion.g, 1), _piece(matrix.g, 1)
     links = {}
-    a_src, a_dst = layout.a_cols(5), layout.a_cols(7)
-    b_src, b_dst = layout.b_cols(5), layout.b_cols(7)
-    for kk in range(1, a_dst.size):
-        links[int(a_dst[kk])] = int(a_src[kk])
-    for kk in range(1, b_dst.size):
-        links[int(b_dst[kk])] = int(b_src[kk])
+    for cols in (layout.a_cols, layout.b_cols):
+        links.update(zip(cols(dst)[1:].tolist(), cols(src)[1:].tolist()))
     free = [c for c in range(layout.total) if c not in links]
     pos = {c: i for i, c in enumerate(free)}
     sources = [pos[src] for src in links.values()]
@@ -655,9 +651,7 @@ def _assemble_rows(setups, basis, tab):
     layout = _Layout(basis.n, basis)
     crack_sel, bond_sel = (np.flatnonzero(tab.arc_of_pt == arc) for arc in (0, 1))
     crack_pts, bond_pts = tab.pts[crack_sel], tab.pts[bond_sel]
-
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
+    inclusion, matrix = phases = setup.phases
 
     n_pts = tab.pts.size
     n_cases = len(setups)
@@ -670,11 +664,11 @@ def _assemble_rows(setups, basis, tab):
     w_bond = taper(bond_pts, contour.l0, contour.l)
     w_both = np.concatenate([w_crack, w_bond])
 
-    def family(z, direct, a_fac, b1_fac, b2_fac, pieces):
-        """Add the complex coefficients of one density family to the block z
-        [n_pts, full].  The families of one equation have disjoint columns,
-        so each adds to zeros."""
-        for p in pieces:
+    def family(z, direct, a_fac, b1_fac, b2_fac, name):
+        """Add the complex coefficients of density ``name`` on both arcs to
+        the block z [n_pts, full].  The families of one equation have
+        disjoint columns, so each adds to zeros."""
+        for p in (_piece(name, 0), _piece(name, 1)):
             arc = p // 4
             ka, kb = layout.lengths[p]
             key_a, key_b = basis.part_keys(p)
@@ -694,72 +688,54 @@ def _assemble_rows(setups, basis, tab):
             size = z.shape[0]
             yield part(z), part(rvec), [tag + suffix] * size, np.broadcast_to(weight, (size,))
 
-    # Zero extension of the inclusion outside the contour.
-    z_inc = np.zeros((n_pts, layout.total), dtype=complex)
-    family(
-        z_inc,
-        direct=-0.5j * (kap0 + 1.0),
-        a_fac=(kap0 - 1.0) / (2.0 * np.pi),
-        b1_fac=-1.0 / (2.0 * np.pi),
-        b2_fac=-1.0 / (2.0 * np.pi),
-        pieces=(1, 5),
-    )
-    family(
-        z_inc,
-        direct=0.0,
-        a_fac=2.0 * kap0 / ((kap0 + 1.0) * 1j * np.pi),
-        b1_fac=kap0 / ((kap0 + 1.0) * 1j * np.pi),
-        b2_fac=1.0 / ((kap0 + 1.0) * 1j * np.pi),
-        pieces=(0, 4),
-    )
-    yield from complex_rows(z_inc, np.zeros((n_pts, n_cases), dtype=complex), "inclusion_extension", w_both)
-    del z_inc
-
-    # Zero extension of the matrix inside the contour, with the
-    # single-valuedness integral and the remote-load terms.
-    z_mat = np.zeros((n_pts, layout.total), dtype=complex)
-    family(
-        z_mat,
-        direct=0.5j * (kap + 1.0),
-        a_fac=(kap - 1.0) / (2.0 * np.pi),
-        b1_fac=-1.0 / (2.0 * np.pi),
-        b2_fac=-1.0 / (2.0 * np.pi),
-        pieces=(3, 7),
-    )
-    family(
-        z_mat,
-        direct=0.0,
-        a_fac=2.0 * kap / ((kap + 1.0) * 1j * np.pi),
-        b1_fac=kap / ((kap + 1.0) * 1j * np.pi),
-        b2_fac=1.0 / ((kap + 1.0) * 1j * np.pi),
-        pieces=(2, 6),
-    )
-    inv_dt = 1.0 / tab.dt_p
-
     def moments(piece):
         """Integrals of the real- and imaginary-part functions over the arc."""
         (ka, kb), (key_a, key_b) = layout.lengths[piece], basis.part_keys(piece)
         return tab.Q[piece // 4, key_a][:ka], tab.Q[piece // 4, key_b][:kb]
 
-    for piece, fac in ((1, (kap0 + 1.0) / mu0), (3, (kap + 1.0) / mu)):
-        q_a, q_b = moments(piece)
-        z_mat[:, layout.a_cols(piece)] += fac * np.outer(inv_dt, q_a)
-        z_mat[:, layout.b_cols(piece)] += 1j * (fac * np.outer(inv_dt, q_b))
-    load_term = np.stack(
-        [
-            (kap - 1.0) * s.load.gamma - np.conj(s.load.gamma_prime) * np.conj(tab.dt_p) / tab.dt_p
-            for s in setups
-        ],
-        axis=1,
-    )
-    yield from complex_rows(z_mat, -load_term, "matrix_extension", w_both)
-    del z_mat
+    # Zero extension of each phase across the contour: of the inclusion
+    # outside it, of the matrix inside it.  The matrix-side equation also
+    # carries the single-valuedness integral and the remote-load terms.
+    inv_dt = 1.0 / tab.dt_p
+    for phase in phases:
+        kap = phase.kappa
+        z = np.zeros((n_pts, layout.total), dtype=complex)
+        family(
+            z,
+            direct=-phase.sign * 0.5j * (kap + 1.0),
+            a_fac=(kap - 1.0) / (2.0 * np.pi),
+            b1_fac=-1.0 / (2.0 * np.pi),
+            b2_fac=-1.0 / (2.0 * np.pi),
+            name=phase.g,
+        )
+        family(
+            z,
+            direct=0.0,
+            a_fac=2.0 * kap / ((kap + 1.0) * 1j * np.pi),
+            b1_fac=kap / ((kap + 1.0) * 1j * np.pi),
+            b2_fac=1.0 / ((kap + 1.0) * 1j * np.pi),
+            name=phase.q,
+        )
+        if phase is matrix:
+            for other in phases:
+                piece, fac = _piece(other.g, 0), other.slope_factor
+                q_a, q_b = moments(piece)
+                z[:, layout.a_cols(piece)] += fac * np.outer(inv_dt, q_a)
+                z[:, layout.b_cols(piece)] += 1j * (fac * np.outer(inv_dt, q_b))
+            rhs = -np.stack(
+                [
+                    (kap - 1.0) * gamma - np.conj(gamma_p) * np.conj(tab.dt_p) / tab.dt_p
+                    for gamma, gamma_p in (s.phase(phase.name).far_field for s in setups)
+                ],
+                axis=1,
+            )
+        else:
+            rhs = np.zeros((n_pts, n_cases), dtype=complex)
+        yield from complex_rows(z, rhs, f"{phase.name}_extension", w_both)
+        del z, rhs  # the next block is built without these
 
     # Surface-tension conditions on the crack faces and the traction-jump
     # condition on the bonded arc.
-    f1 = np.stack([s.tractions.f1(crack_pts) for s in setups], axis=1)
-    f2 = np.stack([s.tractions.f2(crack_pts) for s in setups], axis=1)
-
     def tension_rows(sel, arc, coef, q_pieces, g_piece, rhs_re, rhs_im, tag, weight):
         # Re q = coef*rho*(rho*Im g' + Re g'') + rhs_re, and the arc-length
         # derivative of the bracket for Im q.  The density is already a first
@@ -783,9 +759,12 @@ def _assemble_rows(setups, basis, tab):
         for row, b, suffix in ((row_re, rhs_re, "_re"), (row_im, rhs_im, "_im")):
             yield row, b, [tag + suffix] * sel.size, np.broadcast_to(weight, (sel.size,))
 
-    c_plus, c_minus, c_iface = tension_coefficients(setup)
-    yield from tension_rows(crack_sel, 0, c_plus, (0,), 1, 0.5 * np.real(f1), 0.5 * np.imag(f1), "crack_plus", w_crack)
-    yield from tension_rows(crack_sel, 0, c_minus, (2,), 3, -0.5 * np.real(f2), -0.5 * np.imag(f2), "crack_minus", w_crack)
+    for phase in phases:
+        f = np.stack([s.phase(phase.name).traction(crack_pts) for s in setups], axis=1)
+        yield from tension_rows(
+            crack_sel, 0, phase.tension_coefficient, (_piece(phase.q, 0),), _piece(phase.g, 0),
+            phase.sign * 0.5 * np.real(f), phase.sign * 0.5 * np.imag(f), f"crack_{phase.side}", w_crack,
+        )
     zero = np.zeros((bond_pts.size, n_cases))
     # With a vanishing interface tension the jump condition reads q0 + q = 0,
     # whose content is smooth (the tip logarithms cancel in the sum), so it
@@ -795,25 +774,28 @@ def _assemble_rows(setups, basis, tab):
         w_jump = BOND_WEIGHT
     else:
         w_jump = w_bond
-    yield from tension_rows(bond_sel, 1, c_iface, (4, 6), 5, zero, zero, "bond_jump", w_jump)
+    # The bonded line's tension acts on the inclusion-side displacement.
+    bond = replace(inclusion, gamma=setup.surface.gamma_interface)
+    bond_q = tuple(_piece(phase.q, 1) for phase in phases)
+    yield from tension_rows(
+        bond_sel, 1, bond.tension_coefficient, bond_q, _piece(bond.g, 1), zero, zero, "bond_jump", w_jump
+    )
 
     # Constant-term tie of the bonded-arc slope proportionality (the higher
     # coefficients are eliminated exactly).
-    for src, dst, tag in (
-        (layout.a_cols(5)[0], layout.a_cols(7)[0], "bond_slope_tie_re"),
-        (layout.b_cols(5)[0], layout.b_cols(7)[0], "bond_slope_tie_im"),
-    ):
+    for cols, tag in ((layout.a_cols, "bond_slope_tie_re"), (layout.b_cols, "bond_slope_tie_im")):
         row = np.zeros((1, layout.total))
-        row[0, src] = (kap0 + 1.0) / mu0
-        row[0, dst] = (kap + 1.0) / mu
+        for phase in phases:
+            row[0, cols(_piece(phase.g, 1))[0]] = phase.slope_factor
         yield row, np.zeros((1, n_cases)), [tag], np.array([basis.tip_weight])
 
     # Total-force balance: int (q0 - q) d tau = 0 over the whole contour.
     zf = np.zeros((1, layout.total), dtype=complex)
-    for piece, sign in ((0, 1.0), (4, 1.0), (2, -1.0), (6, -1.0)):
-        q_a, q_b = moments(piece)
-        zf[0, layout.a_cols(piece)] += sign * q_a
-        zf[0, layout.b_cols(piece)] += 1j * sign * q_b
+    for phase in phases:
+        for piece in (_piece(phase.q, 0), _piece(phase.q, 1)):
+            q_a, q_b = moments(piece)
+            zf[0, layout.a_cols(piece)] += phase.sign * q_a
+            zf[0, layout.b_cols(piece)] += 1j * phase.sign * q_b
     yield from complex_rows(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", FORCE_WEIGHT)
 
     # Single-valuedness of the displacements along the crack: the same
@@ -821,7 +803,8 @@ def _assemble_rows(setups, basis, tab):
     # vanish; enforcing it explicitly keeps the discrete solution from
     # exciting the gauge family the continuum argument removes.
     zsv = np.zeros((1, layout.total), dtype=complex)
-    for piece, fac in ((1, (kap0 + 1.0) / mu0), (3, (kap + 1.0) / mu)):
+    for phase in phases:
+        piece, fac = _piece(phase.g, 0), phase.slope_factor
         q_a, q_b = moments(piece)
         zsv[0, layout.a_cols(piece)] += fac * q_a
         zsv[0, layout.b_cols(piece)] += 1j * fac * q_b
@@ -829,10 +812,12 @@ def _assemble_rows(setups, basis, tab):
 
     # Continuity of Re g0' and Re g' across both tips: tip 0 joins the start
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
-    for crack_piece, bond_piece, name in ((1, 5, "g0"), (3, 7, "g")):
+    for phase in phases:
+        crack_piece, bond_piece = _piece(phase.g, 0), _piece(phase.g, 1)
         kc_, kb_ = layout.lengths[crack_piece][0], layout.lengths[bond_piece][0]
         crack_start, crack_end = basis.functions(0, basis.part_keys(crack_piece)[0], [0.0, contour.l0])
         bond_start, bond_end = basis.functions(1, basis.part_keys(bond_piece)[0], [contour.l0, contour.l])
+        name = phase.g.removesuffix("p")  # g0 or g
         for crack_val, bond_val, tag in (
             (crack_start[:kc_], bond_end[:kb_], f"{name}_slope_continuity_tip0"),
             (crack_end[:kc_], bond_start[:kb_], f"{name}_slope_continuity_tip1"),

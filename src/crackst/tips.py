@@ -22,9 +22,9 @@ from .solver import (
     FUNCTIONS,
     OVERSAMPLE,
     _LegendreBasis,
+    _eval_arcs,
     assemble,
     solve,
-    tension_coefficients,
 )
 
 __all__ = ["TipResolvedDensities", "face_tension_length", "solve_tip_resolved"]
@@ -52,7 +52,7 @@ def face_tension_length(setup):
     These are the coefficients of the crack-face conditions; the surface
     tension regularizes the tip fields within a layer of about this width.
     """
-    return max(tension_coefficients(setup)[:2])
+    return max(phase.tension_coefficient for phase in setup.phases)
 
 
 # Function kinds of the zone series: stress densities, and the real and
@@ -241,23 +241,15 @@ class TipResolvedDensities:
 
     def eval(self, which, s, order=0):
         """Value (order=0) or s-derivative of a density, as DensitySet.eval."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr < -1e-12) or np.any(s_arr > self.l + 1e-12):
-            raise ValueError("arc length outside [0, l]")
-        try:
-            f = FUNCTIONS.index(which)
-        except ValueError:
-            raise ValueError(f"unknown density {which!r}; expected one of {FUNCTIONS}")
-        arc = np.where(s_arr <= self.l0, 0, 1)
-        out = np.zeros(s_arr.shape, dtype=complex)
-        for a in (0, 1):
-            mask = arc == a
-            if np.any(mask):
-                key_a, key_b = self.basis.part_keys(4 * a + f)
-                re, im = self.coefficients[4 * a + f]
-                out[mask] = self.basis.functions(a, key_a, s_arr[mask], order) @ re
-                out[mask] += 1j * (self.basis.functions(a, key_b, s_arr[mask], order) @ im)
-        return out if np.ndim(s) else out[0]
+        def arc_values(piece, arc, s_arc):
+            key_a, key_b = self.basis.part_keys(piece)
+            re, im = self.coefficients[piece]
+            return (
+                self.basis.functions(arc, key_a, s_arc, order) @ re
+                + 1j * (self.basis.functions(arc, key_b, s_arc, order) @ im)
+            )
+
+        return _eval_arcs(self, which, s, arc_values)
 
 
 def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):

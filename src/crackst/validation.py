@@ -16,6 +16,10 @@ restatement of the fit:
                                  full integral representation match the
                                  algebraic values 2 q0 and -2 q;
   * force_balance / single_valuedness -- the conserved integrals vanish.
+
+The checks that differ by phase loop over ``setup.phases`` (model.Phase),
+which holds the density names, trace signs, face tensions and tractions,
+far fields and material factors, so each convention is written once.
 """
 
 from __future__ import annotations
@@ -200,18 +204,12 @@ def cauchy_inversion_checks(contour, trials, rule=FINE_RULE):
     ]
 
 
-def _displacement_derivatives(dset, setup, s, side):
-    """First three arc-length derivatives of the one-sided displacement
-    traces, from the Frenet frame and the exact polynomial derivatives."""
-    contour = setup.contour
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
-    if side == "inclusion":
-        factor = 1j * (kap0 + 1.0) / (2.0 * mu0)
-        g = [dset.eval("g0p", s, order=k) for k in range(3)]
-    else:
-        factor = -1j * (kap + 1.0) / (2.0 * mu)
-        g = [dset.eval("gp", s, order=k) for k in range(3)]
+def _displacement_derivatives(dset, contour, phase, s):
+    """First three arc-length derivatives of the phase's one-sided
+    displacement trace, from the Frenet frame and the exact polynomial
+    derivatives."""
+    factor = phase.displacement_factor
+    g = [dset.eval(phase.g, s, order=k) for k in range(3)]
     dt = contour.tangent(s)
     d2t = contour.second_derivative(s)
     d3t = contour.third_derivative(s)
@@ -255,23 +253,18 @@ def original_bc_residual(dset, setup, s_samples=None, scale=None):
         s_crack = s_samples[s_samples <= l0]
         s_bond = s_samples[s_samples > l0]
 
-    gam = setup.surface
     mismatches = []
     if s_crack.size:
-        d1, d2, d3 = _displacement_derivatives(dset, setup, s_crack, "inclusion")
-        lhs = 2.0 * dset.eval("q0", s_crack)
-        rhs = _surface_rhs(setup, s_crack, gam.gamma_plus, d1, d2, d3) + setup.tractions.f1(s_crack)
-        mismatches.append(np.abs(lhs - rhs))
-
-        d1, d2, d3 = _displacement_derivatives(dset, setup, s_crack, "matrix")
-        lhs = -2.0 * dset.eval("q", s_crack)
-        rhs = _surface_rhs(setup, s_crack, gam.gamma_minus, d1, d2, d3) + setup.tractions.f2(s_crack)
-        mismatches.append(np.abs(lhs - rhs))
+        for phase in setup.phases:
+            d1, d2, d3 = _displacement_derivatives(dset, setup.contour, phase, s_crack)
+            lhs = phase.sign * 2.0 * dset.eval(phase.q, s_crack)
+            rhs = _surface_rhs(setup, s_crack, phase.gamma, d1, d2, d3) + phase.traction(s_crack)
+            mismatches.append(np.abs(lhs - rhs))
 
     if s_bond.size:
-        d1, d2, d3 = _displacement_derivatives(dset, setup, s_bond, "inclusion")
+        d1, d2, d3 = _displacement_derivatives(dset, setup.contour, setup.phase("inclusion"), s_bond)
         lhs = 2.0 * dset.eval("q0", s_bond) + 2.0 * dset.eval("q", s_bond)
-        rhs = _surface_rhs(setup, s_bond, gam.gamma_interface, d1, d2, d3)
+        rhs = _surface_rhs(setup, s_bond, setup.surface.gamma_interface, d1, d2, d3)
         mismatches.append(np.abs(lhs - rhs))
 
     value = float(max(np.max(m) for m in mismatches))
@@ -297,8 +290,7 @@ def stress_trace(dset, setup, s0, phase, side, rule=FINE_RULE):
     grading share one discretization and one PV evaluation.  ``phase`` is
     "inclusion" or "matrix" and ``side`` is "plus" or "minus".
     """
-    if phase not in ("inclusion", "matrix"):
-        raise ValueError(f"phase must be 'inclusion' or 'matrix', got {phase!r}")
+    phase = setup.phase(phase)
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     contour = setup.contour
@@ -320,16 +312,11 @@ def stress_trace(dset, setup, s0, phase, side, rule=FINE_RULE):
 
 
 def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
-    """stress_trace at the points s0, all graded with tip_panel and diag_eps."""
+    """stress_trace at the points s0, all graded with tip_panel and diag_eps,
+    for a Phase."""
     contour = setup.contour
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
-    if phase == "inclusion":
-        g_name, q_name, kappa = "g0p", "q0", kap0
-        g_const, gp_const = 0.0, 0.0
-    else:
-        g_name, q_name, kappa = "gp", "q", kap
-        g_const, gp_const = setup.load.gamma, setup.load.gamma_prime
+    g_name, q_name, kappa = phase.g, phase.q, phase.kappa
+    g_const, gp_const = phase.far_field
     sign = {"plus": +1.0, "minus": -1.0}[side]
 
     disc = rule.discretize(contour, tip_panel=tip_panel)
@@ -371,7 +358,6 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
     whole contour, including the unenforced tip zones; see TRACE_TOL.  It is
     relative to ``scale`` if given, else to the larger of the load and the
     field's own max |q0| at the samples."""
-    contour = setup.contour
     if s_samples is None:
         rng = np.random.default_rng(seed)
         s_samples = np.concatenate(
@@ -389,12 +375,11 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
         raise ValueError("trace_consistency needs at least one sample point, got none")
     if scale is None:
         scale = max(setup.load.magnitude, float(np.max(np.abs(dset.eval("q0", s_samples)))), 1e-12)
-    plus0 = stress_trace(dset, setup, s_samples, "inclusion", "plus")
-    minus = stress_trace(dset, setup, s_samples, "matrix", "minus")
-    worst = max(
-        np.max(np.abs(plus0 - 2.0 * dset.eval("q0", s_samples)) / scale, initial=0.0),
-        np.max(np.abs(minus + 2.0 * dset.eval("q", s_samples)) / scale, initial=0.0),
-    )
+    def mismatch(phase):
+        trace = stress_trace(dset, setup, s_samples, phase.name, phase.side)
+        return np.max(np.abs(trace - phase.sign * 2.0 * dset.eval(phase.q, s_samples)) / scale, initial=0.0)
+
+    worst = max(mismatch(phase) for phase in setup.phases)
     return ValidationCheck(
         name="trace_consistency",
         value=float(worst),
@@ -413,15 +398,14 @@ def conservation_checks(dset, setup, rule=FINE_RULE):
     """
     contour = setup.contour
     tip_panel = INNER_TIP_GRADING * contour.l
-    mu, kap = setup.matrix.shear_modulus, setup.matrix.kappa
-    mu0, kap0 = setup.inclusion.shear_modulus, setup.inclusion.kappa
+    phases = setup.phases
     force = contour_integral(
-        contour, lambda ss: dset.eval("q0", ss) - dset.eval("q", ss), rule, tip_panel=tip_panel
+        contour, lambda ss: sum(p.sign * dset.eval(p.q, ss) for p in phases), rule, tip_panel=tip_panel
     )
-    single = (kap0 + 1.0) / mu0 * contour_integral(
-        contour, lambda ss: dset.eval("g0p", ss), rule, arc=0, tip_panel=tip_panel
-    ) + (kap + 1.0) / mu * contour_integral(
-        contour, lambda ss: dset.eval("gp", ss), rule, arc=0, tip_panel=tip_panel
+    single = sum(
+        p.slope_factor
+        * contour_integral(contour, lambda ss: dset.eval(p.g, ss), rule, arc=0, tip_panel=tip_panel)
+        for p in phases
     )
     return [
         ValidationCheck(

@@ -102,3 +102,12 @@ def test_wraparound():
     c = cs.circular_contour(1.0, (0.0, np.pi))
     assert c.wrap(c.l + 0.3) == pytest.approx(0.3)
     assert c.point(c.l + 0.25) == pytest.approx(c.point(2 * np.pi + 0.25))
+
+
+def test_tabulated_contour_rejects_clockwise_samples():
+    theta = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    with pytest.raises(ValueError, match="clockwise"):
+        TabulatedContour(np.exp(-1j * theta), crack_end_fraction=0.5)
+    with pytest.raises(ValueError, match="clockwise"):
+        TabulatedContour(np.linspace(0.0, 1.0, 16) + 0j, crack_end_fraction=0.5)
+    assert TabulatedContour(np.exp(1j * theta), crack_end_fraction=0.5).curvature(1.0) > 0.0

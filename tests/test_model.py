@@ -120,3 +120,56 @@ def test_tractions_reject_nonfinite():
     bad = cs.CrackTractions(f1=lambda s: np.full_like(np.asarray(s), np.inf))
     with pytest.raises(ValueError):
         bad.f1(np.array([0.1]))
+
+
+@pytest.mark.parametrize("mode", ["plane-stress", "plane-strain"])
+def test_phase_records(unit_semicircle, mode):
+    """Every field and factor of both phases, against the formulas written out."""
+    mu, nu, mu0, nu0 = 40.0, 0.25, 60.0, 0.35
+    if mode == "plane-stress":
+        kap, kap0 = (3.0 - nu) / (1.0 + nu), (3.0 - nu0) / (1.0 + nu0)
+    else:
+        kap, kap0 = 3.0 - 4.0 * nu, 3.0 - 4.0 * nu0
+    setup = cs.ProblemSetup(
+        contour=unit_semicircle,
+        matrix=cs.Material(mu, nu, mode),
+        inclusion=cs.Material(mu0, nu0, mode),
+        surface=cs.SurfaceTension(0.1, 0.2, 0.05),
+        load=cs.RemoteLoad(1.0, 0.5, 0.3),
+        tractions=cs.CrackTractions.constant(f1=0.3 + 0.1j, f2=-0.2j),
+    )
+    inc, mat = setup.phases
+    assert (inc, mat) == (setup.phase("inclusion"), setup.phase("matrix"))
+
+    assert (inc.name, inc.q, inc.g, inc.sign, inc.side) == ("inclusion", "q0", "g0p", 1.0, "plus")
+    assert (inc.mu, inc.kappa, inc.gamma, inc.far_field) == (mu0, kap0, 0.1, (0.0, 0.0))
+    assert inc.slope_factor == (kap0 + 1.0) / mu0
+    assert inc.displacement_factor == 1j * (kap0 + 1.0) / (2.0 * mu0)
+    assert inc.tension_coefficient == 0.1 * (kap0 + 1.0) / (4.0 * mu0)
+
+    gamma, gamma_prime = (1.0 + 0.5) / 4.0, (0.5 - 1.0) * np.exp(-2j * 0.3) / 2.0
+    assert (mat.name, mat.q, mat.g, mat.sign, mat.side) == ("matrix", "q", "gp", -1.0, "minus")
+    assert (mat.mu, mat.kappa, mat.gamma, mat.far_field) == (mu, kap, 0.2, (gamma, gamma_prime))
+    assert mat.slope_factor == (kap + 1.0) / mu
+    assert mat.displacement_factor == -1j * (kap + 1.0) / (2.0 * mu)
+    assert mat.tension_coefficient == 0.2 * (kap + 1.0) / (4.0 * mu)
+
+    s = np.linspace(0.1, 3.0, 5)
+    assert np.array_equal(inc.traction(s), np.full(5, 0.3 + 0.1j))
+    assert np.array_equal(mat.traction(s), np.full(5, -0.2j))
+    assert cs.face_tension_length(setup) == max(inc.tension_coefficient, mat.tension_coefficient)
+
+
+def test_unknown_phase_is_rejected_alike(reference_setup):
+    dset = cs.DensitySet.zeros(6, np.pi, 2 * np.pi)
+    calls = [
+        lambda: reference_setup.phase("solid"),
+        lambda: cs.validation.stress_trace(dset, reference_setup, 1.0, "solid", "plus"),
+        lambda: cs.potentials_at(dset, reference_setup, 0.1 + 0.1j, "solid"),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"phase must be 'inclusion' or 'matrix', got 'solid'"}

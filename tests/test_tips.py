@@ -155,3 +155,16 @@ def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monk
     cs.solve_tip_resolved(reference_setup, 24)
     assert seen
     assert all(eps == DIAG_EPS_FACTOR * reference_setup.contour.l for eps in seen)
+
+
+def test_densities_share_their_argument_checks(reference_setup):
+    basis = tips.TipEnrichedBasis(reference_setup, 8)
+    zeros = np.zeros(basis.size)
+    for dens in (cs.DensitySet.zeros(8, np.pi, 2 * np.pi), cs.TipResolvedDensities(basis, [(zeros, zeros)] * 8)):
+        with pytest.raises(ValueError, match="unknown density 'q1'"):
+            dens.eval("q1", 1.0)
+        for bad in (7.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                dens.eval("q0", [1.0, bad])
+        assert dens.eval("gp", 1.0) == 0.0
+        assert dens.eval("gp", [1.0, 4.0], order=2).shape == (2,)
