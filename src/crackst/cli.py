@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -22,7 +21,7 @@ from .config import ConfigError, RunConfig, dump_config, parse_config
 from .scenarios import SCENARIOS, scenario_config, scenario_metadata
 from .kernels import QuadratureRule
 from .solver import MIN_ORDER, SingularSystemError, solve_cases
-from .validation import validate_solution
+from .validation import validate_solution, write_json
 
 __all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_scenario", "cmd_validate"]
 
@@ -100,18 +99,16 @@ def _solve_run(run_config, quiet=False):
 
 def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=None, tip_fits=False):
     setup = run_config.setup
-    with open(os.path.join(outdir, "densities.json"), "w") as fh:
-        json.dump(dset.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    samples = [post._arc_samples(0.0, dset.l0, 400), post._arc_samples(dset.l0, dset.l, 400)]
-    both = post.boundary_fields(dset, setup, np.concatenate(samples))
-    post.write_boundary_fields_csv(os.path.join(outdir, "boundary_fields.csv"), both)
+    write_json(os.path.join(outdir, "densities.json"), dset.to_dict())
+    post.write_boundary_fields_csv(
+        os.path.join(outdir, "boundary_fields.csv"),
+        post.crack_face_fields(dset, setup),
+        post.interface_fields(dset, setup),
+    )
     vreport.write_json(os.path.join(outdir, "validation.json"))
     # Stage timings vary between runs, so they stay out of summary.json and validation.json.
     timings = {**report.meta.get("timings", {}), **vreport.timings}
-    with open(os.path.join(outdir, "timings.json"), "w") as fh:
-        json.dump({"timings": timings, "batch": report.meta.get("batch")}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "timings.json"), {"timings": timings, "batch": report.meta.get("batch")})
     return post.write_summary_json(
         os.path.join(outdir, "summary.json"), dset, setup, report, extra=extra, with_tip_fits=tip_fits
     )
@@ -239,28 +236,17 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _field_curves(dset, setup, arc, n=241):
-    s = post._arc_samples(0.0, dset.l0, n) if arc == 0 else post._arc_samples(dset.l0, dset.l, n)
-    return s, post.boundary_fields(dset, setup, s)
-
-
 # Each scenario writes its data files and returns the solution of its base
 # configuration, (dset, report), for the standard artifacts.
 
 def _scenario_fig1(entry, run_config, outdir, quiet):
-    curves = {}
-    s_ref = None
-    solved = {}
-    for order in entry["orders_sweep"]:
+    orders, solved, curves = entry["orders_sweep"], {}, {}
+    for order in orders:
         case = RunConfig(run_config.setup, replace(run_config.numerics, order=order), run_config.output_dir)
         solved[order] = _solve_run(case, quiet)
-        dset = solved[order][0]
-        s = post._arc_samples(0.0, dset.l0, 241)
-        s_ref = s
-        g = dset.eval("g0p", s)
-        curves[order] = g
-    header = ["s"] + [f"{part}_g0_prime_order{n}" for n in entry["orders_sweep"] for part in ("re", "im")]
-    cols = [s_ref] + [vals for n in entry["orders_sweep"] for vals in (np.real(curves[n]), np.imag(curves[n]))]
+        curves[order] = post.crack_face_fields(solved[order][0], run_config.setup, 241)
+    header = ["s"] + [f"{part}_g0_prime_order{n}" for n in orders for part in ("re", "im")]
+    cols = [curves[orders[0]].s] + [part(curves[n].g0p) for n in orders for part in (np.real, np.imag)]
     post.write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
     return solved.get(run_config.numerics.order) or _solve_run(run_config, quiet)
 
@@ -269,30 +255,16 @@ def _scenario_fig2_fig3(name, entry, run_config, outdir, quiet):
     gammas = entry["gammas"]
     cases = [replace(run_config, setup=_with_param(run_config.setup, "gamma0", g)) for g in gammas]
     *solved, base = _solve_runs(cases + [run_config], quiet)
-    fields = {g: (dset, case.setup) for g, case, (dset, _) in zip(gammas, cases, solved)}
-    for arc, label in ((0, "crack"), (1, "bond")):
-        if name == "fig2":
-            quantities = (
-                ("sigma", ("sigma_n_plus0", "sigma_n_minus")),
-                ("tau", ("tau_n_plus0", "tau_n_minus")),
-            )
-        else:
-            quantities = (
-                ("ut", ("ut_plus0", "ut_minus")),
-                ("un", ("un_plus0", "un_minus")),
-            )
-        for qname, attrs in quantities:
-            header = ["s"]
-            cols = None
-            for gamma in gammas:
-                dset, setup = fields[gamma]
-                s, fld = _field_curves(dset, setup, arc)
-                if cols is None:
-                    cols = [s]
-                for attr in attrs:
-                    side = "plus_0" if "plus0" in attr else "minus"
+    prefixes = ("sigma_n", "tau_n") if name == "fig2" else ("ut", "un")
+    for sample, label in ((post.crack_face_fields, "crack"), (post.interface_fields, "bond")):
+        fields = [sample(dset, case.setup, 241) for case, (dset, _) in zip(cases, solved)]
+        for prefix in prefixes:
+            qname = prefix.partition("_")[0]
+            header, cols = ["s"], [fields[0].s]
+            for gamma, fld in zip(gammas, fields):
+                for suffix, side in (("plus0", "plus_0"), ("minus", "minus")):
                     header.append(f"{qname}_{side}_gamma{gamma:g}")
-                    cols.append(getattr(fld, attr))
+                    cols.append(getattr(fld, f"{prefix}_{suffix}"))
             post.write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
     return base
 
@@ -324,11 +296,11 @@ def _scenario_fig5(entry, run_config, outdir, quiet):
 
 def _scenario_fig5a(entry, run_config, outdir, quiet):
     dset, report = _solve_run(run_config, quiet)
-    s, fld = _field_curves(dset, run_config.setup, 1)
+    fld = post.interface_fields(dset, run_config.setup, 241)
     post.write_csv(
         os.path.join(outdir, "fig5a_stress_bond.csv"),
         ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
-        [s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
+        [fld.s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
     )
     return dset, report
 
@@ -373,9 +345,7 @@ def cmd_scenario(args):
     outdir = _out_dir(run_config, args.out)
     with open(os.path.join(outdir, "config.ini"), "w") as fh:
         fh.write(dump_config(run_config))
-    with open(os.path.join(outdir, "metadata.json"), "w") as fh:
-        json.dump(scenario_metadata(name), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "metadata.json"), scenario_metadata(name))
     try:
         if name == "fig1":
             dset, report = _scenario_fig1(entry, run_config, outdir, args.quiet)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,29 +25,11 @@ class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending key."""
 
 
-_SCHEMA = {
-    "contour": {"kind", "radius", "semi_axis_a", "semi_axis_b", "crack_start_rad", "crack_end_rad"},
-    "matrix": {"mu_gpa", "nu", "plane"},
-    "inclusion": {"mu_gpa", "nu", "plane"},
-    "surface_tension": {"gamma_plus", "gamma_minus", "gamma_interface"},
-    "load": {"sigma1_mpa", "sigma2_mpa", "alpha_rad"},
-    "tractions": {"preset", "f1_re_mpa", "f1_im_mpa", "f2_re_mpa", "f2_im_mpa"},
-    "numerics": {
-        "order",
-        "nodes_per_panel",
-        "panels_per_arc",
-        "adaptive_quadrature",
-        "rcond",
-    },
-    "output": {"directory"},
-}
-
-_REQUIRED = ("contour", "matrix", "inclusion", "surface_tension", "load")
-
-
 @dataclass
 class Numerics:
-    """Discretization controls; defaults follow the solver module."""
+    """Discretization controls; defaults follow the solver module.  Each
+    field is a key of the [numerics] section, read with the type of its
+    default."""
 
     order: int = 24
     nodes_per_panel: int = 16
@@ -60,6 +42,20 @@ class Numerics:
         every field sets the rule or the solve.  Its only caller is the
         benchmark's perfbench/worker.py, which unpacks it into assemble."""
         return {}
+
+
+_SCHEMA = {
+    "contour": {"kind", "radius", "semi_axis_a", "semi_axis_b", "crack_start_rad", "crack_end_rad"},
+    "matrix": {"mu_gpa", "nu", "plane"},
+    "inclusion": {"mu_gpa", "nu", "plane"},
+    "surface_tension": {"gamma_plus", "gamma_minus", "gamma_interface"},
+    "load": {"sigma1_mpa", "sigma2_mpa", "alpha_rad"},
+    "tractions": {"preset", "f1_re_mpa", "f1_im_mpa", "f2_re_mpa", "f2_im_mpa"},
+    "numerics": {f.name for f in fields(Numerics)},
+    "output": {"directory"},
+}
+
+_REQUIRED = ("contour", "matrix", "inclusion", "surface_tension", "load")
 
 
 @dataclass
@@ -77,11 +73,12 @@ def _read(parser, section, key, cast, default=None, required=False):
         return default
     text = parser.get(section, key)
     try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(text)
+        value = parser.getboolean(section, key) if cast is bool else cast(text)
+        if cast is float and not np.isfinite(value):
+            raise ValueError("a float key needs a finite number")
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {text!r}") from exc
+    return value
 
 
 def parse_config_text(text):
@@ -138,7 +135,7 @@ def parse_config_text(text):
             _read(parser, "load", "sigma2_mpa", float, required=True),
             _read(parser, "load", "alpha_rad", float, default=0.0),
         )
-        preset = _read(parser, "tractions", "preset", str, default="zero") if parser.has_section("tractions") else "zero"
+        preset = _read(parser, "tractions", "preset", str, default="zero")
         if preset == "zero":
             tractions = CrackTractions.zero()
         elif preset == "constant":
@@ -167,26 +164,18 @@ def parse_config_text(text):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    numerics = Numerics(
-        order=_read(parser, "numerics", "order", int, default=24),
-        nodes_per_panel=_read(parser, "numerics", "nodes_per_panel", int, default=16),
-        panels_per_arc=_read(parser, "numerics", "panels_per_arc", int, default=8),
-        adaptive_quadrature=_read(parser, "numerics", "adaptive_quadrature", bool, default=True),
-        rcond=_read(parser, "numerics", "rcond", float, default=1e-13),
-    ) if parser.has_section("numerics") else Numerics()
+    numerics = Numerics(**{
+        f.name: _read(parser, "numerics", f.name, type(f.default), default=f.default) for f in fields(Numerics)
+    })
     for key, ok, need in (
         ("nodes_per_panel", numerics.nodes_per_panel >= 4, "at least 4"),
         ("panels_per_arc", numerics.panels_per_arc >= 1, "at least 1"),
-        ("rcond", 0.0 <= numerics.rcond < 1.0, "finite and in [0, 1)"),
+        ("rcond", 0.0 <= numerics.rcond < 1.0, "in [0, 1)"),
     ):
         if not ok:
             raise ConfigError(f"bad value for [numerics] {key}: {getattr(numerics, key)!r}, need {need}")
 
-    output_dir = (
-        _read(parser, "output", "directory", str, default="out")
-        if parser.has_section("output")
-        else "out"
-    )
+    output_dir = _read(parser, "output", "directory", str, default="out")
     raw = {s: dict(parser.items(s)) for s in parser.sections()}
     return RunConfig(setup=setup, numerics=numerics, output_dir=output_dir, raw=raw)
 
@@ -235,14 +224,8 @@ def dump_config(run_config):
         "sigma2_mpa": repr(setup.load.sigma2),
         "alpha_rad": repr(setup.load.alpha),
     }
-    num = run_config.numerics
-    parser["numerics"] = {
-        "order": str(num.order),
-        "nodes_per_panel": str(num.nodes_per_panel),
-        "panels_per_arc": str(num.panels_per_arc),
-        "adaptive_quadrature": str(num.adaptive_quadrature).lower(),
-        "rcond": repr(num.rcond),
-    }
+    # str gives a float's repr and, lowered, a boolean getboolean reads.
+    parser["numerics"] = {f.name: str(getattr(run_config.numerics, f.name)).lower() for f in fields(Numerics)}
     parser["output"] = {"directory": run_config.output_dir}
     buf = io.StringIO()
     parser.write(buf)

@@ -35,6 +35,13 @@ _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 THETA_MEMO_SIZE = 64
 
 
+def _require_finite(**values):
+    """Raise a ValueError naming the first of the values that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class Contour:
     """Base class for closed contours with a marked crack arc.
 
@@ -86,6 +93,7 @@ class CircleContour(Contour):
     """
 
     def __init__(self, radius, crack_start, crack_end, center=0.0):
+        _require_finite(radius=radius, crack_start=crack_start, crack_end=crack_end)
         if radius <= 0.0:
             raise ValueError(f"radius must be positive, got {radius}")
         span = crack_end - crack_start
@@ -220,6 +228,7 @@ class EllipseContour(_ReparametrizedContour):
     """
 
     def __init__(self, a, b, crack_start, crack_end):
+        _require_finite(a=a, b=b, crack_start=crack_start, crack_end=crack_end)
         if a <= 0.0 or b <= 0.0:
             raise ValueError(f"semi-axes must be positive, got a={a}, b={b}")
         self.a = float(a)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _require_finite
+
 __all__ = [
     "Material",
     "SurfaceTension",
@@ -55,6 +57,7 @@ class Material:
     plane_mode: str = PLANE_STRESS
 
     def __post_init__(self):
+        _require_finite(shear_modulus=self.shear_modulus, poisson=self.poisson)
         if self.shear_modulus <= 0.0:
             raise ValueError(f"shear modulus must be positive, got {self.shear_modulus}")
         kolosov(self.poisson, self.plane_mode)  # validates range and mode
@@ -79,6 +82,7 @@ class SurfaceTension:
     gamma_interface: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.gamma_plus <= 0.0 or self.gamma_minus <= 0.0:
             raise ValueError(
                 "crack-face surface tensions must be positive, got "
@@ -104,6 +108,9 @@ class RemoteLoad:
     sigma1: float
     sigma2: float
     alpha: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(**vars(self))
 
     @property
     def gamma(self):

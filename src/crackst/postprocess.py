@@ -25,7 +25,6 @@ which resolves the tips, and only where that field passes the ladder checks
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .kernels import FINE_RULE
 from .solver import SingularSystemError
 from .tips import face_tension_length, solve_tip_resolved
-from .validation import original_bc_residual, trace_consistency
+from .validation import original_bc_residual, trace_consistency, write_json
 
 __all__ = [
     "BoundaryField",
@@ -360,12 +359,16 @@ _FIELD_COLUMNS = [
 ]
 
 
-def write_boundary_fields_csv(path, field):
-    """One row per sample with all boundary fields and density traces."""
+def write_boundary_fields_csv(path, *fields):
+    """One row per sample with all boundary fields and density traces, the
+    samples of each field in turn."""
+    def column(name):
+        return np.concatenate([getattr(field, name) for field in fields])
+
     traces = ("sigma_n_plus0", "tau_n_plus0", "sigma_n_minus", "tau_n_minus",
               "ut_plus0", "un_plus0", "ut_minus", "un_minus")
-    cols = [field.s, field.arc, *(getattr(field, name) for name in traces)]
-    cols += [part(getattr(field, name)) for name in ("q0", "q", "g0p", "gp") for part in (np.real, np.imag)]
+    cols = [column("s"), column("arc"), *(column(name) for name in traces)]
+    cols += [part(column(name)) for name in ("q0", "q", "g0p", "gp") for part in (np.real, np.imag)]
     write_csv(path, _FIELD_COLUMNS, cols)
 
 
@@ -434,7 +437,5 @@ def write_summary_json(path, dset, setup, report, extra=None, with_tip_fits=True
     }
     if extra:
         summary.update(extra)
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, summary)
     return summary

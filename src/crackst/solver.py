@@ -16,22 +16,24 @@ Rows of the real linear system:
     (vanishing displacement derivative of the inclusion outside the contour
     and of the matrix inside it), collocated at the basis' points (for the
     Legendre basis OVERSAMPLE*(N+1) interior points per arc), real and
-    imaginary parts split; the matrix-side equation carries the
-    single-valuedness integral and the remote-load terms;
+    imaginary parts split; the matrix-side equation carries the remote-load
+    terms;
   * the four real surface-tension conditions on the crack faces at the
     crack-arc points, and the two traction-jump conditions on the bonded arc
     at the bonded-arc points;
-  * the proportionality of g0' and g' on the bonded arc, imposed by
-    eliminating the degree >= 1 coefficients of the bonded-arc g' and adding
-    the constant-term tie as two residual rows;
-  * total-force balance (two rows) and continuity of Re g0', Re g' across
-    both tips (four rows).
+  * the constant-term tie of the bonded-arc proportionality of g0' and g'
+    (two rows);
+  * continuity of Re g0', Re g' across both tips (four rows).
 
-The system has 14N+22 columns and is solved by weighted least squares with
-rank and condition reporting.  Each pair of rows that differs only by phase
-is built by one loop over ``setup.phases`` (model.Phase), which holds every
-per-phase convention: density names, trace sign, face tension and tractions,
-far field and the material factors.
+The side conditions that hold exactly are imposed by eliminating columns
+(``_Elimination``): the degree >= 1 coefficients of the bonded-arc g'
+follow those of g0', and total-force balance and single-valuedness (four
+real constraints) each fix one more column.  The system has 14N+18 columns
+and is solved by weighted least squares with rank and condition reporting.
+Each pair of rows that differs only by phase is built by one loop over
+``setup.phases`` (model.Phase), which holds every per-phase convention:
+density names, trace sign, face tension and tractions, far field and the
+material factors.
 The rows are built from a basis object (_LegendreBasis here), which also
 sets their points and weights; tips.solve_tip_resolved assembles the same
 rows on a basis that adds functions resolving the crack tips to the same
@@ -104,16 +106,12 @@ DEFAULT_INSET_FRACTION = 0.03
 # Least-squares row weights: equation rows are tapered toward the tips with
 # exponent TAPER; the bonded-arc traction-jump rows are kept at full weight
 # times BOND_WEIGHT when their content is smooth (vanishing interface
-# tension); the integral constraint rows (force balance, single-valuedness)
-# are weighted strongly so the conserved quantities hold to post-hoc
-# quadrature accuracy.  The tip-anchored rows (slope continuity across the
-# tips, constant-term ties) stay at unit weight: they pin the polynomial
-# exactly where it is least accurate, and forcing them hard distorts the
-# interior solution.
+# tension).  The tip-anchored rows (slope continuity across the tips,
+# constant-term ties) stay at unit weight: they pin the polynomial exactly
+# where it is least accurate, and forcing them hard distorts the interior
+# solution.
 DEFAULT_TAPER = 1.0
 BOND_WEIGHT = 5.0
-CONSTRAINT_WEIGHT = 100.0
-FORCE_WEIGHT = 10.0
 TIP_ROW_WEIGHT = 1.0
 # A rank-deficient solve fails when its best fit misses the right-hand side
 # by more than this fraction of the data scale; a deficient but consistent
@@ -301,7 +299,7 @@ class LinearSystem:
     rhs: np.ndarray
     row_tags: list
     row_weights: np.ndarray  # least-squares weights, one per row
-    elimination: tuple  # (free, linked, sources, lam); see _elimination
+    elimination: object  # _Elimination: the system's columns in the full vector
     n: int
     l0: float
     l: float
@@ -504,8 +502,10 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     (``_Tables.drift_from``) falls below MATRIX_STABILITY_TOL, or after
     MAX_ADAPTIVE_ROUNDS refinements; the right-hand sides do not depend on
     the quadrature.  Each group's rows are then assembled once, on the final
-    tables, and every group reports the same drift.  ``rule`` and ``basis``
-    are those of ``assemble``.
+    tables, and reduced to the group's columns (_Elimination), whose
+    integral constraints come from the same tables' moments; every group
+    reports the same drift.  ``rule`` and ``basis`` are those of
+    ``assemble``.
     """
     if n < MIN_ORDER:
         raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
@@ -562,19 +562,18 @@ def _assemble_cases(setups, n, rule=None, basis=None):
         by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
     groups = list(by_key.values())
     layout = _Layout(n, basis)
-    n_rows = 4 * pts.size + 4 * points[0].size + 2 * points[1].size + 10
+    n_rows = 4 * pts.size + 4 * points[0].size + 2 * points[1].size + 6
     systems = []
     for cases in groups:
         t0 = time.perf_counter()
         setup = setups[cases[0]]
-        free, linked, sources, lam = elimination = _elimination(setup, layout)
-        matrix, rhs = np.empty((n_rows, free.size)), np.empty((n_rows, len(cases)))
+        elimination = _Elimination(setup, layout, _constraint_rows(setup, basis, tab, layout))
+        matrix, rhs = np.empty((n_rows, elimination.keep.size)), np.empty((n_rows, len(cases)))
         tags, wts = [None] * n_rows, np.empty(n_rows)
         r0 = 0
         for rows, b, block_tags, w in _assemble_rows([setups[i] for i in cases], basis, tab):
             r1 = r0 + rows.shape[0]
-            np.take(rows, free, axis=1, out=matrix[r0:r1])
-            matrix[r0:r1, sources] += lam * np.take(rows, linked, axis=1)
+            elimination.reduce(rows, out=matrix[r0:r1])
             rhs[r0:r1], wts[r0:r1] = b, w
             tags[r0:r1] = block_tags
             r0 = r1
@@ -618,24 +617,76 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     return systems
 
 
-def _elimination(setup, layout):
-    """Bonded-arc g' coefficients of degree >= 1 follow the bonded-arc g0'
-    coefficients with factor lam = -mu*(kappa0+1) / (mu0*(kappa+1)).
+class _Elimination:
+    """A group's system columns and their map to the full vector of ``layout``.
 
-    Returns (free, linked, sources, lam): a matrix over the full vector
-    becomes mat[:, free] plus lam times mat[:, linked] added to the free
-    columns at ``sources``, and a free solution x the full vector with
-    full[free] = x and full[linked] = lam * x[sources]."""
-    inclusion, matrix = setup.phases
-    lam = -matrix.mu * (inclusion.kappa + 1.0) / (inclusion.mu * (matrix.kappa + 1.0))
-    src, dst = _piece(inclusion.g, 1), _piece(matrix.g, 1)
-    links = {}
-    for cols in (layout.a_cols, layout.b_cols):
-        links.update(zip(cols(dst)[1:].tolist(), cols(src)[1:].tolist()))
-    free = [c for c in range(layout.total) if c not in links]
-    pos = {c: i for i, c in enumerate(free)}
-    sources = [pos[src] for src in links.values()]
-    return np.array(free), np.array(list(links)), np.array(sources), lam
+    Exact side conditions remove columns.  The bonded-arc g' coefficients of
+    degree >= 1 (``linked``) follow the bonded-arc g0' coefficients with
+    factor lam = -slope_factor(inclusion) / slope_factor(matrix), so they
+    fold into the ``free`` columns at ``sources``.  Gauss-Jordan elimination
+    of the tied integral constraints c @ full = 0 (``rows``, tagged
+    ``tags``), each row pivoting on its largest entry, then solves them for
+    one free column each, ``dep``: x_free[dep] = t @ x_free[keep], with
+    ``keep`` the system's columns (the equality-constrained least-squares
+    problem by elimination; Golub and Van Loan, Matrix Computations, 6.2).
+    """
+
+    def __init__(self, setup, layout, constraints):
+        inclusion, matrix = setup.phases
+        self.lam = -inclusion.slope_factor / matrix.slope_factor
+        self.linked, sources = (
+            np.concatenate([layout.a_cols(p)[1:], layout.b_cols(p)[1:]])
+            for p in (_piece(matrix.g, 1), _piece(inclusion.g, 1))
+        )
+        self.free = np.delete(np.arange(layout.total), self.linked)
+        self.sources, self.layout = np.searchsorted(self.free, sources), layout
+        self.rows, self.tags = constraints
+        c = np.take(self.rows, self.free, axis=1)
+        c[:, self.sources] += self.lam * np.take(self.rows, self.linked, axis=1)
+        # The constraints do not involve the tie sources; no pivot lands on
+        # one, so every source stays a system column and reduce ties in place.
+        pivotable = np.ones(self.free.size)
+        pivotable[self.sources] = 0.0
+        self.dep = np.zeros(len(c), dtype=int)
+        for i, row in enumerate(c):
+            self.dep[i] = pivot = np.argmax(np.abs(row) * pivotable)
+            row /= row[pivot]
+            others = np.arange(len(c)) != i
+            c[others] -= np.outer(c[others, pivot], row)
+        self.keep = np.delete(np.arange(self.free.size), self.dep)
+        self.t = -np.take(c, self.keep, axis=1)  # C order, which einsum runs 4x faster on
+        self.cols, self.kept_sources = self.free[self.keep], np.searchsorted(self.keep, self.sources)
+
+    def reduce(self, rows, out):
+        """Rows over the full vector as rows of the system, written to out;
+        einsum, unlike BLAS, rounds each entry alike in any block of rows."""
+        np.take(rows, self.cols, axis=1, out=out)
+        out[:, self.kept_sources] += self.lam * np.take(rows, self.linked, axis=1)
+        out += np.einsum("ik,kj->ij", np.take(rows, self.free[self.dep], axis=1), self.t)
+
+    def expand(self, x):
+        """The full coefficient vector of a system solution x."""
+        x_free = np.empty(self.free.size)
+        x_free[self.keep], x_free[self.dep] = x, self.t @ x
+        full = np.zeros(self.layout.total)
+        full[self.free], full[self.linked] = x_free, self.lam * x_free[self.sources]
+        return full
+
+
+def _constraint_rows(setup, basis, tab, layout):
+    """The integral constraints as real rows over the full vector and their
+    tags: total-force balance, int (q0 - q) d tau = 0 over the contour, and
+    single-valuedness, the sum over the phases of slope_factor * int g' d tau
+    over the crack arc = 0; each with its real and imaginary part."""
+    z = np.zeros((2, layout.total), dtype=complex)  # force balance, single-valuedness
+    for phase in setup.phases:
+        q_terms = [(0, _piece(phase.q, arc), phase.sign) for arc in (0, 1)]
+        for i, piece, fac in q_terms + [(1, _piece(phase.g, 0), phase.slope_factor)]:
+            (ka, kb), (key_a, key_b) = layout.lengths[piece], basis.part_keys(piece)
+            z[i, layout.a_cols(piece)] += fac * tab.Q[piece // 4, key_a][:ka]
+            z[i, layout.b_cols(piece)] += 1j * fac * tab.Q[piece // 4, key_b][:kb]
+    tags = [f"{name}_{part}" for name in ("force_balance", "single_valuedness") for part in ("re", "im")]
+    return np.stack([z.real[0], z.imag[0], z.real[1], z.imag[1]]), tags
 
 
 def _assemble_rows(setups, basis, tab):
@@ -688,15 +739,10 @@ def _assemble_rows(setups, basis, tab):
             size = z.shape[0]
             yield part(z), part(rvec), [tag + suffix] * size, np.broadcast_to(weight, (size,))
 
-    def moments(piece):
-        """Integrals of the real- and imaginary-part functions over the arc."""
-        (ka, kb), (key_a, key_b) = layout.lengths[piece], basis.part_keys(piece)
-        return tab.Q[piece // 4, key_a][:ka], tab.Q[piece // 4, key_b][:kb]
-
     # Zero extension of each phase across the contour: of the inclusion
     # outside it, of the matrix inside it.  The matrix-side equation also
-    # carries the single-valuedness integral and the remote-load terms.
-    inv_dt = 1.0 / tab.dt_p
+    # carries the remote-load terms; its single-valuedness term, the
+    # integral times 1/t', vanishes on the system's columns (_Elimination).
     for phase in phases:
         kap = phase.kappa
         z = np.zeros((n_pts, layout.total), dtype=complex)
@@ -717,11 +763,6 @@ def _assemble_rows(setups, basis, tab):
             name=phase.q,
         )
         if phase is matrix:
-            for other in phases:
-                piece, fac = _piece(other.g, 0), other.slope_factor
-                q_a, q_b = moments(piece)
-                z[:, layout.a_cols(piece)] += fac * np.outer(inv_dt, q_a)
-                z[:, layout.b_cols(piece)] += 1j * (fac * np.outer(inv_dt, q_b))
             rhs = -np.stack(
                 [
                     (kap - 1.0) * gamma - np.conj(gamma_p) * np.conj(tab.dt_p) / tab.dt_p
@@ -789,27 +830,6 @@ def _assemble_rows(setups, basis, tab):
             row[0, cols(_piece(phase.g, 1))[0]] = phase.slope_factor
         yield row, np.zeros((1, n_cases)), [tag], np.array([basis.tip_weight])
 
-    # Total-force balance: int (q0 - q) d tau = 0 over the whole contour.
-    zf = np.zeros((1, layout.total), dtype=complex)
-    for phase in phases:
-        for piece in (_piece(phase.q, 0), _piece(phase.q, 1)):
-            q_a, q_b = moments(piece)
-            zf[0, layout.a_cols(piece)] += phase.sign * q_a
-            zf[0, layout.b_cols(piece)] += 1j * phase.sign * q_b
-    yield from complex_rows(zf, np.zeros((1, n_cases), dtype=complex), "force_balance", FORCE_WEIGHT)
-
-    # Single-valuedness of the displacements along the crack: the same
-    # integral that is folded into the matrix-side equation must itself
-    # vanish; enforcing it explicitly keeps the discrete solution from
-    # exciting the gauge family the continuum argument removes.
-    zsv = np.zeros((1, layout.total), dtype=complex)
-    for phase in phases:
-        piece, fac = _piece(phase.g, 0), phase.slope_factor
-        q_a, q_b = moments(piece)
-        zsv[0, layout.a_cols(piece)] += fac * q_a
-        zsv[0, layout.b_cols(piece)] += 1j * fac * q_b
-    yield from complex_rows(zsv, np.zeros((1, n_cases), dtype=complex), "single_valuedness", CONSTRAINT_WEIGHT)
-
     # Continuity of Re g0' and Re g' across both tips: tip 0 joins the start
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
     for phase in phases:
@@ -862,7 +882,6 @@ def _solve_columns(system, rcond=1e-13, cases=None):
         )
 
     out = []
-    layout = _Layout(system.n, system.basis)
     for j in range(rhs.shape[1]):
         x, b = sol[:, j], rhs[:, j]
         # Residuals are reported for the unweighted rows.
@@ -880,11 +899,10 @@ def _solve_columns(system, rcond=1e-13, cases=None):
         per_tag = {}
         for tag, r in zip(system.row_tags, resid):
             per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
-
-        free, linked, sources, lam = system.elimination
-        full = np.zeros(layout.total)
-        full[free], full[linked] = x, lam * x[sources]
-        dset = system.basis.densities(full, layout)
+        # The eliminated constraints report their residuals c @ full.
+        full = system.elimination.expand(x)
+        per_tag.update(zip(system.elimination.tags, np.abs(system.elimination.rows @ full).tolist()))
+        dset = system.basis.densities(full, system.elimination.layout)
         meta = dict(system.meta)
         meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
         report = ResidualReport(
@@ -892,7 +910,7 @@ def _solve_columns(system, rcond=1e-13, cases=None):
             cols=mat.shape[1],
             rank=int(rank),
             condition=cond,
-            max_residual=float(np.max(np.abs(resid))) if resid.size else 0.0,
+            max_residual=max(per_tag.values()),
             per_tag=per_tag,
             degenerate_pair=bool(system.meta.get("degenerate_pair", False)),
             meta=meta,

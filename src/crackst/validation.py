@@ -117,9 +117,15 @@ class ValidationReport:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
+
+
+def write_json(path, data):
+    """Write data in the layout of every JSON artifact: indented by 2, keys
+    sorted, a newline at the end."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _trial_densities(contour, seed, count):

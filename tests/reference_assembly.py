@@ -4,7 +4,8 @@ streamed assembly bit for bit.
 Every level's tables are kept, the drift compares the tables of two levels
 flattened into one vector, the final level's row blocks of
 ``_assemble_rows`` are stacked with ``vstack``, the elimination takes and
-adds whole columns, and the densities come from a dense elimination map.
+adds whole columns and multiplies the whole matrix by the constraint map,
+and the densities come from a dense map of the bonded-arc ties.
 The k1/k2 kernel tables are built over all nodes and sliced per arc.  The
 arithmetic of every entry is the library's.
 """
@@ -55,20 +56,21 @@ def regular_tables(contour, pts, arc_of_pt, disc, basis):
     return b1, b2
 
 
-def elimination_map(elimination, total):
-    """The dense [full, free] map of (free, linked, sources, lam)."""
-    free, linked, sources, lam = elimination
-    elim = np.zeros((total, len(free)))
-    elim[free, np.arange(len(free))] = 1.0
-    elim[linked, sources] = lam
-    return elim
+def tie_map(elimination):
+    """The dense [full, free] map of the bonded-arc ties of a
+    ``solver._Elimination``."""
+    e = elimination
+    ties = np.zeros((e.layout.total, e.free.size))
+    ties[e.free, np.arange(e.free.size)] = 1.0
+    ties[e.linked, e.sources] = e.lam
+    return ties
 
 
 def assemble_cases(setups, n, rule=None, basis=None):
     """One dict per group of ``solver._assemble_cases``: the eliminated
     matrix, rhs, tags, weights, the drift of every refinement of the call
     (``drifts``, the same for every group),
-    the group's elimination parts and the basis and layout."""
+    the group's elimination and the basis and layout."""
     contour = setups[0].contour
     rule = solver.QuadratureRule() if rule is None else rule
     if basis is None:
@@ -96,9 +98,12 @@ def assemble_cases(setups, n, rule=None, basis=None):
     for cases in by_key.values():
         group = [setups[i] for i in cases]
         mat, rhs, tags, weights = stacked_rows(group, basis, tables[-1])
-        free, linked, sources, lam = elimination = solver._elimination(group[0], layout)
-        matrix = np.take(mat, free, axis=1)
-        matrix[:, sources] += lam * np.take(mat, linked, axis=1)
+        e = elimination = solver._Elimination(
+            group[0], layout, solver._constraint_rows(group[0], basis, tables[-1], layout)
+        )
+        tied = np.take(mat, e.free, axis=1)
+        tied[:, e.sources] += e.lam * np.take(mat, e.linked, axis=1)
+        matrix = tied[:, e.keep] + np.einsum("ik,kj->ij", tied[:, e.dep], e.t)
         out.append(dict(matrix=matrix, rhs=rhs, tags=tags, weights=weights, drifts=drifts,
                         elimination=elimination, basis=basis, layout=layout, cases=cases))
     return out
@@ -106,7 +111,9 @@ def assemble_cases(setups, n, rule=None, basis=None):
 
 def densities(system, rcond=1e-13):
     """The densities of every rhs column of a reference system: the solver's
-    equilibrated least-squares solve, then the dense elimination map."""
+    equilibrated least-squares solve, the constrained columns t @ x of each
+    column x (a product over several columns at once rounds otherwise),
+    then the dense tie map."""
     rhs = system["rhs"].reshape(system["rhs"].shape[0], -1)
     w = system["weights"]
     mat, vec = system["matrix"] * w[:, None], rhs * w[:, None]
@@ -115,5 +122,10 @@ def densities(system, rcond=1e-13):
     sol = np.linalg.lstsq(np.divide(mat, col_scale, out=mat), vec, rcond=rcond)[0]
     sol /= col_scale[:, None]
     layout = system["layout"]
-    elim = elimination_map(system["elimination"], layout.total)
-    return [system["basis"].densities(elim @ sol[:, j], layout) for j in range(sol.shape[1])]
+    e = system["elimination"]
+    ties, out = tie_map(e), []
+    for x in sol.T:
+        x_free = np.zeros(e.free.size)
+        x_free[e.keep], x_free[e.dep] = x, e.t @ x
+        out.append(system["basis"].densities(ties @ x_free, layout))
+    return out

@@ -74,7 +74,7 @@ def test_bases_set_their_collocation(reference_setup):
         assert np.array_equal(got, want)
     enriched = tips.TipEnrichedBasis(reference_setup, n)
     assert enriched.delta == 2.0 * enriched.d_min
-    assert (enriched.taper_exponent, enriched.tip_weight) == (0.0, solver.CONSTRAINT_WEIGHT)
+    assert (enriched.taper_exponent, enriched.tip_weight) == (0.0, tips.RESOLVED_TIP_ROW_WEIGHT)
     assert enriched.zone.width == tips.TIP_ZONE_WIDTH * legendre.delta
     crack, bond = enriched.collocation_points()
     assert crack[0] >= enriched.d_min and contour.l0 - crack[-1] >= enriched.d_min

@@ -82,6 +82,30 @@ def test_bad_numerics_exit_with_config_error(tmp_path, line):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "key, line",
+    [("mu_gpa", "mu_gpa = nan"), ("gamma_plus", "gamma_plus = inf"), ("radius", "radius = inf"),
+     ("sigma1_mpa", "sigma1_mpa = inf")],
+)
+def test_non_finite_inputs_exit_with_config_error(tmp_path, key, line):
+    # Each replaces the first line of its key in the base config.
+    import re
+    import subprocess
+    import sys
+
+    import crackst
+
+    path = tmp_path / "bad.ini"
+    path.write_text(re.sub(rf"^{key} = .*$", line, BASE.format(sigma1=1.0, gamma_i=0.1), count=1, flags=re.M))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crackst.__file__)))
+    cmd = [sys.executable, "-m", "crackst.cli", "solve", "--config", str(path), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "config error:" in proc.stderr and key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_solve_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -274,26 +298,28 @@ def test_usage_without_command(capsys):
     assert main([]) == 1
 
 
-NO_SCIPY = """
+REFUSED_IMPORTS = """
 import sys
 
 refused = []
 
 
-class RefuseScipy:
+class Refuse:
+    # scipy is no dependency, and importing numpy.ma costs 1.2 MB and 11-16 ms.
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
+        if name.partition(".")[0] == "scipy" or name == "numpy.ma" or name.startswith("numpy.ma."):
             refused.append(name)
             raise ModuleNotFoundError(f"no module named {name!r}", name=name)
         return None
 
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 import crackst.cli
-assert "scipy" not in sys.modules
+assert "scipy" not in sys.modules and "numpy.ma" not in sys.modules
 import numpy as np
 import crackst as cs
 
+assert crackst.cli.main(["scenario", "fig6", "--out", sys.argv[1], "--quiet"]) == 0
 theta = 2 * np.pi * np.arange(64) / 64
 setup = cs.ProblemSetup(
     contour=cs.TabulatedContour(1.5 * np.cos(theta) + 1j * np.sin(theta), 0.5),
@@ -304,21 +330,22 @@ setup = cs.ProblemSetup(
 )
 dset, report = cs.solve_problem(setup, 16)
 cs.validate_solution(dset, setup)
-assert not refused and "scipy" not in sys.modules, refused
+assert not refused and "scipy" not in sys.modules and "numpy.ma" not in sys.modules, refused
 """
 
 
-def test_runs_without_scipy():
-    # Installing needs numpy only: with every scipy import refused, the CLI
-    # imports without loading scipy, and a tabulated contour solves and
-    # validates.
+def test_runs_without_scipy(tmp_path):
+    # Installing needs numpy only: with every scipy and numpy.ma import
+    # refused, the CLI imports without loading either, `crackst scenario
+    # fig6` runs, and a tabulated contour solves and validates.
     import subprocess
     import sys
 
     import crackst
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crackst.__file__)))
-    result = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True)
+    cmd = [sys.executable, "-c", REFUSED_IMPORTS, str(tmp_path / "fig6")]
+    result = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 

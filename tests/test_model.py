@@ -66,6 +66,30 @@ def test_surface_tension_validation():
     cs.SurfaceTension(0.1, 0.1, 0.0)  # zero interface tension is fine
 
 
+NON_FINITE_FIELDS = {
+    "shear_modulus": lambda v: cs.Material(v, 0.25),
+    "poisson": lambda v: cs.Material(40.0, v),
+    "gamma_plus": lambda v: cs.SurfaceTension(v, 0.1, 0.1),
+    "gamma_minus": lambda v: cs.SurfaceTension(0.1, v, 0.1),
+    "gamma_interface": lambda v: cs.SurfaceTension(0.1, 0.1, v),
+    "sigma1": lambda v: cs.RemoteLoad(v, 0.0),
+    "sigma2": lambda v: cs.RemoteLoad(1.0, v),
+    "alpha": lambda v: cs.RemoteLoad(1.0, 0.0, v),
+    "radius": lambda v: cs.CircleContour(v, 0.0, np.pi),
+    "crack_start": lambda v: cs.CircleContour(1.0, v, np.pi),
+    "crack_end": lambda v: cs.EllipseContour(1.5, 1.0, 0.0, v),
+    "a": lambda v: cs.EllipseContour(v, 1.0, 0.0, np.pi),
+    "b": lambda v: cs.EllipseContour(1.5, v, 0.0, np.pi),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FIELDS)
+def test_non_finite_inputs_are_refused(name):
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            NON_FINITE_FIELDS[name](value)
+
+
 def test_m_coefficients_on_unit_circle():
     c = cs.circular_contour(1.0, (0.0, np.pi))
     m1, m2, m3, m4 = cs.m_coefficients(c, 0.0)

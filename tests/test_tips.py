@@ -76,6 +76,18 @@ def test_tip_resolved_field_holds_its_rows(reference_setup, resolved):
         field.eval("w", 1.0)
 
 
+def test_tip_resolved_solve_imposes_the_integral_constraints(resolved):
+    """Force balance and single-valuedness are eliminated exactly on the
+    tip-enriched basis too.  Its coefficients reach 2e7 in magnitude, so the
+    residuals c @ full sit at the rounding level of their terms (1.1e-10
+    measured; the weighted rows left 1.9e-7).  conservation_checks
+    integrates the densities with another rule, so there it measures a
+    quadrature difference instead."""
+    _, report = resolved
+    tags = [f"{name}_{part}" for name in ("force_balance", "single_valuedness") for part in ("re", "im")]
+    assert max(report.per_tag[tag] for tag in tags) <= 1e-9
+
+
 def test_stress_trace_resolves_a_near_tip_layer(reference_setup, resolved):
     """At the bottom of the ladder the stress trace is converged in the
     quadrature: a finer rule moves it by far less than TRACE_TOL."""
