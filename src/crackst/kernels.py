@@ -305,20 +305,25 @@ def _pv_values(contour, density, at, disc, eps=None):
     # np.add.at adds them in the order of the whole-matrix search.
     qi, ai, c_near = (np.concatenate(parts) for parts in (near_q, near_a, near_c))
     if qi.size:
-        # Central difference kept within half the distance to the ends of
-        # the field point's own arc: a stencil reaching a tip would read the
-        # other arc's branch there (the densities take s <= l0 as arc 0).
+        # The divided difference's midpoint limit, as in the solver's Cauchy
+        # table: the slope at mid = (s_q + at)/2 times dt_q / t'(mid).  The
+        # slope is a central difference kept within half the distance to the
+        # ends of the field point's own arc: a stencil reaching a tip would
+        # read the other arc's branch there (the densities take s <= l0 as
+        # arc 0).
+        mid = 0.5 * (disc.s[qi] + at[ai])
         lo = np.where(arc_a[ai] == 0, 0.0, contour.l0)
         hi = np.where(arc_a[ai] == 0, contour.l0, contour.l)
-        hp = np.minimum(eps, 0.5 * (hi - at[ai]))
-        hm = np.minimum(eps, 0.5 * (at[ai] - lo))
+        hp = np.minimum(eps, 0.5 * (hi - mid))
+        hm = np.minimum(eps, 0.5 * (mid - lo))
         dphi = (
-            np.asarray(density(at[ai] + hp), dtype=complex)
-            - np.asarray(density(at[ai] - hm), dtype=complex)
+            np.asarray(density(mid + hp), dtype=complex)
+            - np.asarray(density(mid - hm), dtype=complex)
         ) / (hp + hm)
+        dd = disc.w[qi] * dphi * (disc.dt[qi] / contour.tangent(mid))
         crude = (phi_q[..., qi] - phi_a[..., ai]) * c_near
         # Several nodes may lie within eps of one field point: accumulate all.
-        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(disc.w[qi] * dphi - crude, -1, 0))
+        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(dd - crude, -1, 0))
     return total
 
 
@@ -342,8 +347,9 @@ def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None, dia
     densities on leading axes.  Field points closer than
     ``tip_eps`` to a tip are rejected (pass 0 to disable the guard, e.g. when
     the density is known to be regular across that tip).  Node/field pairs
-    closer than ``diag_eps`` (default DIAG_EPS_FACTOR * l) take a central
-    difference in place of the divided difference.
+    closer than ``diag_eps`` (default DIAG_EPS_FACTOR * l) take the divided
+    difference's midpoint limit: a central difference of the density at the
+    midpoint of node and field point, over the tangent there.
     """
     _check_off_tips(contour, s_field, tip_eps)
     disc = rule.discretize(contour, tip_panel)

@@ -30,23 +30,21 @@ __all__ = ["TipResolvedDensities", "face_tension_length", "solve_tip_resolved"]
 
 # Each tip's series reaches TIP_ZONE_WIDTH solver insets delta from the tip
 # on both arcs and has TIP_ZONE_TERMS functions per density part, Chebyshev
-# polynomials in x, which is affine in log(u) + TIP_ZONE_STRETCH * u with
-# u = d / zone width (the stretch adds resolution near the zone edge).  The
+# polynomials in x, which is affine in log(u) with u = d / zone width.  The
 # series is resolved down to min(c, delta) * 2^-TIP_ZONE_DEPTH and frozen
 # below.  The fits do not depend on the Legendre degree or the number of terms
 # (tests/test_tips.py), nor on a depth from 16 to 18.  The region below
 # d_min is not enforced, and at the ladder point d its error enters the
 # stress trace like d_min / d: at a depth of 14 the matrix side misses by
-# 0.14 of the load at the bottom of the ladder, at 17 by 6e-4.  Deeper
-# resolution needs more terms (at 20 the residual is three times larger).
+# 2.7e-3 of the load at the bottom of the ladder, at 17 by 6e-4.  Deeper
+# resolution needs more terms (at 20 the residual is ten times larger).
 TIP_ZONE_WIDTH = 2.0
 TIP_ZONE_TERMS = 32
-TIP_ZONE_STRETCH = 8.0
 TIP_ZONE_DEPTH = 17
 # The basis resolves the tips, so its tip-anchored rows (slope continuity
 # across the tips, the bonded-arc constant-term tie) are held strongly.  At
-# weight 1 the N = 24 central opening moves by -6%, and the fits come to
-# depend on the number of zone terms (tests/test_tips.py).
+# weight 1 the N = 24 central opening moves by -2.3%; at 1e4 it agrees with
+# that at 100 to 5e-6.
 RESOLVED_TIP_ROW_WEIGHT = 100.0
 
 
@@ -70,7 +68,7 @@ def _basis_terms(kind, k):
     at the zone edge u = 1.
 
     The stress densities are a + b log d at the tip, up to terms that vanish
-    like d log^n d (x is affine in log u + STRETCH * u).  The
+    like d log^n d (x is affine in log u).  The
     displacement-derivative densities stay finite; the derivative of their
     real part (the slope) stays finite, and that of their imaginary part
     grows at most like a power of log d.  The face conditions take the second
@@ -98,45 +96,34 @@ class _LogBasis:
     """Zone functions on distances d in [0, width] from a tip.
 
     The Chebyshev variable x runs from -1 at d_min to 1 at the zone width,
-    linearly in xi = log(u) + TIP_ZONE_STRETCH * (u - 1), u = d/width:
-    logarithmic near the tip, with extra resolution near the zone edge.
-    Below d_min the Chebyshev factors are frozen at x = -1.
+    linearly in log(u), u = d/width.  Below d_min the Chebyshev factors are
+    frozen at x = -1.
     """
 
     def __init__(self, width, d_min, k):
         self.width, self.d_min, self.k = width, d_min, k
-        u_min = d_min / width
-        self._dx = 2.0 / -(np.log(u_min) + TIP_ZONE_STRETCH * (u_min - 1.0))  # dx/dxi
+        self._dx = 2.0 / -np.log(d_min / width)  # dx/dlog(u)
         self._terms = {kind: _basis_terms(kind, k) for kind in ("q", "g_re", "g_im")}
         self._cache = {}
 
     def distance(self, x):
         """Inverse map: the distances d at which the variable takes values x."""
-        lo = np.full(np.shape(x), np.log(self.d_min / self.width))
-        hi = np.zeros(np.shape(x))
-        xi = (np.asarray(x, dtype=float) - 1.0) / self._dx
-        for _ in range(60):  # bisection on log u; xi is increasing in u
-            mid = 0.5 * (lo + hi)
-            low = mid + TIP_ZONE_STRETCH * (np.exp(mid) - 1.0) < xi
-            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
-        return self.width * np.exp(0.5 * (lo + hi))
+        return self.width * np.exp((np.asarray(x, dtype=float) - 1.0) / self._dx)
 
     def _derivative_terms(self, kind, order):
         """{j: [k+1, k]} with the order-th u-derivative = sum_j u^(j-order) T(x) @ g_j.
 
         d^n/du^n f = u^-n (D - n + 1) ... (D - 1) D f with D = u d/du, and
-        D [u^j S(x)] = u^j (j S + x' S') + u^(j+1) STRETCH x' S'.
+        D [u^j S(x)] = u^j (j S + x' S'), x' = u dx/du constant.
         """
         key = (kind, order)
         if key not in self._cache:
             terms = {m: coef.T for m, coef in self._terms[kind].items()}
             for n in range(order):
-                stepped = {}
-                for j, g in terms.items():
-                    dg = self._dx * np.pad(C.chebder(g), ((0, 1), (0, 0)))
-                    stepped[j] = stepped.get(j, 0.0) + (j - n) * g + dg
-                    stepped[j + 1] = stepped.get(j + 1, 0.0) + TIP_ZONE_STRETCH * dg
-                terms = stepped
+                terms = {
+                    j: (j - n) * g + self._dx * np.pad(C.chebder(g), ((0, 1), (0, 0)))
+                    for j, g in terms.items()
+                }
             self._cache[key] = terms
         return self._cache[key]
 
@@ -145,7 +132,7 @@ class _LogBasis:
         d = np.asarray(d, dtype=float)
         u = d / self.width
         u_in = np.maximum(u, self.d_min / self.width)
-        x = 1.0 + self._dx * (np.log(u_in) + TIP_ZONE_STRETCH * (u_in - 1.0))
+        x = 1.0 + self._dx * np.log(u_in)
         vander = C.chebvander(x, self.k)
         out = np.zeros((d.size, self.k))
         for j, g in self._derivative_terms(kind, order).items():

@@ -63,12 +63,14 @@ def pv_values(contour, density, at, disc, eps=None):
     if qi.size:
         lo = np.where(arc_a[ai] == 0, 0.0, contour.l0)
         hi = np.where(arc_a[ai] == 0, contour.l0, contour.l)
-        hp = np.minimum(eps, 0.5 * (hi - at[ai]))
-        hm = np.minimum(eps, 0.5 * (at[ai] - lo))
+        mid = 0.5 * (disc.s[qi] + at[ai])
+        hp = np.minimum(eps, 0.5 * (hi - mid))
+        hm = np.minimum(eps, 0.5 * (mid - lo))
         dphi = (
-            np.asarray(density(at[ai] + hp), dtype=complex)
-            - np.asarray(density(at[ai] - hm), dtype=complex)
+            np.asarray(density(mid + hp), dtype=complex)
+            - np.asarray(density(mid - hm), dtype=complex)
         ) / (hp + hm)
+        dd = disc.w[qi] * dphi * (disc.dt[qi] / contour.tangent(mid))
         crude = (phi_q[..., qi] - phi_a[..., ai]) * cmat[qi, ai]
-        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(disc.w[qi] * dphi - crude, -1, 0))
+        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(dd - crude, -1, 0))
     return total

@@ -287,6 +287,21 @@ def test_validate_command(tmp_path):
     assert os.path.exists(os.path.join(out, "validation.json"))
 
 
+def test_validate_command_passes_on_ellipse(tmp_path):
+    # On the 1.5:1 ellipse every check of the battery passes, the Cauchy
+    # inversion included.
+    cfg = tmp_path / "ellipse.ini"
+    cfg.write_text(
+        BASE.format(sigma1=1.0, gamma_i=0.1).replace(
+            "kind = circle\nradius = 1.0", "kind = ellipse\nsemi_axis_a = 1.5\nsemi_axis_b = 1.0"
+        )
+    )
+    out = str(tmp_path / "val")
+    assert main(["validate", "--config", str(cfg), "--out", out, "--order", "24", "--quiet"]) == 0
+    report = json.loads(open(os.path.join(out, "validation.json")).read())
+    assert report["all_passed"] is True
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CRACKST_OUTPUT_ROOT", str(tmp_path))
     cfg = write_config(tmp_path)

@@ -4,6 +4,7 @@ import pytest
 import crackst as cs
 from crackst.kernels import (
     DIAG_EPS_FACTOR,
+    FINE_RULE,
     Discretization,
     QuadratureRule,
     _regular_kernels,
@@ -231,6 +232,19 @@ def test_discretization_memo_is_bounded():
         rule.discretize(contour, 1e-3 / (k + 1))
     assert len(contour._discretizations) == kernels.DISCRETIZATION_MEMO_SIZE
     assert rule.discretize(contour, 1e-3 / (kernels.DISCRETIZATION_MEMO_SIZE + 5)).n_nodes > 0
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_pv_near_a_node_takes_the_midpoint_limit(circle, fraction):
+    """S tau^3 = t^3 on the unit circle at field points within the
+    near-diagonal radius of a node but not on it, on both arcs: the near
+    pair takes the density's slope at the midpoint times dt_q / t'(mid)."""
+    disc = FINE_RULE.discretize(circle)
+    gap = fraction * DIAG_EPS_FACTOR * circle.l
+    nodes = disc.s[[37, 300, 450]]
+    at = np.concatenate([nodes - gap, nodes + gap])
+    cube = cs.singular_apply(circle, lambda s: circle.point(s) ** 3, FINE_RULE, at=at)
+    assert np.max(np.abs(cube - circle.point(at) ** 3)) < 1e-9
 
 
 def test_stacked_densities_share_one_pv(circle, rule):

@@ -11,32 +11,45 @@ def resolved(reference_setup):
     return cs.solve_tip_resolved(reference_setup, 24)
 
 
+@pytest.fixture(scope="module")
+def resolved32(reference_setup):
+    return cs.solve_tip_resolved(reference_setup, 32)
+
+
 def _shear(field, d):
     return 2.0 * field.eval("q0", d).imag
 
 
-def test_tip_fits_do_not_depend_on_the_basis_size(reference_setup, resolved):
+def test_tip_fits_do_not_depend_on_the_basis_size(reference_setup, resolved, resolved32):
     """The shear's log coefficient and the near-tip stresses are properties
     of the solution, not of the Legendre degree or the number of zone terms."""
     base, _ = resolved
     d = np.array([1e-2, 2e-3, 1e-4, 1e-5])
     ref_fit = cs.tip_exponents(base, reference_setup, tip=0)
-    for n, terms in ((32, tips.TIP_ZONE_TERMS), (24, tips.TIP_ZONE_TERMS + 8)):
-        other, _ = cs.solve_tip_resolved(reference_setup, n, zone_terms=terms)
+    more_terms, _ = cs.solve_tip_resolved(reference_setup, 24, zone_terms=tips.TIP_ZONE_TERMS + 8)
+    for other in (resolved32[0], more_terms):
         fit = cs.tip_exponents(other, reference_setup, tip=0)
         assert fit["tau_log_coefficient"] == pytest.approx(ref_fit["tau_log_coefficient"], rel=0.01)
         assert abs(fit["sigma_power_exponent"] - ref_fit["sigma_power_exponent"]) < 5e-3
         assert np.allclose(_shear(other, d), _shear(base, d), rtol=0.01)
 
 
-def test_tip_resolved_solve_passes_criterion_3_at_order_32(reference_setup):
-    resolved32, report = cs.solve_tip_resolved(reference_setup, 32)
+def test_tip_resolved_solve_passes_criterion_3_at_order_32(reference_setup, resolved32):
+    field, _ = resolved32
     for tip in (0, 1):
-        fits = cs.tip_exponents(resolved32, reference_setup, tip=tip)
+        fits = cs.tip_exponents(field, reference_setup, tip=tip)
         assert fits["sigma_power_exponent"] < 0.1
         assert fits["tau_log_fit_relative_residual"] < 0.10
-        checks = cs.tip_ladder_checks(resolved32, reference_setup, tip=tip)
+        checks = cs.tip_ladder_checks(field, reference_setup, tip=tip)
         assert all(c.passed for c in checks), [c.to_dict() for c in checks]
+
+
+def test_tip_resolved_opening_settles_in_the_order(reference_setup, resolved, resolved32):
+    """The central openings at N = 16, 24 and 32 agree within 3e-4 relative
+    (1.1e-4 measured)."""
+    low, _ = cs.solve_tip_resolved(reference_setup, 16)
+    openings = [cs.max_crack_opening(f, reference_setup) for f in (low, resolved[0], resolved32[0])]
+    assert np.ptp(openings) < 3e-4 * openings[1], openings
 
 
 def test_ladder_checks_reject_the_solver_field(reference_solution, reference_setup):
@@ -54,7 +67,7 @@ def test_ladder_checks_reject_the_solver_field(reference_solution, reference_set
 
 def test_tip_resolved_field_holds_its_rows(reference_setup, resolved):
     field, report = resolved
-    assert report.max_residual < 1e-2
+    assert report.max_residual < 4e-3
     assert report.per_tag["force_balance_re"] < 1e-6
     assert report.per_tag["single_valuedness_re"] < 1e-6
     l0, l = field.l0, field.l
@@ -78,8 +91,8 @@ def test_tip_resolved_field_holds_its_rows(reference_setup, resolved):
 
 def test_tip_resolved_solve_imposes_the_integral_constraints(resolved):
     """Force balance and single-valuedness are eliminated exactly on the
-    tip-enriched basis too.  Its coefficients reach 2e7 in magnitude, so the
-    residuals c @ full sit at the rounding level of their terms (1.1e-10
+    tip-enriched basis too.  Its coefficients reach 1.5e7 in magnitude, so the
+    residuals c @ full sit at the rounding level of their terms (1.2e-10
     measured; the weighted rows left 1.9e-7).  conservation_checks
     integrates the densities with another rule, so there it measures a
     quadrature difference instead."""
@@ -105,8 +118,8 @@ def test_stress_class_does_not_decide_the_fits(reference_setup, resolved, monkey
     unconstrained series for them (any function of log d) the equations
     still give a flat sigma and a logarithmic shear: the same fits and the
     same ladder checks.  That looser series pins the log coefficient less
-    tightly (5.36 here, 5.75 to 5.85 with fewer zone points, against 5.85
-    within 0.1% with the classes), so it is compared only in size."""
+    tightly (5.77 and 5.78 here, against 5.85 within 0.1% with the
+    classes), so it is compared only in size."""
     with_classes = tips._basis_terms
 
     def terms(kind, k):

@@ -44,6 +44,18 @@ def test_inversion_check_trigonometric_trial(circle):
     assert val.cauchy_inversion_checks(circle, trials)[0].value < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_inversion_checks_pass_on_ellipse(seed):
+    """The battery's trials invert below INVERSION_TOL on the 1.5:1 ellipse.
+    Near-node pairs of the principal value need the tangent ratio
+    dt_q / t'(mid) of the divided difference; without it most checks here
+    exceed the tolerance."""
+    ellipse = cs.elliptical_contour(1.5, 1.0, (0.0, np.pi))
+    trials = [trial for _, trial in val._trial_densities(ellipse, seed, val.INVERSION_TRIALS)]
+    values = [check.value for check in val.cauchy_inversion_checks(ellipse, trials)]
+    assert max(values) < val.INVERSION_TOL, values
+
+
 def test_surface_condition_residual_zero_solution(reference_setup):
     dset = cs.DensitySet.zeros(8, np.pi, 2 * np.pi)
     check = cs.original_bc_residual(dset, reference_setup)
