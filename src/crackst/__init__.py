@@ -60,7 +60,7 @@ from .solver import (
     solve_cases,
     solve_problem,
 )
-from .tips import TipResolvedDensities, face_tension_length, solve_tip_resolved
+from .tips import face_tension_length, solve_tip_resolved
 from .validation import (
     ValidationCheck,
     ValidationReport,
@@ -82,7 +82,6 @@ __all__ = [
     "NearBoundaryError",
     "RunConfig",
     "SCENARIOS",
-    "TipResolvedDensities",
     "ValidationCheck",
     "ValidationReport",
     "boundary_fields",

@@ -364,11 +364,9 @@ def singular_apply(contour, density, rule, at=None, tip_panel=None, tip_eps=None
     closed contour S is an involution on smooth densities, which is the
     library's primary quadrature self-check.
     """
-    disc = rule.discretize(contour, tip_panel)
     if at is None:
-        at = disc.s
-    _check_off_tips(contour, at, tip_eps)
-    return _pv_values(contour, density, np.asarray(at, dtype=float), disc) / (1j * np.pi)
+        at = rule.discretize(contour, tip_panel).s
+    return cauchy_pv(contour, density, at, rule, tip_panel, tip_eps) / (1j * np.pi)
 
 
 def contour_integral(contour, density, rule, arc=None, tip_panel=None):

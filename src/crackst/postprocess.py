@@ -20,7 +20,9 @@ The solver leaves a zone of width delta (its tip inset) at each side of each
 tip unenforced, so there the polynomial densities extrapolate.  The tip
 regularity is therefore measured on the field of tips.solve_tip_resolved,
 which resolves the tips, and only where that field passes the ladder checks
-(tip_ladder_checks).
+(tip_ladder_checks).  That field is a DensitySet like the solver's, so every
+function here takes either; the summary gives its central opening beside
+the solver's.
 """
 
 from __future__ import annotations
@@ -396,7 +398,8 @@ def write_csv(path, names, columns):
 
 
 def tip_fits(setup, n):
-    """Tip fits of the tip-resolved solve at order n, one dict per tip.
+    """Tip fits of the tip-resolved solve at order n, one dict per tip, and
+    the tip-resolved DensitySet they fit (None when its solve fails).
 
     Each dict holds tip_exponents' keys and the ladder checks of that tip;
     the fit values are None when a check fails, since the fits then describe
@@ -405,8 +408,9 @@ def tip_fits(setup, n):
     try:
         resolved, _ = solve_tip_resolved(setup, n)
     except SingularSystemError as exc:
-        return [dict(tip=tip, **dict.fromkeys(_FIT_KEYS), ladder_checks=[], error=str(exc))
+        fits = [dict(tip=tip, **dict.fromkeys(_FIT_KEYS), ladder_checks=[], error=str(exc))
                 for tip in (0, 1)]
+        return fits, None
     out = []
     for tip in (0, 1):
         fits = tip_exponents(resolved, setup, tip=tip)
@@ -415,24 +419,35 @@ def tip_fits(setup, n):
             fits.update(dict.fromkeys(_FIT_KEYS))
         fits["ladder_checks"] = [c.to_dict() for c in checks]
         out.append(fits)
-    return out
+    return out, resolved
 
 
 def write_summary_json(path, dset, setup, report, extra=None, with_tip_fits=True):
     """Machine-readable run summary: opening measures, tip fits, residuals.
 
     The tip fits (see tip_fits) take a second, tip-resolved solve; with
-    ``with_tip_fits=False`` they are skipped and written as null.  Returns
-    the summary dict it wrote."""
+    ``with_tip_fits=False`` they are skipped and written as null.  The
+    opening of that solve's field, over the window of max_crack_opening, is
+    written as tip_resolved_max_crack_opening, and its relative change from
+    the solver's as tip_resolved_opening_relative_change; both are null
+    without the tip fits or when the tip-resolved solve fails.  Returns the
+    summary dict it wrote."""
+    fits, resolved = tip_fits(setup, dset.n) if with_tip_fits else (None, None)
+    opening = max_crack_opening(dset, setup)
+    resolved_opening = None if resolved is None else max_crack_opening(resolved, setup)
     summary = {
         "order": dset.n,
         "l0": dset.l0,
         "l": dset.l,
-        "max_crack_opening": max_crack_opening(dset, setup),
+        "max_crack_opening": opening,
         "max_crack_opening_window": list(OPENING_WINDOW),
         "max_crack_opening_full_arc": max_crack_opening(dset, setup, window=(0.0, 1.0)),
         "max_crack_aperture": max_crack_aperture(dset, setup),
-        "tip_fits": tip_fits(setup, dset.n) if with_tip_fits else None,
+        "tip_fits": fits,
+        "tip_resolved_max_crack_opening": resolved_opening,
+        "tip_resolved_opening_relative_change": (
+            None if resolved is None else resolved_opening / opening - 1.0
+        ),
         "residual_report": report.to_dict() if report is not None else None,
     }
     if extra:

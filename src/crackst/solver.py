@@ -35,9 +35,10 @@ Each pair of rows that differs only by phase is built by one loop over
 density names, trace sign, face tension and tractions, far field and the
 material factors.
 The rows are built from a basis object (_LegendreBasis here), which also
-sets their points and weights; tips.solve_tip_resolved assembles the same
-rows on a basis that adds functions resolving the crack tips to the same
-Legendre block.
+sets their points and weights, lays out the full coefficient vector and
+evaluates the densities (DensitySet holds a basis and its coefficients);
+tips.solve_tip_resolved assembles the same rows on a basis that adds
+functions resolving the crack tips to the same Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
 tables depend only on the contour and the discretization, and the load and
@@ -55,6 +56,7 @@ group.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -151,106 +153,52 @@ def _piece(which, arc):
         raise ValueError(f"unknown density {which!r}; expected one of {FUNCTIONS}")
 
 
-def _eval_arcs(densities, which, s, arc_values):
-    """The shared body of the densities' ``eval``: checks that s lies in
-    [0, l] and names a density, then fills the points of each arc with
-    arc_values(piece, arc, s of the arc)."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all((s_arr >= -1e-12) & (s_arr <= densities.l + 1e-12)):
-        raise ValueError("arc length outside [0, l] or not a number")
-    crack_piece = _piece(which, 0)
-    arc = np.where(s_arr <= densities.l0, 0, 1)
-    out = np.zeros(s_arr.shape, dtype=complex)
-    for a in (0, 1):
-        mask = arc == a
-        if np.any(mask):
-            out[mask] = arc_values(crack_piece + 4 * a, a, s_arr[mask])
-    return out if np.ndim(s) else out[0]
-
-
-def _a_len(piece, n):
-    return n + 1 if piece == 6 else n + 2
-
-
-def _b_len(piece, n):
-    return n + 1
-
-
-class _Layout:
-    """Column bookkeeping for the full coefficient vector (8 pieces:
-    crack-arc q0, g0', q, g', then the same four on the bonded arc), with
-    the piece lengths of the basis (the solver's by default)."""
-
-    def __init__(self, n, basis=None):
-        self.n = n
-        self.lengths = [
-            basis.lengths(p) if basis is not None else (_a_len(p, n), _b_len(p, n))
-            for p in range(8)
-        ]
-        self.a_off = []
-        self.b_off = []
-        off = 0
-        for ka, kb in self.lengths:
-            self.a_off.append(off)
-            off += ka
-            self.b_off.append(off)
-            off += kb
-        self.total = off
-
-    def a_cols(self, piece):
-        return np.arange(self.a_off[piece], self.a_off[piece] + self.lengths[piece][0])
-
-    def b_cols(self, piece):
-        return np.arange(self.b_off[piece], self.b_off[piece] + self.lengths[piece][1])
-
-
 @dataclass
 class DensitySet:
-    """Legendre coefficients of the four densities on the two arcs.
+    """Coefficients of the four densities on the two arcs in a basis.
 
     ``a[p]`` and ``b[p]`` are the real and imaginary coefficient vectors of
     piece p (0..3 crack arc, 4..7 bonded arc, function order q0, g0', q, g')
-    on P_k(x), x = (s - c)/h, with c the midpoint and h the half-length of
-    the piece's arc.
+    on the functions ``basis`` gives it (_LegendreBasis: P_k(x), x = (s - c)/h,
+    with c the midpoint and h the half-length of the piece's arc).
     """
 
-    n: int
-    l0: float
-    l: float
+    basis: object
     a: list
     b: list
 
+    @property
+    def n(self):
+        return self.basis.n
+
+    @property
+    def l0(self):
+        return self.basis.l0
+
+    @property
+    def l(self):
+        return self.basis.l
+
     @classmethod
     def zeros(cls, n, l0, l):
-        return cls(
-            n=n,
-            l0=l0,
-            l=l,
-            a=[np.zeros(_a_len(p, n)) for p in range(8)],
-            b=[np.zeros(_b_len(p, n)) for p in range(8)],
-        )
-
-    @property
-    def centers(self):
-        return (0.5 * self.l0, 0.5 * (self.l0 + self.l))
-
-    @property
-    def halves(self):
-        return (0.5 * self.l0, 0.5 * (self.l - self.l0))
-
-    def _coeffs(self, piece):
-        a = self.a[piece]
-        b = np.pad(self.b[piece], (0, len(a) - len(self.b[piece])))
-        return a + 1j * b
+        """Zero densities on the Legendre basis of order n."""
+        basis = _LegendreBasis(l0, l, n)
+        return basis.densities(np.zeros(basis.total))
 
     def eval(self, which, s, order=0):
         """Value (order=0) or exact s-derivative of a density."""
-        def arc_values(piece, arc, s_arc):
-            h = self.halves[arc]
-            coef = L.legder(self._coeffs(piece), order) / h**order
-            return L.legval((s_arc - self.centers[arc]) / h, coef)
-
-        return _eval_arcs(self, which, s, arc_values)
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        if not np.all((s_arr >= -1e-12) & (s_arr <= self.l + 1e-12)):
+            raise ValueError("arc length outside [0, l] or not a number")
+        crack_piece = _piece(which, 0)
+        arc = np.where(s_arr <= self.l0, 0, 1)
+        out = np.zeros(s_arr.shape, dtype=complex)
+        for k in (0, 1):
+            mask = arc == k
+            if np.any(mask):
+                p = crack_piece + 4 * k
+                out[mask] = self.basis.series(p, self.a[p], self.b[p], s_arr[mask], order)
+        return out if np.ndim(s) else out[0]
 
     def max_abs_coefficient(self):
         return max(
@@ -259,13 +207,16 @@ class DensitySet:
         )
 
     def to_dict(self):
+        """The densities.json record; only the Legendre basis has one."""
+        if type(self.basis) is not _LegendreBasis:
+            raise ValueError(f"only Legendre densities can be written, not {type(self.basis).__name__}'s")
         return {
             "basis": "legendre",
             "order": self.n,
             "l0": self.l0,
             "l": self.l,
-            "centers": list(self.centers),
-            "halves": list(self.halves),
+            "centers": list(self.basis.centers),
+            "halves": list(self.basis.halves),
             "pieces": [
                 {
                     "function": FUNCTIONS[p % 4],
@@ -300,11 +251,8 @@ class LinearSystem:
     row_tags: list
     row_weights: np.ndarray  # least-squares weights, one per row
     elimination: object  # _Elimination: the system's columns in the full vector
-    n: int
-    l0: float
-    l: float
+    basis: object  # lays out the full vector; builds the densities from the solution
     meta: dict = field(default_factory=dict)
-    basis: object = None  # set by assemble; builds the densities from the solution
 
     @property
     def shape(self):
@@ -346,7 +294,9 @@ class _LegendreBasis:
     imaginary part (``part_keys``, ``lengths``).  Here one family serves
     both parts.  The tables and the rows of the system evaluate the basis
     through ``functions`` alone, so another basis (tips.TipEnrichedBasis)
-    extends it with its own columns and reuses the same equations.
+    extends it with its own columns and reuses the same equations.  The
+    full coefficient vector holds each piece's real, then imaginary part
+    (``a_cols``, ``b_cols``), and ``series`` evaluates a piece.
 
     A basis also sets where the rows sit and how they weigh: its
     ``collocation_points``, the tip inset ``delta`` they keep (the
@@ -379,7 +329,23 @@ class _LegendreBasis:
         return "x", "x"
 
     def lengths(self, piece):
-        return _a_len(piece, self.n), _b_len(piece, self.n)
+        """(real, imaginary) coefficients of a piece; bonded-arc q has one real fewer."""
+        return (self.n + 1 if piece == 6 else self.n + 2), self.n + 1
+
+    @functools.cached_property
+    def _starts(self):
+        """First column of piece p's real part at 2p, of its imaginary part at 2p+1."""
+        return np.cumsum([0] + [k for p in range(8) for k in self.lengths(p)]).tolist()
+
+    def a_cols(self, piece):
+        return np.arange(self._starts[2 * piece], self._starts[2 * piece + 1])
+
+    def b_cols(self, piece):
+        return np.arange(self._starts[2 * piece + 1], self._starts[2 * piece + 2])
+
+    @property
+    def total(self):
+        return self._starts[-1]
 
     def functions(self, arc, key, s, order=0):
         """[len(s), size]: the order-th s-derivatives (order <= 3) of the
@@ -388,12 +354,19 @@ class _LegendreBasis:
         x = (np.asarray(s, dtype=float) - self.centers[arc]) / h
         return L.legvander(x, self.degree) @ self._derivatives[order] / h**order
 
-    def densities(self, full, layout):
+    def series(self, piece, a, b, s, order=0):
+        """The order-th s-derivative, at the arc lengths s of the piece's
+        arc, of the density with real coefficients a and imaginary ones b."""
+        arc = piece // 4
+        h = self.halves[arc]
+        coef = L.legder(a + 1j * np.pad(b, (0, len(a) - len(b))), order) / h**order
+        return L.legval((s - self.centers[arc]) / h, coef)
+
+    def densities(self, full):
         """The DensitySet of the full coefficient vector."""
-        dset = DensitySet.zeros(self.n, self.l0, self.l)
-        for p in range(8):
-            dset.a[p], dset.b[p] = full[layout.a_cols(p)], full[layout.b_cols(p)]
-        return dset
+        return DensitySet(
+            self, [full[self.a_cols(p)] for p in range(8)], [full[self.b_cols(p)] for p in range(8)]
+        )
 
     def collocation_points(self):
         """(crack, bonded) arrays of OVERSAMPLE * (N + 1) equispaced points
@@ -561,13 +534,12 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     for i, setup in enumerate(setups):
         by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
     groups = list(by_key.values())
-    layout = _Layout(n, basis)
     n_rows = 4 * pts.size + 4 * points[0].size + 2 * points[1].size + 6
     systems = []
     for cases in groups:
         t0 = time.perf_counter()
         setup = setups[cases[0]]
-        elimination = _Elimination(setup, layout, _constraint_rows(setup, basis, tab, layout))
+        elimination = _Elimination(setup, basis, _constraint_rows(setup, basis, tab))
         matrix, rhs = np.empty((n_rows, elimination.keep.size)), np.empty((n_rows, len(cases)))
         tags, wts = [None] * n_rows, np.empty(n_rows)
         r0 = 0
@@ -589,7 +561,7 @@ def _assemble_cases(setups, n, rule=None, basis=None):
             "delta": delta,
             "points_per_arc": int(points[0].size),
             "taper_exponent": basis.taper_exponent,
-            "full_coefficients": layout.total,
+            "full_coefficients": basis.total,
             "degenerate_pair": setup.is_degenerate_pair,
             # Work shared with other cases: the tables with all cases of the
             # call, the rows and the factorization with the loads of the group.
@@ -607,18 +579,15 @@ def _assemble_cases(setups, n, rule=None, basis=None):
             row_tags=tags,
             row_weights=wts,
             elimination=elimination,
-            n=n,
-            l0=contour.l0,
-            l=contour.l,
-            meta=meta,
             basis=basis,
+            meta=meta,
         )
         systems.append((system, cases))
     return systems
 
 
 class _Elimination:
-    """A group's system columns and their map to the full vector of ``layout``.
+    """A group's system columns and their map to the full vector of ``basis``.
 
     Exact side conditions remove columns.  The bonded-arc g' coefficients of
     degree >= 1 (``linked``) follow the bonded-arc g0' coefficients with
@@ -631,15 +600,15 @@ class _Elimination:
     problem by elimination; Golub and Van Loan, Matrix Computations, 6.2).
     """
 
-    def __init__(self, setup, layout, constraints):
+    def __init__(self, setup, basis, constraints):
         inclusion, matrix = setup.phases
         self.lam = -inclusion.slope_factor / matrix.slope_factor
         self.linked, sources = (
-            np.concatenate([layout.a_cols(p)[1:], layout.b_cols(p)[1:]])
+            np.concatenate([basis.a_cols(p)[1:], basis.b_cols(p)[1:]])
             for p in (_piece(matrix.g, 1), _piece(inclusion.g, 1))
         )
-        self.free = np.delete(np.arange(layout.total), self.linked)
-        self.sources, self.layout = np.searchsorted(self.free, sources), layout
+        self.free = np.delete(np.arange(basis.total), self.linked)
+        self.sources, self.total = np.searchsorted(self.free, sources), basis.total
         self.rows, self.tags = constraints
         c = np.take(self.rows, self.free, axis=1)
         c[:, self.sources] += self.lam * np.take(self.rows, self.linked, axis=1)
@@ -668,23 +637,23 @@ class _Elimination:
         """The full coefficient vector of a system solution x."""
         x_free = np.empty(self.free.size)
         x_free[self.keep], x_free[self.dep] = x, self.t @ x
-        full = np.zeros(self.layout.total)
+        full = np.zeros(self.total)
         full[self.free], full[self.linked] = x_free, self.lam * x_free[self.sources]
         return full
 
 
-def _constraint_rows(setup, basis, tab, layout):
+def _constraint_rows(setup, basis, tab):
     """The integral constraints as real rows over the full vector and their
     tags: total-force balance, int (q0 - q) d tau = 0 over the contour, and
     single-valuedness, the sum over the phases of slope_factor * int g' d tau
     over the crack arc = 0; each with its real and imaginary part."""
-    z = np.zeros((2, layout.total), dtype=complex)  # force balance, single-valuedness
+    z = np.zeros((2, basis.total), dtype=complex)  # force balance, single-valuedness
     for phase in setup.phases:
         q_terms = [(0, _piece(phase.q, arc), phase.sign) for arc in (0, 1)]
         for i, piece, fac in q_terms + [(1, _piece(phase.g, 0), phase.slope_factor)]:
-            (ka, kb), (key_a, key_b) = layout.lengths[piece], basis.part_keys(piece)
-            z[i, layout.a_cols(piece)] += fac * tab.Q[piece // 4, key_a][:ka]
-            z[i, layout.b_cols(piece)] += 1j * fac * tab.Q[piece // 4, key_b][:kb]
+            (ka, kb), (key_a, key_b) = basis.lengths(piece), basis.part_keys(piece)
+            z[i, basis.a_cols(piece)] += fac * tab.Q[piece // 4, key_a][:ka]
+            z[i, basis.b_cols(piece)] += 1j * fac * tab.Q[piece // 4, key_b][:kb]
     tags = [f"{name}_{part}" for name in ("force_balance", "single_valuedness") for part in ("re", "im")]
     return np.stack([z.real[0], z.imag[0], z.real[1], z.imag[1]]), tags
 
@@ -699,7 +668,6 @@ def _assemble_rows(setups, basis, tab):
     been taken."""
     setup = setups[0]
     contour = setup.contour
-    layout = _Layout(basis.n, basis)
     crack_sel, bond_sel = (np.flatnonzero(tab.arc_of_pt == arc) for arc in (0, 1))
     crack_pts, bond_pts = tab.pts[crack_sel], tab.pts[bond_sel]
     inclusion, matrix = phases = setup.phases
@@ -721,7 +689,7 @@ def _assemble_rows(setups, basis, tab):
         disjoint columns, so each adds to zeros."""
         for p in (_piece(name, 0), _piece(name, 1)):
             arc = p // 4
-            ka, kb = layout.lengths[p]
+            ka, kb = basis.lengths(p)
             key_a, key_b = basis.part_keys(p)
             base = {
                 key: direct * tab.V[arc, key][0]
@@ -729,8 +697,8 @@ def _assemble_rows(setups, basis, tab):
                 + b1_fac * tab.B1[arc, key]
                 for key in dict.fromkeys((key_a, key_b))
             }
-            z[:, layout.a_cols(p)] += (base[key_a][:ka] + b2_fac * tab.B2[arc, key_a][:ka]).T
-            z[:, layout.b_cols(p)] += (
+            z[:, basis.a_cols(p)] += (base[key_a][:ka] + b2_fac * tab.B2[arc, key_a][:ka]).T
+            z[:, basis.b_cols(p)] += (
                 1j * base[key_b][:kb] - 1j * b2_fac * tab.B2[arc, key_b][:kb]
             ).T
 
@@ -745,7 +713,7 @@ def _assemble_rows(setups, basis, tab):
     # integral times 1/t', vanishes on the system's columns (_Elimination).
     for phase in phases:
         kap = phase.kappa
-        z = np.zeros((n_pts, layout.total), dtype=complex)
+        z = np.zeros((n_pts, basis.total), dtype=complex)
         family(
             z,
             direct=-phase.sign * 0.5j * (kap + 1.0),
@@ -783,20 +751,20 @@ def _assemble_rows(setups, basis, tab):
         # derivative, so g'' and g''' are its first and second poly derivatives.
         rho = tab.rho_p[sel][:, None]
         rhop = tab.rhop_p[sel][:, None]
-        row_re = np.zeros((sel.size, layout.total))
-        row_im = np.zeros((sel.size, layout.total))
+        row_re = np.zeros((sel.size, basis.total))
+        row_im = np.zeros((sel.size, basis.total))
         for qp in q_pieces:
-            (ka, kb), (key_a, key_b) = layout.lengths[qp], basis.part_keys(qp)
-            row_re[:, layout.a_cols(qp)] += tab.V[arc, key_a][0][:ka, sel].T
-            row_im[:, layout.b_cols(qp)] += tab.V[arc, key_b][0][:kb, sel].T
-        (ka, kb), (key_a, key_b) = layout.lengths[g_piece], basis.part_keys(g_piece)
+            (ka, kb), (key_a, key_b) = basis.lengths(qp), basis.part_keys(qp)
+            row_re[:, basis.a_cols(qp)] += tab.V[arc, key_a][0][:ka, sel].T
+            row_im[:, basis.b_cols(qp)] += tab.V[arc, key_b][0][:kb, sel].T
+        (ka, kb), (key_a, key_b) = basis.lengths(g_piece), basis.part_keys(g_piece)
         v_re, v_im = tab.V[arc, key_a], tab.V[arc, key_b]
-        row_re[:, layout.b_cols(g_piece)] -= coef * rho**2 * v_im[0][:kb, sel].T
-        row_re[:, layout.a_cols(g_piece)] -= coef * rho * v_re[1][:ka, sel].T
-        row_im[:, layout.b_cols(g_piece)] -= coef * (
+        row_re[:, basis.b_cols(g_piece)] -= coef * rho**2 * v_im[0][:kb, sel].T
+        row_re[:, basis.a_cols(g_piece)] -= coef * rho * v_re[1][:ka, sel].T
+        row_im[:, basis.b_cols(g_piece)] -= coef * (
             rhop * v_im[0][:kb, sel].T + rho * v_im[1][:kb, sel].T
         )
-        row_im[:, layout.a_cols(g_piece)] -= coef * v_re[2][:ka, sel].T
+        row_im[:, basis.a_cols(g_piece)] -= coef * v_re[2][:ka, sel].T
         for row, b, suffix in ((row_re, rhs_re, "_re"), (row_im, rhs_im, "_im")):
             yield row, b, [tag + suffix] * sel.size, np.broadcast_to(weight, (sel.size,))
 
@@ -824,8 +792,8 @@ def _assemble_rows(setups, basis, tab):
 
     # Constant-term tie of the bonded-arc slope proportionality (the higher
     # coefficients are eliminated exactly).
-    for cols, tag in ((layout.a_cols, "bond_slope_tie_re"), (layout.b_cols, "bond_slope_tie_im")):
-        row = np.zeros((1, layout.total))
+    for cols, tag in ((basis.a_cols, "bond_slope_tie_re"), (basis.b_cols, "bond_slope_tie_im")):
+        row = np.zeros((1, basis.total))
         for phase in phases:
             row[0, cols(_piece(phase.g, 1))[0]] = phase.slope_factor
         yield row, np.zeros((1, n_cases)), [tag], np.array([basis.tip_weight])
@@ -834,7 +802,7 @@ def _assemble_rows(setups, basis, tab):
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
     for phase in phases:
         crack_piece, bond_piece = _piece(phase.g, 0), _piece(phase.g, 1)
-        kc_, kb_ = layout.lengths[crack_piece][0], layout.lengths[bond_piece][0]
+        kc_, kb_ = basis.lengths(crack_piece)[0], basis.lengths(bond_piece)[0]
         crack_start, crack_end = basis.functions(0, basis.part_keys(crack_piece)[0], [0.0, contour.l0])
         bond_start, bond_end = basis.functions(1, basis.part_keys(bond_piece)[0], [contour.l0, contour.l])
         name = phase.g.removesuffix("p")  # g0 or g
@@ -842,9 +810,9 @@ def _assemble_rows(setups, basis, tab):
             (crack_start[:kc_], bond_end[:kb_], f"{name}_slope_continuity_tip0"),
             (crack_end[:kc_], bond_start[:kb_], f"{name}_slope_continuity_tip1"),
         ):
-            row = np.zeros((1, layout.total))
-            row[0, layout.a_cols(crack_piece)] = crack_val
-            row[0, layout.a_cols(bond_piece)] = -bond_val
+            row = np.zeros((1, basis.total))
+            row[0, basis.a_cols(crack_piece)] = crack_val
+            row[0, basis.a_cols(bond_piece)] = -bond_val
             yield row, np.zeros((1, n_cases)), [tag], np.array([basis.tip_weight])
 
 
@@ -878,7 +846,7 @@ def _solve_columns(system, rcond=1e-13, cases=None):
     if rank < scaled.shape[1]:
         log.warning(
             "collocation matrix rank %d < %d columns at order %d (condition %.3e)%s",
-            rank, scaled.shape[1], system.n, cond, "" if cases is None else f" for cases {cases}",
+            rank, scaled.shape[1], system.basis.n, cond, "" if cases is None else f" for cases {cases}",
         )
 
     out = []
@@ -902,7 +870,7 @@ def _solve_columns(system, rcond=1e-13, cases=None):
         # The eliminated constraints report their residuals c @ full.
         full = system.elimination.expand(x)
         per_tag.update(zip(system.elimination.tags, np.abs(system.elimination.rows @ full).tolist()))
-        dset = system.basis.densities(full, system.elimination.layout)
+        dset = system.basis.densities(full)
         meta = dict(system.meta)
         meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
         report = ResidualReport(

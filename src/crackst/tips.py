@@ -7,8 +7,11 @@ setup) and below it; it therefore leaves a zone of width delta (its tip
 inset) at each tip unenforced.  ``solve_tip_resolved`` assembles the same
 rows (solver._assemble_rows) on a basis that adds, to a Legendre series
 on each arc, a series per tip in a variable that is logarithmic in the
-distance to the tip, and collocates them up to the tips.  It is a separate
-solve: the published densities still come from ``solve_problem``.
+distance to the tip, and collocates them up to the tips.  It returns a
+DensitySet on that basis (TipEnrichedBasis), which evaluates through the
+basis like the solver's; only the solver's Legendre densities can be
+written to densities.json.  It is a separate solve: the published densities
+still come from ``solve_problem``.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from .solver import (
     FUNCTIONS,
     OVERSAMPLE,
     _LegendreBasis,
-    _eval_arcs,
     assemble,
     solve,
 )
 
-__all__ = ["TipResolvedDensities", "face_tension_length", "solve_tip_resolved"]
+__all__ = ["face_tension_length", "solve_tip_resolved"]
 
 # Each tip's series reaches TIP_ZONE_WIDTH solver insets delta from the tip
 # on both arcs and has TIP_ZONE_TERMS functions per density part, Chebyshev
@@ -201,9 +203,13 @@ class TipEnrichedBasis(_LegendreBasis):
             out.append(z)
         return np.hstack(out)
 
-    def densities(self, full, layout):
-        return TipResolvedDensities(
-            self, [(full[layout.a_cols(p)], full[layout.b_cols(p)]) for p in range(8)]
+    def series(self, piece, a, b, s, order=0):
+        """As _LegendreBasis.series, each part on its own function family."""
+        arc = piece // 4
+        key_a, key_b = self.part_keys(piece)
+        return (
+            self.functions(arc, key_a, s, order) @ a
+            + 1j * (self.functions(arc, key_b, s, order) @ b)
         )
 
     def collocation_points(self):
@@ -222,27 +228,6 @@ class TipEnrichedBasis(_LegendreBasis):
         return tuple(out)
 
 
-class TipResolvedDensities:
-    """Densities of the tip-resolved solve, with DensitySet.eval's interface."""
-
-    def __init__(self, basis, coefficients):
-        self.basis = basis
-        self.coefficients = coefficients  # (real, imaginary) per piece
-        self.n, self.l0, self.l = basis.n, basis.l0, basis.l
-
-    def eval(self, which, s, order=0):
-        """Value (order=0) or s-derivative of a density, as DensitySet.eval."""
-        def arc_values(piece, arc, s_arc):
-            key_a, key_b = self.basis.part_keys(piece)
-            re, im = self.coefficients[piece]
-            return (
-                self.basis.functions(arc, key_a, s_arc, order) @ re
-                + 1j * (self.basis.functions(arc, key_b, s_arc, order) @ im)
-            )
-
-        return _eval_arcs(self, which, s, arc_values)
-
-
 def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):
     """Solve the problem on the tip-enriched basis, collocated up to the tips.
 
@@ -253,7 +238,8 @@ def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):
     bonded-arc slope proportionality, force balance and single-valuedness).
     The quadrature is kernels.FINE_RULE, its tip panels graded down to d_min.
     ``n`` is the Legendre degree on each arc.  Returns
-    (TipResolvedDensities, ResidualReport).
+    (DensitySet, ResidualReport); the DensitySet evaluates through the
+    TipEnrichedBasis, and its to_dict raises ValueError.
     """
     basis = TipEnrichedBasis(setup, n, zone_terms)
     return solve(assemble(setup, n, rule=FINE_RULE, basis=basis))

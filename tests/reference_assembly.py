@@ -60,7 +60,7 @@ def tie_map(elimination):
     """The dense [full, free] map of the bonded-arc ties of a
     ``solver._Elimination``."""
     e = elimination
-    ties = np.zeros((e.layout.total, e.free.size))
+    ties = np.zeros((e.total, e.free.size))
     ties[e.free, np.arange(e.free.size)] = 1.0
     ties[e.linked, e.sources] = e.lam
     return ties
@@ -70,7 +70,7 @@ def assemble_cases(setups, n, rule=None, basis=None):
     """One dict per group of ``solver._assemble_cases``: the eliminated
     matrix, rhs, tags, weights, the drift of every refinement of the call
     (``drifts``, the same for every group),
-    the group's elimination and the basis and layout."""
+    the group's elimination and the basis."""
     contour = setups[0].contour
     rule = solver.QuadratureRule() if rule is None else rule
     if basis is None:
@@ -78,7 +78,6 @@ def assemble_cases(setups, n, rule=None, basis=None):
     points = basis.collocation_points()
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
-    layout = solver._Layout(n, basis)
 
     level_rule, tables, drifts = rule, [], []
     for level in range(1 + solver.MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
@@ -99,13 +98,13 @@ def assemble_cases(setups, n, rule=None, basis=None):
         group = [setups[i] for i in cases]
         mat, rhs, tags, weights = stacked_rows(group, basis, tables[-1])
         e = elimination = solver._Elimination(
-            group[0], layout, solver._constraint_rows(group[0], basis, tables[-1], layout)
+            group[0], basis, solver._constraint_rows(group[0], basis, tables[-1])
         )
         tied = np.take(mat, e.free, axis=1)
         tied[:, e.sources] += e.lam * np.take(mat, e.linked, axis=1)
         matrix = tied[:, e.keep] + np.einsum("ik,kj->ij", tied[:, e.dep], e.t)
         out.append(dict(matrix=matrix, rhs=rhs, tags=tags, weights=weights, drifts=drifts,
-                        elimination=elimination, basis=basis, layout=layout, cases=cases))
+                        elimination=elimination, basis=basis, cases=cases))
     return out
 
 
@@ -121,11 +120,10 @@ def densities(system, rcond=1e-13):
     col_scale[col_scale == 0.0] = 1.0
     sol = np.linalg.lstsq(np.divide(mat, col_scale, out=mat), vec, rcond=rcond)[0]
     sol /= col_scale[:, None]
-    layout = system["layout"]
     e = system["elimination"]
     ties, out = tie_map(e), []
     for x in sol.T:
         x_free = np.zeros(e.free.size)
         x_free[e.keep], x_free[e.dep] = x, e.t @ x
-        out.append(system["basis"].densities(ties @ x_free, layout))
+        out.append(system["basis"].densities(ties @ x_free))
     return out

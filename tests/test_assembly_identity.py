@@ -16,8 +16,6 @@ from test_solver import _fig6_grid
 
 
 def _coefficients(dset):
-    if isinstance(dset, tips.TipResolvedDensities):
-        return [c for pair in dset.coefficients for c in pair]
     return dset.a + dset.b
 
 

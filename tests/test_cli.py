@@ -121,13 +121,23 @@ def test_solve_tip_fits_flag(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "tips")
     assert main(["solve", "--config", cfg, "--out", out, "--order", "16", "--tip-fits", "--quiet"]) == 0
-    fits = json.loads(open(os.path.join(out, "summary.json")).read())["tip_fits"]
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    fits = summary["tip_fits"]
     assert [f["tip"] for f in fits] == [0, 1]
     assert all(c["passed"] for f in fits for c in f["ladder_checks"])
     assert all(f["sigma_power_exponent"] < 0.1 for f in fits)
+    # The tip-resolved field's central opening, 0.0219686 against the
+    # solver's 0.0219347 at N = 16; from N = 16 to 40 it moves by 3e-4 relative.
+    resolved = summary["tip_resolved_max_crack_opening"]
+    assert resolved == pytest.approx(0.02197, rel=1e-3)
+    change = resolved / summary["max_crack_opening"] - 1.0
+    assert summary["tip_resolved_opening_relative_change"] == pytest.approx(change, rel=1e-12)
     plain = str(tmp_path / "plain")
     assert main(["solve", "--config", cfg, "--out", plain, "--quiet"]) == 0
-    assert json.loads(open(os.path.join(plain, "summary.json")).read())["tip_fits"] is None
+    summary = json.loads(open(os.path.join(plain, "summary.json")).read())
+    assert summary["tip_fits"] is None
+    assert summary["tip_resolved_max_crack_opening"] is None
+    assert summary["tip_resolved_opening_relative_change"] is None
 
 
 def test_zero_load_solve_is_all_zero(tmp_path):

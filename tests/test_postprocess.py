@@ -219,13 +219,17 @@ def test_summary_tip_fits_carry_their_ladder_checks(tmp_path, reference_solution
 def test_summary_tip_fits_without_interface_tension(tmp_path, zero_interface_solution,
                                                      zero_interface_setup):
     """With no interface tension the tip-resolved solve does not converge
-    (see ROADMAP), so the summary publishes no fits, only the reason."""
+    (see ROADMAP), so the summary publishes no fits, only the reason, and no
+    tip-resolved opening."""
     dset, report = zero_interface_solution
     data = post.write_summary_json(tmp_path / "summary.json", dset, zero_interface_setup, report)
     for fits in data["tip_fits"]:
         assert fits["sigma_power_exponent"] is None
         assert fits["tau_log_fit_relative_residual"] is None
         assert "rank" in fits["error"]
+    assert data["tip_resolved_max_crack_opening"] is None
+    assert data["tip_resolved_opening_relative_change"] is None
+    assert json.loads((tmp_path / "summary.json").read_text())["tip_resolved_max_crack_opening"] is None
 
 
 @pytest.mark.parametrize("fn", [cs.tip_exponents, cs.tip_ladder_checks])

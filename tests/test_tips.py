@@ -89,6 +89,17 @@ def test_tip_resolved_field_holds_its_rows(reference_setup, resolved):
         field.eval("w", 1.0)
 
 
+def test_tip_resolved_field_is_a_density_set_that_is_not_written(resolved):
+    """The tip-resolved solve returns the solver's densities type, which
+    evaluates through its basis; densities.json holds Legendre coefficients
+    only, so writing these is refused rather than mislabelled."""
+    field, _ = resolved
+    assert isinstance(field, cs.DensitySet)
+    assert isinstance(field.basis, tips.TipEnrichedBasis)
+    with pytest.raises(ValueError, match="Legendre"):
+        field.to_dict()
+
+
 def test_tip_resolved_solve_imposes_the_integral_constraints(resolved):
     """Force balance and single-valuedness are eliminated exactly on the
     tip-enriched basis too.  Its coefficients reach 1.5e7 in magnitude, so the
@@ -184,8 +195,8 @@ def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monk
 
 def test_densities_share_their_argument_checks(reference_setup):
     basis = tips.TipEnrichedBasis(reference_setup, 8)
-    zeros = np.zeros(basis.size)
-    for dens in (cs.DensitySet.zeros(8, np.pi, 2 * np.pi), cs.TipResolvedDensities(basis, [(zeros, zeros)] * 8)):
+    for dens in (cs.DensitySet.zeros(8, np.pi, 2 * np.pi), basis.densities(np.zeros(basis.total))):
+        assert isinstance(dens, cs.DensitySet)
         with pytest.raises(ValueError, match="unknown density 'q1'"):
             dens.eval("q1", 1.0)
         for bad in (7.0, -0.1, np.nan):
