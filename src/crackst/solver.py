@@ -86,12 +86,10 @@ log = logging.getLogger("crackst")
 
 MATRIX_STABILITY_TOL = 1e-9
 # Same-arc node/point pairs closer than this fraction of the total length
-# take the midpoint-slope limit of the divided difference in the Cauchy
-# table A.  That limit errs by O(d**2 f'''), which is large for high-degree
-# functions near the arc ends: at 1e-5 it drifted the N = 24 tables by
-# 2.5e-9 between quadrature levels, at 1e-9 by 3e-12.  The raw quotient
-# loses only about 1e-16/d to rounding.
-DIVIDED_DIFFERENCE_EPS_FACTOR = 1e-9
+# take the slope limit of the divided difference in the Cauchy table A.
+# Odd node counts put nodes on collocation points, where the raw quotient
+# divides by zero; elsewhere it loses only about 1e-16/d to rounding.
+DIVIDED_DIFFERENCE_EPS_FACTOR = 1e-13
 MAX_ADAPTIVE_ROUNDS = 3
 # Equation rows are collocated at OVERSAMPLE*(N+1) points per arc and solved
 # by least squares.  At exactly N+1 points per arc the square system admits
@@ -419,15 +417,11 @@ class _Tables:
 
                 t1 = m_arc @ cmat[qmask, :]
                 a_tab = t1 - v0 * (g_all - 1j * np.pi)[None, :]
-                # Exact divided-difference replacement for near node/point pairs.
+                # A node on a point takes the slope there in place of the quotient.
                 on_arc = disc.arc[near_q] == arc
                 qi, pi = near_q[on_arc], near_p[on_arc]
-                if qi.size:
-                    s_q, w_q, dt_q = disc.s[qi], disc.w[qi], disc.dt[qi]
-                    mid = 0.5 * (s_q + pts[pi])
-                    dd = basis.functions(arc, key, mid, 1).T * (dt_q / contour.tangent(mid))[None, :]
-                    crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
-                    np.add.at(a_tab.T, pi, (w_q[None, :] * dd - crude).T)
+                crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
+                np.add.at(a_tab.T, pi, (disc.w[qi] * stack[1][:, pi] - crude).T)
                 self.A[arc, key] = a_tab
 
                 wdt = disc.w[qmask] * disc.dt[qmask]

@@ -1,9 +1,10 @@
 """Independent numerical checks of a solved state, separate from the
 solver's own least-squares residuals.
 
-Every check quadratures the solved densities with a finer rule than the
-assembly used, so agreement is evidence about the solution rather than a
-restatement of the fit:
+The checks that integrate use FINE_RULE, the 16 base panels per arc of the
+assembly after its first refinement with a finer tip grading, so agreement
+is evidence about the solution rather than a restatement of the fit (except
+for the conserved integrals of a Legendre solve; see conservation_checks):
 
   * cauchy_inversion          -- the Cauchy singular operator squares to the
                                  identity on the closed contour;
@@ -327,8 +328,11 @@ def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
 
     disc = rule.discretize(contour, tip_panel=tip_panel)
     tau, dt, w = disc.tau, disc.dt, disc.w
-    g_vals = dset.eval(g_name, disc.s)
-    q_vals = dset.eval(q_name, disc.s)
+
+    def pair(ss):  # g and q share the principal value's kernel matrix
+        return np.stack([dset.eval(g_name, ss), dset.eval(q_name, ss)])
+
+    g_vals, q_vals = pair(disc.s)
     # Field points on the first axis, quadrature nodes on the last.
     t0 = contour.point(s0)
     dt0 = contour.tangent(s0)
@@ -336,8 +340,7 @@ def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
 
     # A zero tip panel means a field point on a tip, which cauchy_pv refuses.
     tip_eps = 0.0 if tip_panel > 0.0 else None
-    pv_g = cauchy_pv(contour, lambda ss: dset.eval(g_name, ss), s0, rule, tip_panel, tip_eps, diag_eps)
-    pv_q = cauchy_pv(contour, lambda ss: dset.eval(q_name, ss), s0, rule, tip_panel, tip_eps, diag_eps)
+    pv_g, pv_q = cauchy_pv(contour, pair, s0, rule, tip_panel, tip_eps, diag_eps)
     b1g = np.sum(k1v * g_vals * dt * w, axis=-1)
     b2g = np.sum(k2v * np.conj(g_vals * dt) * w, axis=-1)
     b1q = np.sum(k1v * q_vals * dt * w, axis=-1)
@@ -400,7 +403,8 @@ def conservation_checks(dset, setup, rule=FINE_RULE):
 
     The tip panels are graded like the inversion check's inner rule, so the
     log d of a tip-resolved density integrates as accurately as a
-    polynomial one.
+    polynomial one.  On a Legendre solve they restate the two constraints
+    the solver eliminates exactly (at most 1.1e-15).
     """
     contour = setup.contour
     tip_panel = INNER_TIP_GRADING * contour.l

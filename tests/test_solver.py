@@ -392,6 +392,21 @@ def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, cap
     assert report.rank == report.cols == cols
 
 
+def test_nodes_on_collocation_points_take_the_slope_limit(reference_setup):
+    # 17 nodes per panel put a node on a collocation point, where the raw
+    # quotient of the Cauchy table divides by zero (lstsq then raises
+    # LinAlgError).  Measured: 1.3e-12 of the largest coefficient.
+    rule = cs.QuadratureRule(17, 3, adaptive=False)
+    basis = _LegendreBasis(reference_setup.contour.l0, reference_setup.contour.l, 16)
+    nodes = rule.discretize(reference_setup.contour, 0.5 * basis.delta).s
+    assert np.intersect1d(nodes, np.concatenate(basis.collocation_points())).size
+    odd, _ = cs.solve_problem(reference_setup, 16, rule=rule)
+    ref, _ = cs.solve_problem(reference_setup, 16)
+    got, want = (np.concatenate(d.a + d.b) for d in (odd, ref))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
 def test_tabulated_ellipse_solve_matches_analytic(reference_setup, caplog):
     # 64 samples of the 1.5:1 ellipse.  Measured: the densities within
     # 4.2e-10 of the analytic ellipse's, relative to their largest value.

@@ -46,7 +46,7 @@ def test_tip_resolved_solve_passes_criterion_3_at_order_32(reference_setup, reso
 
 def test_tip_resolved_opening_settles_in_the_order(reference_setup, resolved, resolved32):
     """The central openings at N = 16, 24 and 32 agree within 3e-4 relative
-    (1.1e-4 measured)."""
+    (6.4e-5 measured)."""
     low, _ = cs.solve_tip_resolved(reference_setup, 16)
     openings = [cs.max_crack_opening(f, reference_setup) for f in (low, resolved[0], resolved32[0])]
     assert np.ptp(openings) < 3e-4 * openings[1], openings
@@ -67,7 +67,7 @@ def test_ladder_checks_reject_the_solver_field(reference_solution, reference_set
 
 def test_tip_resolved_field_holds_its_rows(reference_setup, resolved):
     field, report = resolved
-    assert report.max_residual < 4e-3
+    assert report.max_residual < 1e-3
     assert report.per_tag["force_balance_re"] < 1e-6
     assert report.per_tag["single_valuedness_re"] < 1e-6
     l0, l = field.l0, field.l
@@ -103,7 +103,7 @@ def test_tip_resolved_field_is_a_density_set_that_is_not_written(resolved):
 def test_tip_resolved_solve_imposes_the_integral_constraints(resolved):
     """Force balance and single-valuedness are eliminated exactly on the
     tip-enriched basis too.  Its coefficients reach 1.5e7 in magnitude, so the
-    residuals c @ full sit at the rounding level of their terms (1.2e-10
+    residuals c @ full sit at the rounding level of their terms (2.9e-11
     measured; the weighted rows left 1.9e-7).  conservation_checks
     integrates the densities with another rule, so there it measures a
     quadrature difference instead."""
@@ -128,9 +128,9 @@ def test_stress_class_does_not_decide_the_fits(reference_setup, resolved, monkey
     """The zone series hold the stresses to a + b log d at the tip.  With an
     unconstrained series for them (any function of log d) the equations
     still give a flat sigma and a logarithmic shear: the same fits and the
-    same ladder checks.  That looser series pins the log coefficient less
-    tightly (5.77 and 5.78 here, against 5.85 within 0.1% with the
-    classes), so it is compared only in size."""
+    same ladder checks.  The log coefficient is compared only in size, as
+    the looser series need not pin it (measured: 5.848 here, against 5.852
+    with the classes)."""
     with_classes = tips._basis_terms
 
     def terms(kind, k):
@@ -177,10 +177,10 @@ def test_batched_stress_trace_matches_single_points(reference_setup, reference_s
 
 
 def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monkeypatch):
-    """The small radius DIVIDED_DIFFERENCE_EPS_FACTOR * l applies to the
-    Cauchy table's divided differences only: the regular kernels switch to
-    their near-diagonal expansion at DIAG_EPS_FACTOR * l, where the raw
-    quotients lose digits."""
+    """The rounding-level radius DIVIDED_DIFFERENCE_EPS_FACTOR * l applies
+    to the Cauchy table's divided differences only: the regular kernels
+    switch to their near-diagonal expansion at DIAG_EPS_FACTOR * l, where
+    the raw quotients lose digits."""
     seen, regular_kernels = [], solver._regular_kernels
 
     def spy(contour, s_field, t, dt, s_src, tau, eps):
