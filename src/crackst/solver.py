@@ -29,7 +29,8 @@ The side conditions that hold exactly are imposed by eliminating columns
 (``_Elimination``): the degree >= 1 coefficients of the bonded-arc g'
 follow those of g0', and total-force balance and single-valuedness (four
 real constraints) each fix one more column.  The system has 14N+18 columns
-and is solved by weighted least squares with rank and condition reporting.
+and is solved by weighted least squares with rank and condition reporting;
+its rows are stored times their weights.
 Each pair of rows that differs only by phase is built by one loop over
 ``setup.phases`` (model.Phase), which holds every per-phase convention:
 density names, trace sign, face tension and tractions, far field and the
@@ -50,8 +51,15 @@ The adaptive quadrature refines until the operator tables stop changing:
 its drift compares the quadrature-dependent tables of a level with those of
 the coarser one.  The rows are then built once per group, on the final
 tables, and streamed: ``_assemble_rows`` yields them block by block, and
-each block is eliminated straight into the one preallocated matrix of its
-group.
+each block is eliminated and weighted straight into the one preallocated
+matrix of its group.
+
+The least squares (``_least_squares``) factorize the weighted matrix by one
+Householder QR (Golub and Van Loan, Matrix Computations, 5.3) and take the
+condition of the column-equilibrated R from its extreme singular values,
+which block Lanczos iterations on R and on R^-1 find.  A full-rank system is
+then solved by back-substitution; only a rank-deficient R goes to the SVD
+(``np.linalg.lstsq``), for the truncated minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -113,6 +121,14 @@ DEFAULT_INSET_FRACTION = 0.03
 DEFAULT_TAPER = 1.0
 BOND_WEIGHT = 5.0
 TIP_ROW_WEIGHT = 1.0
+# The least squares apply Householder reflectors, and solve triangular
+# systems, in blocks of this many columns or rows.
+LSQ_BLOCK = 32
+# The extreme singular values come from block Lanczos iterations with this
+# many vectors per block; an iteration stops once a step moves its estimate
+# by at most KRYLOV_RTOL relative, or by less than the estimate's rounding.
+KRYLOV_BLOCK = 4
+KRYLOV_RTOL = 1e-14
 # A rank-deficient solve fails when its best fit misses the right-hand side
 # by more than this fraction of the data scale; a deficient but consistent
 # system still has a well-defined minimum-norm solution.
@@ -244,8 +260,8 @@ class DensitySet:
 class LinearSystem:
     """Assembled real collocation system over the free coefficients."""
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    matrix: np.ndarray  # rows times their weights
+    rhs: np.ndarray  # rows times their weights
     row_tags: list
     row_weights: np.ndarray  # least-squares weights, one per row
     elimination: object  # _Elimination: the system's columns in the full vector
@@ -447,12 +463,12 @@ class _Tables:
 def assemble(setup, n, rule=None, basis=None):
     """Assemble the real collocation system for the given problem and order.
 
-    The system is solved by weighted least squares (weights are stored on
-    the system and reported residuals are unweighted).  ``rule`` is the
-    quadrature (QuadratureRule() by default).  ``basis`` replaces the
-    Legendre basis of order n (see _LegendreBasis); the basis also sets the
-    collocation points, their tip inset, the row taper and the weight of the
-    tip-anchored rows.
+    The system is solved by weighted least squares: its matrix and rhs rows
+    are stored times their weights (``row_weights``), and reported residuals
+    are unweighted.  ``rule`` is the quadrature (QuadratureRule() by
+    default).  ``basis`` replaces the Legendre basis of order n (see
+    _LegendreBasis); the basis also sets the collocation points, their tip
+    inset, the row taper and the weight of the tip-anchored rows.
     """
     ((system, _),) = _assemble_cases([setup], n, rule, basis)
     system.rhs = system.rhs[:, 0]
@@ -540,7 +556,8 @@ def _assemble_cases(setups, n, rule=None, basis=None):
         for rows, b, block_tags, w in _assemble_rows([setups[i] for i in cases], basis, tab):
             r1 = r0 + rows.shape[0]
             elimination.reduce(rows, out=matrix[r0:r1])
-            rhs[r0:r1], wts[r0:r1] = b, w
+            matrix[r0:r1] *= w[:, None]
+            rhs[r0:r1], wts[r0:r1] = b * w[:, None], w
             tags[r0:r1] = block_tags
             r0 = r1
             del rows, b  # the next block is built without these
@@ -813,12 +830,30 @@ def _assemble_rows(setups, basis, tab):
 def solve(system, rcond=1e-13):
     """Least-squares solve with column equilibration and rank reporting.
 
-    Truncated directions below ``rcond`` are reported through the effective
-    rank; the solve only fails when the matrix is rank deficient *and* the
-    best fit misses the right-hand side by more than FAIL_RESIDUAL relative
-    to the data scale.
+    The weighted matrix is factorized by one Householder QR.  The solve is
+    full rank when the smallest singular value of the column-equilibrated R
+    exceeds ``rcond`` times the largest; both come from block Lanczos
+    iterations, their ratio is the reported condition, and the solution is
+    back-substituted.  Otherwise the SVD of R truncates the directions below
+    ``rcond``, reported through the effective rank, and gives the
+    minimum-norm solution; the solve then fails only when the best fit
+    misses the right-hand side by more than FAIL_RESIDUAL relative to the
+    data scale.  ``rcond`` must lie in [0, 1), and a non-finite entry of the
+    system raises a ValueError naming its row tag.
     """
     return _solve_columns(system, rcond)[0]
+
+
+def _check_rcond(rcond):
+    if not 0.0 <= rcond < 1.0:  # NaN fails the comparison too
+        raise ValueError(f"rcond must be finite and in [0, 1), got {rcond!r}")
+
+
+def _column_scale(mat):
+    """The largest |entry| of each column, 1 for a zero column."""
+    scale = np.maximum(np.max(mat, axis=0), -np.min(mat, axis=0))  # without an |mat| copy
+    scale[scale == 0.0] = 1.0
+    return scale
 
 
 def _solve_columns(system, rcond=1e-13, cases=None):
@@ -826,34 +861,34 @@ def _solve_columns(system, rcond=1e-13, cases=None):
     [rows] or [rows, columns]) with one factorization; returns one
     (DensitySet, ResidualReport) per column.  ``cases`` names the columns
     in a SingularSystemError."""
+    _check_rcond(rcond)
     t0 = time.perf_counter()
-    rhs = system.rhs.reshape(system.rhs.shape[0], -1)
-    w = system.row_weights
-    mat, vec = system.matrix * w[:, None], rhs * w[:, None]
-    col_scale = np.maximum(np.max(mat, axis=0), -np.min(mat, axis=0))  # max |mat| without a copy
-    col_scale[col_scale == 0.0] = 1.0
-    scaled = np.divide(mat, col_scale, out=mat)
-    sol, _, rank, sing = np.linalg.lstsq(scaled, vec, rcond=rcond)
-    sol /= col_scale[:, None]
-    cond = float(sing[0] / sing[-1]) if sing.size and sing[-1] > 0 else np.inf
+    mat, rhs, w = system.matrix, system.rhs.reshape(system.rhs.shape[0], -1), system.row_weights
+    col_scale = _column_scale(mat)  # NaN or inf where a column holds one
+    if not (np.all(np.isfinite(col_scale)) and np.all(np.isfinite(rhs))):
+        finite = np.all(np.isfinite(mat), axis=1) & np.all(np.isfinite(rhs), axis=1)
+        row = int(np.argmin(finite))
+        raise ValueError(f"non-finite entry in row {row} ({system.row_tags[row]!r}) of the collocation system")
+    sol, rank, cond = _least_squares(mat, rhs, col_scale, rcond)
     lstsq_s = time.perf_counter() - t0
-    if rank < scaled.shape[1]:
+    rows, cols = mat.shape
+    if rank < cols:
         log.warning(
             "collocation matrix rank %d < %d columns at order %d (condition %.3e)%s",
-            rank, scaled.shape[1], system.basis.n, cond, "" if cases is None else f" for cases {cases}",
+            rank, cols, system.basis.n, cond, "" if cases is None else f" for cases {cases}",
         )
 
     out = []
     for j in range(rhs.shape[1]):
-        x, b = sol[:, j], rhs[:, j]
+        x = sol[:, j]
         # Residuals are reported for the unweighted rows.
-        resid = system.matrix @ x - b
-        data_scale = max(np.max(np.abs(b)), 1.0)
+        resid = (mat @ x - rhs[:, j]) / w
+        data_scale = max(np.max(np.abs(rhs[:, j] / w)), 1.0)
         resid_scale = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if rank < scaled.shape[1] and resid_scale > FAIL_RESIDUAL * data_scale:
-            deficient = _deficient_tags(scaled, system.row_tags, rcond)
+        if rank < cols and resid_scale > FAIL_RESIDUAL * data_scale:
+            deficient = _deficient_tags(mat / col_scale, system.row_tags, rcond)
             raise SingularSystemError(
-                f"collocation matrix rank {rank} < {scaled.shape[1]} and the "
+                f"collocation matrix rank {rank} < {cols} and the "
                 f"least-squares residual {resid_scale:.3e} exceeds tolerance; "
                 f"most involved row tags: {deficient}",
                 case=None if cases is None else cases[j],
@@ -868,8 +903,8 @@ def _solve_columns(system, rcond=1e-13, cases=None):
         meta = dict(system.meta)
         meta["timings"] = {**meta.get("timings", {}), "lstsq_s": lstsq_s}
         report = ResidualReport(
-            rows=mat.shape[0],
-            cols=mat.shape[1],
+            rows=rows,
+            cols=cols,
             rank=int(rank),
             condition=cond,
             max_residual=max(per_tag.values()),
@@ -879,6 +914,117 @@ def _solve_columns(system, rcond=1e-13, cases=None):
         )
         out.append((dset, report))
     return out
+
+
+def _least_squares(mat, rhs, col_scale, rcond):
+    """(solutions [cols, columns of rhs], rank, condition) of the least
+    squares mat x = rhs, equilibrated by the column scales ``col_scale``.
+
+    One Householder QR of mat gives Q^T rhs (``_apply_qt``) and R; the
+    extreme singular values of R C^-1 (C = diag(col_scale)) come from
+    ``_largest_singular_value`` on it and on its inverse.  Since the
+    smallest is at most min |r_ii| / c_i, a diagonal at or below rcond times
+    the largest skips the second iteration.  A full-rank R is inverted by
+    back-substitution; otherwise the SVD of R C^-1 (np.linalg.lstsq) gives
+    the truncated minimum-norm solution, the rank and the condition, as it
+    would for mat C^-1 itself.
+    """
+    h, tau = np.linalg.qr(mat, mode="raw")
+    qr = h.T  # geqrf's layout: R on and above the diagonal, reflectors below
+    n = qr.shape[1]
+    qtb = _apply_qt(qr, tau, rhs)[:n]
+    r = _equilibrated_r(qr, col_scale)
+    s_max = _largest_singular_value(lambda z: r @ z, lambda y: r.T @ y, n, KRYLOV_RTOL)
+    diagonal = np.min(np.abs(np.diagonal(r)))
+    if diagonal > rcond * s_max:
+        # Rounding moves the smallest singular value by about eps * condition
+        # relative, which min |r_ii| bounds from below.
+        noise = np.finfo(float).eps * s_max / diagonal
+        s_min = 1.0 / _largest_singular_value(
+            lambda y: _solve_upper(r, y), lambda z: _solve_upper(r, z, transpose=True), n,
+            max(KRYLOV_RTOL, noise),
+        )
+        if s_min > rcond * s_max:
+            return _solve_upper(r, qtb) / col_scale[:, None], n, float(s_max / s_min)
+    sol, _, rank, sing = np.linalg.lstsq(r, qtb, rcond=rcond)
+    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
+    return sol / col_scale[:, None], int(rank), cond
+
+
+def _apply_qt(qr, tau, b):
+    """Q^T b for the QR (qr, tau) in geqrf's layout.  Each block of LSQ_BLOCK
+    reflectors H_j = I - tau_j v_j v_j^T acts at once as I - V T V^T, with
+    T^-1 = diag(1/tau_j) plus the strict upper triangle of V^T V (Joffrain
+    et al., ACM TOMS 32, 2006); tau_j = 0 marks H_j = I."""
+    c = np.array(b, dtype=float)
+    for j0 in range(0, qr.shape[1], LSQ_BLOCK):
+        j1 = min(j0 + LSQ_BLOCK, qr.shape[1])
+        tau_block = tau[j0:j1]
+        v = qr[j0:, j0:j1].copy()
+        v[: j1 - j0] = np.tril(v[: j1 - j0], -1)
+        np.fill_diagonal(v, 1.0)
+        v[:, tau_block == 0.0] = 0.0
+        t_inv = np.triu(v.T @ v, 1)
+        np.fill_diagonal(t_inv, 1.0 / np.where(tau_block == 0.0, 1.0, tau_block))
+        c[j0:] -= v @ np.linalg.solve(t_inv.T, v.T @ c[j0:])
+    return c
+
+
+def _equilibrated_r(qr, col_scale):
+    """R C^-1 in place of the QR's leading rows, its reflectors zeroed."""
+    n = qr.shape[1]
+    r = qr[:n]
+    for j0 in range(0, n, LSQ_BLOCK):
+        j1 = min(j0 + LSQ_BLOCK, n)
+        r[j0:j1, :j0] = 0.0
+        r[j0:j1, j0:j1] = np.triu(r[j0:j1, j0:j1])
+    r /= col_scale
+    return r
+
+
+def _solve_upper(r, y, transpose=False):
+    """r^-1 y (r^-T y when ``transpose``) for the upper triangular r, by
+    substitution over diagonal blocks of LSQ_BLOCK rows.  np.linalg.solve
+    of an upper triangular block pivots on its diagonal, so it substitutes;
+    for the transposed block it is backward stable as well."""
+    x = np.empty_like(y)
+    n = r.shape[0]
+    starts = range(0, n, LSQ_BLOCK)
+    for j0 in starts if transpose else reversed(starts):
+        j1 = min(j0 + LSQ_BLOCK, n)
+        if transpose:
+            x[j0:j1] = np.linalg.solve(r[j0:j1, j0:j1].T, y[j0:j1] - r[:j0, j0:j1].T @ x[:j0])
+        else:
+            x[j0:j1] = np.linalg.solve(r[j0:j1, j0:j1], y[j0:j1] - r[j0:j1, j1:] @ x[j1:])
+    return x
+
+
+def _start_block(n):
+    """A deterministic [n, KRYLOV_BLOCK] start block with no structure a
+    collocation matrix shares: the fractional parts of a Weyl sequence."""
+    k = np.arange(1, n * KRYLOV_BLOCK + 1, dtype=float).reshape(n, KRYLOV_BLOCK)
+    return np.modf(k * (np.sqrt(5.0) - 1.0) / 2.0)[0] - 0.5
+
+
+def _largest_singular_value(apply, apply_t, n, rtol):
+    """Largest singular value of the n x n operator ``apply`` (``apply_t``
+    its transpose) by block Lanczos on apply_t(apply(.)) from _start_block,
+    with full reorthogonalization: the estimate is the largest singular
+    value of ``apply`` on the orthonormal basis (Rayleigh-Ritz, from below),
+    and the iteration stops once a step moves it by at most rtol relative."""
+    basis = np.linalg.qr(_start_block(n))[0]
+    images = apply(basis)
+    estimate = 0.0
+    while True:
+        previous, estimate = estimate, float(np.sqrt(np.linalg.eigvalsh(images.T @ images)[-1]))
+        if estimate - previous <= rtol * estimate or basis.shape[1] + KRYLOV_BLOCK > n:
+            return estimate
+        block = apply_t(images[:, -KRYLOV_BLOCK:])
+        for _ in range(2):
+            block -= basis @ (basis.T @ block)
+        block = np.linalg.qr(block)[0]
+        basis = np.hstack([basis, block])
+        images = np.hstack([images, apply(block)])
 
 
 def _deficient_tags(scaled, row_tags, rcond):
@@ -901,6 +1047,7 @@ def _deficient_tags(scaled, row_tags, rcond):
 
 def solve_problem(setup, n, rule=None, rcond=1e-13):
     """Assemble and solve in one step; returns (DensitySet, ResidualReport)."""
+    _check_rcond(rcond)
     return solve(assemble(setup, n, rule=rule), rcond=rcond)
 
 
@@ -918,6 +1065,7 @@ def solve_cases(setups, n, rule=None, rcond=1e-13):
     rows_s and lstsq_s for the loads of its group).  A failing case raises
     SingularSystemError naming its index (``case``) when there are several.
     """
+    _check_rcond(rcond)
     out = [None] * len(setups)
     for system, cases in _assemble_cases(setups, n, rule=rule):
         named = cases if len(setups) > 1 else None

@@ -5,7 +5,8 @@ Every level's tables are kept, the drift compares the tables of two levels
 flattened into one vector, the final level's row blocks of
 ``_assemble_rows`` are stacked with ``vstack``, the elimination takes and
 adds whole columns and multiplies the whole matrix by the constraint map,
-and the densities come from a dense map of the bonded-arc ties.
+the whole matrix and rhs are then weighted, and the densities come from
+the solver's least squares and a dense map of the bonded-arc ties.
 The k1/k2 kernel tables are built over all nodes and sliced per arc.  The
 arithmetic of every entry is the library's.
 """
@@ -67,8 +68,9 @@ def tie_map(elimination):
 
 
 def assemble_cases(setups, n, rule=None, basis=None):
-    """One dict per group of ``solver._assemble_cases``: the eliminated
-    matrix, rhs, tags, weights, the drift of every refinement of the call
+    """One dict per group of ``solver._assemble_cases``: the eliminated and
+    weighted matrix and rhs, tags, weights, the drift of every refinement of
+    the call
     (``drifts``, the same for every group),
     the group's elimination and the basis."""
     contour = setups[0].contour
@@ -103,6 +105,7 @@ def assemble_cases(setups, n, rule=None, basis=None):
         tied = np.take(mat, e.free, axis=1)
         tied[:, e.sources] += e.lam * np.take(mat, e.linked, axis=1)
         matrix = tied[:, e.keep] + np.einsum("ik,kj->ij", tied[:, e.dep], e.t)
+        matrix, rhs = matrix * weights[:, None], rhs * weights[:, None]
         out.append(dict(matrix=matrix, rhs=rhs, tags=tags, weights=weights, drifts=drifts,
                         elimination=elimination, basis=basis, cases=cases))
     return out
@@ -110,16 +113,13 @@ def assemble_cases(setups, n, rule=None, basis=None):
 
 def densities(system, rcond=1e-13):
     """The densities of every rhs column of a reference system: the solver's
-    equilibrated least-squares solve, the constrained columns t @ x of each
-    column x (a product over several columns at once rounds otherwise),
-    then the dense tie map."""
-    rhs = system["rhs"].reshape(system["rhs"].shape[0], -1)
-    w = system["weights"]
-    mat, vec = system["matrix"] * w[:, None], rhs * w[:, None]
+    equilibrated least squares on the whole weighted system, the constrained
+    columns t @ x of each column x (a product over several columns at once
+    rounds otherwise), then the dense tie map."""
+    mat, rhs = system["matrix"], system["rhs"].reshape(system["rhs"].shape[0], -1)
     col_scale = np.max(np.abs(mat), axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    sol = np.linalg.lstsq(np.divide(mat, col_scale, out=mat), vec, rcond=rcond)[0]
-    sol /= col_scale[:, None]
+    sol = solver._least_squares(mat, rhs, col_scale, rcond)[0]
     e = system["elimination"]
     ties, out = tie_map(e), []
     for x in sol.T:

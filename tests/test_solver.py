@@ -1,9 +1,14 @@
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crackst as cs
+from crackst import solver
 from crackst.scenarios import scenario_config
 from crackst.solver import _LegendreBasis
 
@@ -235,8 +240,9 @@ def test_solution_is_reproducible_across_blas_thread_counts(reference_setup, sha
     does, so the tables change in their last bits with the thread count, and
     the least squares amplifies that by at most its condition.  Between 1
     and 2 threads the coefficients move by at most condition x eps of the
-    largest (0.13, 0.032, 0.028 and 0.095 of that bound measured; at N = 64
-    4.2e-6 of the largest).  The bit-identity tests run on one thread."""
+    largest (0.062, 0.002, 0.007 and 0.002 of that bound measured with the
+    QR solve, 0.13, 0.032, 0.028 and 0.095 with gelsd; at N = 64 1.0e-6 of
+    the largest).  The bit-identity tests run on one thread."""
     controls = _thread_controls()
     if controls is None:
         pytest.skip("the thread count of numpy's OpenBLAS cannot be set")
@@ -318,8 +324,6 @@ def test_solve_cases_one_case_is_bit_identical(reference_setup):
 
 
 def test_solve_cases_builds_tables_once_per_level(monkeypatch):
-    from crackst import solver
-
     built = []
     init = solver._Tables.__init__
 
@@ -357,19 +361,94 @@ def test_solve_cases_names_failing_case(unit_semicircle):
     assert err.value.case == 1
 
 
+def _equilibrated_singular_values(system):
+    """Singular values of the weighted matrix with each column divided by
+    its largest |entry|, as the solve equilibrates it."""
+    return np.linalg.svd(system.matrix / np.max(np.abs(system.matrix), axis=0), compute_uv=False)
+
+
 def test_solver_warnings(reference_setup, caplog):
     # Identical phases, unloaded (so the truncated solve still fits), on a
     # coarse quadrature and with rcond cutting the rank.
     same = replace(reference_setup, inclusion=reference_setup.matrix, load=cs.RemoteLoad(0.0, 0.0))
     coarse = cs.QuadratureRule(nodes_per_panel=4, panels_per_arc=2)
     with caplog.at_level("WARNING", logger="crackst"):
-        _, report = cs.solve_problem(same, 8, rule=coarse, rcond=1e-2)
+        system = cs.assemble(same, 8, rule=coarse)
+        _, report = cs.solve(system, rcond=1e-2)
     assert report.rank < report.cols and report.degenerate_pair
+    sing = _equilibrated_singular_values(system)
+    assert report.rank == np.sum(sing > 1e-2 * sing[0])
     assert report.meta["quadrature_stabilized"] is False
     messages = " | ".join(r.getMessage() for r in caplog.records if r.name == "crackst")
     assert "rank" in messages
     assert "did not stabilize" in messages
     assert "degenerate material pair" in messages
+
+
+@pytest.mark.parametrize("rcond", [float("nan"), float("inf"), -1.0, 1.0, 2.0])
+def test_bad_rcond_is_rejected_before_assembly(reference_setup, monkeypatch, rcond):
+    system = cs.assemble(reference_setup, 8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled with a bad rcond")
+
+    monkeypatch.setattr(solver, "_assemble_cases", refuse)
+    for call in (
+        lambda: cs.solve(system, rcond=rcond),
+        lambda: cs.solve_problem(reference_setup, 8, rcond=rcond),
+        lambda: cs.solve_cases([reference_setup], 8, rcond=rcond),
+    ):
+        with pytest.raises(ValueError, match="rcond"):
+            call()
+
+
+def test_non_finite_system_names_its_row(reference_setup):
+    system = cs.assemble(reference_setup, 8)
+    for row, entry in ((17, np.nan), (len(system.row_tags) - 3, np.inf)):
+        for field in ("matrix", "rhs"):
+            broken = replace(system, **{field: getattr(system, field).copy()})
+            getattr(broken, field)[row, ...] = entry
+            with pytest.raises(ValueError, match=re.escape(f"row {row} ({system.row_tags[row]!r})")):
+                cs.solve(broken)
+
+
+# Conditions from the QR's Krylov estimates against a full SVD; cols is the
+# full rank 14N + 18 (298 on the fig6 setup).
+@pytest.mark.parametrize(
+    "shape, n", [("semicircle", 16), ("semicircle", 24), ("semicircle", 32), ("semicircle", 48),
+                 ("semicircle", 64), ("ellipse", 24), ("fig6", 20)],
+)
+def test_condition_and_rank_match_the_svd(reference_setup, shape, n):
+    setup = {
+        "semicircle": reference_setup,
+        "ellipse": replace(reference_setup, contour=cs.elliptical_contour(1.5, 1.0, (0.0, np.pi))),
+        "fig6": scenario_config("fig6").setup,
+    }[shape]
+    system = cs.assemble(setup, n)
+    _, report = cs.solve(system)
+    sing = _equilibrated_singular_values(system)
+    cond = sing[0] / sing[-1]
+    assert report.rank == report.cols == 14 * n + 18
+    assert abs(report.condition - cond) <= max(1e-10, np.finfo(float).eps * cond) * cond
+
+
+def test_solve_does_not_load_numpy_random():
+    # The Krylov iterations start from a fixed block; numpy.random would add
+    # about 6 MB to a process that never loads it otherwise.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import crackst as cs\n"
+        "setup = cs.ProblemSetup(cs.circular_contour(1.0, (0.0, np.pi)), cs.Material(40.0, 0.25),\n"
+        "                        cs.Material(60.0, 0.35), cs.SurfaceTension(0.1, 0.1, 0.1),\n"
+        "                        cs.RemoteLoad(1.0, 0.0, 0.0))\n"
+        "_, report = cs.solve_problem(setup, 16)\n"
+        "assert report.rank == report.cols\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cs.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # cols is the full rank 14N + 18.
@@ -394,8 +473,8 @@ def test_adaptive_quadrature_stabilizes_at_first_refinement(reference_setup, cap
 
 def test_nodes_on_collocation_points_take_the_slope_limit(reference_setup):
     # 17 nodes per panel put a node on a collocation point, where the raw
-    # quotient of the Cauchy table divides by zero (lstsq then raises
-    # LinAlgError).  Measured: 1.3e-12 of the largest coefficient.
+    # quotient of the Cauchy table divides by zero (the solve then rejects
+    # the non-finite row).  Measured: 1.3e-12 of the largest coefficient.
     rule = cs.QuadratureRule(17, 3, adaptive=False)
     basis = _LegendreBasis(reference_setup.contour.l0, reference_setup.contour.l, 16)
     nodes = rule.discretize(reference_setup.contour, 0.5 * basis.delta).s
