@@ -55,7 +55,6 @@ from .solver import (
     ResidualReport,
     SingularSystemError,
     assemble,
-    collocation_points,
     solve,
     solve_cases,
     solve_problem,
@@ -123,7 +122,6 @@ __all__ = [
     "assemble",
     "cauchy_pv",
     "circular_contour",
-    "collocation_points",
     "contour_integral",
     "elliptical_contour",
     "far_field_constants",

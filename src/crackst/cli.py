@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 solver failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -40,10 +39,6 @@ def _out_dir(run_config, override):
         base = os.path.join(root, base)
     os.makedirs(base, exist_ok=True)
     return base
-
-
-def _fmt(value):
-    return f"{float(value):.12e}"
 
 
 def _checked_order(value):
@@ -178,23 +173,25 @@ def _sweep_row(param, value, summary, report, vreport):
 
     def fit(tip, key):
         found = tips[tip].get(key)
-        return _fmt(float("nan") if found is None else found)
+        return float("nan") if found is None else found
 
     by_name = {c.name: c.value for c in vreport.checks}
-    return [
-        param,
-        _fmt(value),
-        _fmt(summary["max_crack_opening"]),
-        _fmt(summary["max_crack_opening_full_arc"]),
-        _fmt(summary["max_crack_aperture"]),
-        fit(0, "sigma_power_exponent"),
-        fit(0, "tau_log_fit_relative_residual"),
-        fit(1, "sigma_power_exponent"),
-        fit(1, "tau_log_fit_relative_residual"),
-        _fmt(report.max_residual),
-        _fmt(report.condition),
-        _fmt(by_name.get("force_balance", float("nan"))),
-        _fmt(by_name.get("single_valuedness", float("nan"))),
+    return [param] + [
+        float(v)
+        for v in (
+            value,
+            summary["max_crack_opening"],
+            summary["max_crack_opening_full_arc"],
+            summary["max_crack_aperture"],
+            fit(0, "sigma_power_exponent"),
+            fit(0, "tau_log_fit_relative_residual"),
+            fit(1, "sigma_power_exponent"),
+            fit(1, "tau_log_fit_relative_residual"),
+            report.max_residual,
+            report.condition,
+            by_name.get("force_balance", float("nan")),
+            by_name.get("single_valuedness", float("nan")),
+        )
     ]
 
 
@@ -227,10 +224,7 @@ def cmd_sweep(args):
         vreport = validate_solution(dset, case.setup)
         summary = _write_standard_outputs(subdir, case, dset, report, vreport, tip_fits=args.tip_fits)
         rows.append(_sweep_row(args.param, value, summary, report, vreport))
-    with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+    post.write_csv(os.path.join(outdir, "sweep.csv"), SWEEP_COLUMNS, list(zip(*rows)))
     if not args.quiet:
         print(f"sweep outputs written to {outdir}")
     return EXIT_OK

@@ -186,7 +186,8 @@ def parse_config(path):
 
 
 def dump_config(run_config):
-    """Serialize a RunConfig back to config text (round-trips parse_config)."""
+    """Serialize a RunConfig back to config text (round-trips parse_config).
+    Tractions other than the zero and constant presets raise ConfigError."""
     setup = run_config.setup
     contour = setup.contour
     parser = configparser.ConfigParser()
@@ -224,6 +225,18 @@ def dump_config(run_config):
         "sigma2_mpa": repr(setup.load.sigma2),
         "alpha_rad": repr(setup.load.alpha),
     }
+    constants = setup.tractions.constants
+    if constants is None:
+        raise ConfigError("[tractions] of this setup are callables that no preset describes")
+    if any(constants):  # zero tractions are the default preset
+        f1, f2 = constants
+        parser["tractions"] = {
+            "preset": "constant",
+            "f1_re_mpa": repr(f1.real),
+            "f1_im_mpa": repr(f1.imag),
+            "f2_re_mpa": repr(f2.real),
+            "f2_im_mpa": repr(f2.imag),
+        }
     # str gives a float's repr and, lowered, a boolean getboolean reads.
     parser["numerics"] = {f.name: str(getattr(run_config.numerics, f.name)).lower() for f in fields(Numerics)}
     parser["output"] = {"directory": run_config.output_dir}

@@ -134,11 +134,14 @@ class CrackTractions:
 
     f1(s) acts on the face seen from the inclusion, f2(s) on the face seen
     from the matrix; both return complex sigma_n + i*tau_n values.
+    ``constants`` holds (f1, f2) of the zero and the constant preset, and
+    None for other callables.
     """
 
     def __init__(self, f1=None, f2=None):
         self._f1 = f1
         self._f2 = f2
+        self.constants = (0j, 0j) if f1 is None and f2 is None else None
 
     @staticmethod
     def zero():
@@ -147,30 +150,33 @@ class CrackTractions:
     @staticmethod
     def constant(f1=0.0, f2=0.0):
         c1, c2 = complex(f1), complex(f2)
-        return CrackTractions(
+        tractions = CrackTractions(
             f1=lambda s: np.full_like(np.asarray(s, dtype=float), c1, dtype=complex),
             f2=lambda s: np.full_like(np.asarray(s, dtype=float), c2, dtype=complex),
         )
+        tractions.constants = c1, c2
+        return tractions
 
     def f1(self, s):
-        if self._f1 is None:
-            return np.zeros_like(np.asarray(s, dtype=float), dtype=complex)
-        out = np.asarray(self._f1(s), dtype=complex)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("crack traction f1 produced non-finite values")
-        return out
+        return self._values(self._f1, "f1", s)
 
     def f2(self, s):
-        if self._f2 is None:
+        return self._values(self._f2, "f2", s)
+
+    @staticmethod
+    def _values(fn, name, s):
+        if fn is None:
             return np.zeros_like(np.asarray(s, dtype=float), dtype=complex)
-        out = np.asarray(self._f2(s), dtype=complex)
+        out = np.asarray(fn(s), dtype=complex)
         if not np.all(np.isfinite(out)):
-            raise ValueError("crack traction f2 produced non-finite values")
+            raise ValueError(f"crack traction {name} produced non-finite values")
         return out
 
     def scaled(self, factor):
         if self._f1 is None and self._f2 is None:
             return self
+        if self.constants is not None:
+            return CrackTractions.constant(*(factor * c for c in self.constants))
         f1, f2 = self._f1, self._f2
         return CrackTractions(
             f1=None if f1 is None else (lambda s: factor * np.asarray(f1(s), dtype=complex)),

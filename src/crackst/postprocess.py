@@ -375,23 +375,17 @@ def write_boundary_fields_csv(path, *fields):
 
 
 def write_deformed_boundary_csv(path, columns):
-    names = [
-        "s",
-        "x_undeformed",
-        "y_undeformed",
-        "x_deformed_inclusion",
-        "y_deformed_inclusion",
-        "x_deformed_matrix",
-        "y_deformed_matrix",
-    ]
-    write_csv(path, names, [columns[name] for name in names])
+    """The columns of ``deformed_boundary``, named by its keys."""
+    write_csv(path, list(columns), list(columns.values()))
 
 
 def write_csv(path, names, columns):
-    """A header and one row per sample, integer columns as %d and the others
-    as %.12e, with CRLF line ends as csv.writer writes them."""
+    """A header and one row per sample, integer columns as %d, string columns
+    as %s (unquoted) and the others as %.12e, with CRLF line ends as
+    csv.writer writes them."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\r\n"
+    formats = {"i": "%d", "u": "%d", "U": "%s"}
+    row = ",".join(formats.get(c.dtype.kind, "%.12e") for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\r\n")
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))

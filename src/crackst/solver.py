@@ -35,10 +35,12 @@ Each pair of rows that differs only by phase is built by one loop over
 ``setup.phases`` (model.Phase), which holds every per-phase convention:
 density names, trace sign, face tension and tractions, far field and the
 material factors.
-The rows are built from a basis object (_LegendreBasis here), which also
-sets their points and weights, lays out the full coefficient vector and
-evaluates the densities (DensitySet holds a basis and its coefficients);
-tips.solve_tip_resolved assembles the same rows on a basis that adds
+The rows are built from a basis object (_LegendreBasis here): one table of
+functions per arc, and for each density piece the columns of that table
+its real and its imaginary part take.  The basis also sets the rows' points
+and weights, lays out the full coefficient vector and evaluates the
+densities (DensitySet holds a basis and its coefficients);
+tips.solve_tip_resolved assembles the same rows on a basis whose tables add
 functions resolving the crack tips to the same Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
@@ -80,7 +82,6 @@ __all__ = [
     "LinearSystem",
     "ResidualReport",
     "SingularSystemError",
-    "collocation_points",
     "assemble",
     "solve",
     "solve_problem",
@@ -144,19 +145,6 @@ class SingularSystemError(RuntimeError):
     def __init__(self, message, case=None):
         super().__init__(message if case is None else f"case {case}: {message}")
         self.case = case
-
-
-def collocation_points(l0, l, n, delta):
-    """N+1 equally spaced interior points on each arc, inset delta from tips."""
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if delta <= 0.0:
-        raise ValueError(f"tip inset must be positive, got {delta}")
-    if 2.0 * delta >= min(l0, l - l0):
-        raise ValueError(f"tip inset {delta} too large for arc lengths {l0}, {l - l0}")
-    crack = delta + np.arange(n + 1) * (l0 - 2.0 * delta) / n
-    bond = l0 + delta + np.arange(n + 1) * ((l - l0) - 2.0 * delta) / n
-    return crack, bond
 
 
 def _piece(which, arc):
@@ -244,15 +232,26 @@ class DensitySet:
 
     @classmethod
     def from_dict(cls, d):
+        """The densities of a densities.json record; a ValueError names the
+        first piece whose labels or coefficient counts do not fit."""
         if d.get("basis") != "legendre":
             raise ValueError(
                 f"densities basis {d.get('basis')!r} is not 'legendre'; files without "
                 "a basis hold monomial coefficients and cannot be read"
             )
         dset = cls.zeros(d["order"], d["l0"], d["l"])
-        for p, item in enumerate(d["pieces"]):
-            dset.a[p] = np.asarray(item["a"], dtype=float)
-            dset.b[p] = np.asarray(item["b"], dtype=float)
+        basis, pieces = dset.basis, d["pieces"]
+        if len(pieces) != 8:
+            raise ValueError(f"densities hold {len(pieces)} pieces, expected 8")
+        for p, item in enumerate(pieces):
+            name = f"piece {p} ({FUNCTIONS[p % 4]} on arc {p // 4})"
+            if (item.get("function"), item.get("arc")) != (FUNCTIONS[p % 4], p // 4):
+                raise ValueError(f"{name} is labelled {item.get('function')!r} on arc {item.get('arc')!r}")
+            a, b = np.asarray(item["a"], dtype=float), np.asarray(item["b"], dtype=float)
+            for part, coef, cols in (("real", a, basis.a_cols(p)), ("imaginary", b, basis.b_cols(p))):
+                if coef.shape != cols.shape:
+                    raise ValueError(f"{name} has {coef.size} {part} coefficients, expected {cols.size}")
+            dset.a[p], dset.b[p] = a, b
         return dset
 
 
@@ -303,14 +302,14 @@ class _LegendreBasis:
     """The solver's basis: on each arc the Legendre polynomials P_0..P_degree
     of x = (s - c)/h, with c the arc midpoint and h its half-length.
 
-    A basis names the function families it uses on each arc (``keys``) and,
-    per piece, the family and the number of functions of the real and the
-    imaginary part (``part_keys``, ``lengths``).  Here one family serves
-    both parts.  The tables and the rows of the system evaluate the basis
-    through ``functions`` alone, so another basis (tips.TipEnrichedBasis)
-    extends it with its own columns and reuses the same equations.  The
-    full coefficient vector holds each piece's real, then imaginary part
-    (``a_cols``, ``b_cols``), and ``series`` evaluates a piece.
+    A basis is one table of functions per arc (``functions``) and, for each
+    piece, the columns of that table its real and its imaginary part take
+    (``columns``); here both are leading slices of the same polynomials.
+    The tables and the rows of the system read the basis through these two
+    alone, so another basis (tips.TipEnrichedBasis) adds its own functions
+    and columns and reuses the same equations.  The full coefficient vector
+    holds each piece's real, then imaginary part (``a_cols``, ``b_cols``),
+    and ``series`` evaluates a piece.
 
     A basis also sets where the rows sit and how they weigh: its
     ``collocation_points``, the tip inset ``delta`` they keep (the
@@ -336,20 +335,16 @@ class _LegendreBasis:
             np.pad(L.legder(eye, k), ((0, k), (0, 0))) for k in (1, 2, 3)
         ]
 
-    def keys(self, arc):
-        return ("x",)
-
-    def part_keys(self, piece):
-        return "x", "x"
-
-    def lengths(self, piece):
-        """(real, imaginary) coefficients of a piece; bonded-arc q has one real fewer."""
-        return (self.n + 1 if piece == 6 else self.n + 2), self.n + 1
+    def columns(self, piece):
+        """(real, imaginary) columns of the arc's function table that a piece
+        takes; bonded-arc q has one real fewer."""
+        return slice(0, self.n + 1 if piece == 6 else self.n + 2), slice(0, self.n + 1)
 
     @functools.cached_property
     def _starts(self):
-        """First column of piece p's real part at 2p, of its imaginary part at 2p+1."""
-        return np.cumsum([0] + [k for p in range(8) for k in self.lengths(p)]).tolist()
+        """First column of piece p's real part at 2p, of its imaginary part at
+        2p+1 (np.r_ expands a slice)."""
+        return np.cumsum([0] + [len(np.r_[cols]) for p in range(8) for cols in self.columns(p)]).tolist()
 
     def a_cols(self, piece):
         return np.arange(self._starts[2 * piece], self._starts[2 * piece + 1])
@@ -361,9 +356,9 @@ class _LegendreBasis:
     def total(self):
         return self._starts[-1]
 
-    def functions(self, arc, key, s, order=0):
+    def functions(self, arc, s, order=0):
         """[len(s), size]: the order-th s-derivatives (order <= 3) of the
-        functions at the arc lengths s of the arc."""
+        arc's functions at its arc lengths s."""
         h = self.halves[arc]
         x = (np.asarray(s, dtype=float) - self.centers[arc]) / h
         return L.legvander(x, self.degree) @ self._derivatives[order] / h**order
@@ -385,18 +380,20 @@ class _LegendreBasis:
     def collocation_points(self):
         """(crack, bonded) arrays of OVERSAMPLE * (N + 1) equispaced points
         per arc, inset delta from the tips."""
-        m = int(round(OVERSAMPLE * (self.n + 1)))
-        return collocation_points(self.l0, self.l, m - 1, self.delta)
+        m, delta = int(round(OVERSAMPLE * (self.n + 1))), self.delta
+        crack = delta + np.arange(m) * (self.l0 - 2.0 * delta) / (m - 1)
+        bond = self.l0 + delta + np.arange(m) * ((self.l - self.l0) - 2.0 * delta) / (m - 1)
+        return crack, bond
 
 
 class _Tables:
     """Per-quadrature operator tables evaluated at the collocation points.
 
-    For every function of each of the basis' families on each arc these hold
-    the Cauchy principal value A, the regular-kernel integrals B1 (against
+    For every function of the basis' table on each arc these hold the
+    Cauchy principal value A, the regular-kernel integrals B1 (against
     d tau) and B2 (against conj(d tau)), the plain moments Q, and the values
     and first two s-derivatives V at the collocation points of the
-    function's own arc; all are keyed by (arc, family).
+    function's own arc; all are keyed by arc, one row per function.
     """
 
     def __init__(self, contour, pts, arc_of_pt, disc, basis):
@@ -423,37 +420,36 @@ class _Tables:
                 contour, pts, t_p, dt_p, disc.s[qmask, None], disc.tau[qmask, None],
                 DIAG_EPS_FACTOR * contour.l,
             )
-            for key in basis.keys(arc):
-                m_arc = basis.functions(arc, key, disc.s[qmask]).T  # [K, n_q]
-                stack = np.zeros((3, m_arc.shape[0], pts.size))
-                for order in range(3):
-                    stack[order][:, pmask] = basis.functions(arc, key, pts[pmask], order).T
-                self.V[arc, key] = stack
-                v0 = stack[0]
+            m_arc = basis.functions(arc, disc.s[qmask]).T  # [K, n_q]
+            stack = np.zeros((3, m_arc.shape[0], pts.size))
+            for order in range(3):
+                stack[order][:, pmask] = basis.functions(arc, pts[pmask], order).T
+            self.V[arc] = stack
+            v0 = stack[0]
 
-                t1 = m_arc @ cmat[qmask, :]
-                a_tab = t1 - v0 * (g_all - 1j * np.pi)[None, :]
-                # A node on a point takes the slope there in place of the quotient.
-                on_arc = disc.arc[near_q] == arc
-                qi, pi = near_q[on_arc], near_p[on_arc]
-                crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
-                np.add.at(a_tab.T, pi, (disc.w[qi] * stack[1][:, pi] - crude).T)
-                self.A[arc, key] = a_tab
+            t1 = m_arc @ cmat[qmask, :]
+            a_tab = t1 - v0 * (g_all - 1j * np.pi)[None, :]
+            # A node on a point takes the slope there in place of the quotient.
+            on_arc = disc.arc[near_q] == arc
+            qi, pi = near_q[on_arc], near_p[on_arc]
+            crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
+            np.add.at(a_tab.T, pi, (disc.w[qi] * stack[1][:, pi] - crude).T)
+            self.A[arc] = a_tab
 
-                wdt = disc.w[qmask] * disc.dt[qmask]
-                wdtc = disc.w[qmask] * np.conj(disc.dt[qmask])
-                self.B1[arc, key] = (m_arc * wdt[None, :]) @ k1m
-                self.B2[arc, key] = (m_arc * wdtc[None, :]) @ k2m
-                self.Q[arc, key] = m_arc @ wdt
+            wdt = disc.w[qmask] * disc.dt[qmask]
+            wdtc = disc.w[qmask] * np.conj(disc.dt[qmask])
+            self.B1[arc] = (m_arc * wdt[None, :]) @ k1m
+            self.B2[arc] = (m_arc * wdtc[None, :]) @ k2m
+            self.Q[arc] = m_arc @ wdt
 
     def drift_from(self, coarse):
         """Largest change of the quadrature-dependent tables (A, B1, B2, Q)
         from those of the coarser level, relative to their largest entry
         here.  V depends on the points only."""
         pairs = [
-            (fine[key], old[key])
+            (fine[arc], old[arc])
             for fine, old in zip((self.A, self.B1, self.B2, self.Q), (coarse.A, coarse.B1, coarse.B2, coarse.Q))
-            for key in fine
+            for arc in fine
         ]
         scale = max(float(np.max(np.abs(fine))) for fine, _ in pairs)
         change = max(float(np.max(np.abs(fine - old))) for fine, old in pairs)
@@ -662,9 +658,9 @@ def _constraint_rows(setup, basis, tab):
     for phase in setup.phases:
         q_terms = [(0, _piece(phase.q, arc), phase.sign) for arc in (0, 1)]
         for i, piece, fac in q_terms + [(1, _piece(phase.g, 0), phase.slope_factor)]:
-            (ka, kb), (key_a, key_b) = basis.lengths(piece), basis.part_keys(piece)
-            z[i, basis.a_cols(piece)] += fac * tab.Q[piece // 4, key_a][:ka]
-            z[i, basis.b_cols(piece)] += 1j * fac * tab.Q[piece // 4, key_b][:kb]
+            (cols_a, cols_b), moments = basis.columns(piece), tab.Q[piece // 4]
+            z[i, basis.a_cols(piece)] += fac * moments[cols_a]
+            z[i, basis.b_cols(piece)] += 1j * fac * moments[cols_b]
     tags = [f"{name}_{part}" for name in ("force_balance", "single_valuedness") for part in ("re", "im")]
     return np.stack([z.real[0], z.imag[0], z.real[1], z.imag[1]]), tags
 
@@ -696,22 +692,14 @@ def _assemble_rows(setups, basis, tab):
 
     def family(z, direct, a_fac, b1_fac, b2_fac, name):
         """Add the complex coefficients of density ``name`` on both arcs to
-        the block z [n_pts, full].  The families of one equation have
+        the block z [n_pts, full].  The densities of one equation have
         disjoint columns, so each adds to zeros."""
         for p in (_piece(name, 0), _piece(name, 1)):
             arc = p // 4
-            ka, kb = basis.lengths(p)
-            key_a, key_b = basis.part_keys(p)
-            base = {
-                key: direct * tab.V[arc, key][0]
-                + a_fac * tab.A[arc, key]
-                + b1_fac * tab.B1[arc, key]
-                for key in dict.fromkeys((key_a, key_b))
-            }
-            z[:, basis.a_cols(p)] += (base[key_a][:ka] + b2_fac * tab.B2[arc, key_a][:ka]).T
-            z[:, basis.b_cols(p)] += (
-                1j * base[key_b][:kb] - 1j * b2_fac * tab.B2[arc, key_b][:kb]
-            ).T
+            cols_a, cols_b = basis.columns(p)
+            base = direct * tab.V[arc][0] + a_fac * tab.A[arc] + b1_fac * tab.B1[arc]
+            z[:, basis.a_cols(p)] += (base[cols_a] + b2_fac * tab.B2[arc][cols_a]).T
+            z[:, basis.b_cols(p)] += (1j * base[cols_b] - 1j * b2_fac * tab.B2[arc][cols_b]).T
 
     def complex_rows(z, rvec, tag, weight):
         for part, suffix in ((np.real, "_re"), (np.imag, "_im")):
@@ -762,20 +750,18 @@ def _assemble_rows(setups, basis, tab):
         # derivative, so g'' and g''' are its first and second poly derivatives.
         rho = tab.rho_p[sel][:, None]
         rhop = tab.rhop_p[sel][:, None]
+        v = tab.V[arc][:, :, sel]  # [order, function, point]
         row_re = np.zeros((sel.size, basis.total))
         row_im = np.zeros((sel.size, basis.total))
         for qp in q_pieces:
-            (ka, kb), (key_a, key_b) = basis.lengths(qp), basis.part_keys(qp)
-            row_re[:, basis.a_cols(qp)] += tab.V[arc, key_a][0][:ka, sel].T
-            row_im[:, basis.b_cols(qp)] += tab.V[arc, key_b][0][:kb, sel].T
-        (ka, kb), (key_a, key_b) = basis.lengths(g_piece), basis.part_keys(g_piece)
-        v_re, v_im = tab.V[arc, key_a], tab.V[arc, key_b]
-        row_re[:, basis.b_cols(g_piece)] -= coef * rho**2 * v_im[0][:kb, sel].T
-        row_re[:, basis.a_cols(g_piece)] -= coef * rho * v_re[1][:ka, sel].T
-        row_im[:, basis.b_cols(g_piece)] -= coef * (
-            rhop * v_im[0][:kb, sel].T + rho * v_im[1][:kb, sel].T
-        )
-        row_im[:, basis.a_cols(g_piece)] -= coef * v_re[2][:ka, sel].T
+            cols_a, cols_b = basis.columns(qp)
+            row_re[:, basis.a_cols(qp)] += v[0, cols_a].T
+            row_im[:, basis.b_cols(qp)] += v[0, cols_b].T
+        cols_a, cols_b = basis.columns(g_piece)
+        row_re[:, basis.b_cols(g_piece)] -= coef * rho**2 * v[0, cols_b].T
+        row_re[:, basis.a_cols(g_piece)] -= coef * rho * v[1, cols_a].T
+        row_im[:, basis.b_cols(g_piece)] -= coef * (rhop * v[0, cols_b].T + rho * v[1, cols_b].T)
+        row_im[:, basis.a_cols(g_piece)] -= coef * v[2, cols_a].T
         for row, b, suffix in ((row_re, rhs_re, "_re"), (row_im, rhs_im, "_im")):
             yield row, b, [tag + suffix] * sel.size, np.broadcast_to(weight, (sel.size,))
 
@@ -813,13 +799,12 @@ def _assemble_rows(setups, basis, tab):
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
     for phase in phases:
         crack_piece, bond_piece = _piece(phase.g, 0), _piece(phase.g, 1)
-        kc_, kb_ = basis.lengths(crack_piece)[0], basis.lengths(bond_piece)[0]
-        crack_start, crack_end = basis.functions(0, basis.part_keys(crack_piece)[0], [0.0, contour.l0])
-        bond_start, bond_end = basis.functions(1, basis.part_keys(bond_piece)[0], [contour.l0, contour.l])
+        crack_start, crack_end = basis.functions(0, [0.0, contour.l0])[:, basis.columns(crack_piece)[0]]
+        bond_start, bond_end = basis.functions(1, [contour.l0, contour.l])[:, basis.columns(bond_piece)[0]]
         name = phase.g.removesuffix("p")  # g0 or g
         for crack_val, bond_val, tag in (
-            (crack_start[:kc_], bond_end[:kb_], f"{name}_slope_continuity_tip0"),
-            (crack_end[:kc_], bond_start[:kb_], f"{name}_slope_continuity_tip1"),
+            (crack_start, bond_end, f"{name}_slope_continuity_tip0"),
+            (crack_end, bond_start, f"{name}_slope_continuity_tip1"),
         ):
             row = np.zeros((1, basis.total))
             row[0, basis.a_cols(crack_piece)] = crack_val

@@ -59,9 +59,11 @@ def face_tension_length(setup):
     return max(phase.tension_coefficient for phase in setup.phases)
 
 
-# Function kinds of the zone series: stress densities, and the real and
-# imaginary parts of the displacement-derivative densities.
-_KINDS = {"q0": ("q", "q"), "q": ("q", "q"), "g0p": ("g_re", "g_im"), "gp": ("g_re", "g_im")}
+# Function kinds of the zone series, in the order of the function table:
+# stress densities, and the real and imaginary parts of the
+# displacement-derivative densities; and the kinds of each density's parts.
+_KINDS = ("q", "g_re", "g_im")
+_PART_KINDS = {"q0": ("q", "q"), "q": ("q", "q"), "g0p": ("g_re", "g_im"), "gp": ("g_re", "g_im")}
 
 
 def _basis_terms(kind, k):
@@ -105,7 +107,7 @@ class _LogBasis:
     def __init__(self, width, d_min, k):
         self.width, self.d_min, self.k = width, d_min, k
         self._dx = 2.0 / -np.log(d_min / width)  # dx/dlog(u)
-        self._terms = {kind: _basis_terms(kind, k) for kind in ("q", "g_re", "g_im")}
+        self._terms = {kind: _basis_terms(kind, k) for kind in _KINDS}
         self._cache = {}
 
     def distance(self, x):
@@ -152,11 +154,12 @@ class _LogBasis:
 
 
 class TipEnrichedBasis(_LegendreBasis):
-    """Basis of the tip-resolved solve: on each arc the solver's Legendre
-    polynomials P_0..P_N of the scaled arc variable, then the zone series of
-    the tip at the arc's start and of the tip at its end.  The zone series of
-    the real and the imaginary part of a density may differ in kind (see
-    _basis_terms).
+    """Basis of the tip-resolved solve.  Its function table on each arc holds
+    the solver's Legendre polynomials P_0..P_N of the scaled arc variable,
+    then, for each kind of _basis_terms, the zone series of the tip at the
+    arc's start and of the tip at its end.  Each part of a density takes the
+    Legendre block and the two zone series of its kind, so the real and the
+    imaginary part of a density may differ in kind.
 
     Its rows run up to the tips: they keep only the inset 2 d_min, are not
     tapered, and the tip-anchored rows weigh RESOLVED_TIP_ROW_WEIGHT, since
@@ -172,45 +175,45 @@ class TipEnrichedBasis(_LegendreBasis):
         self.d_min = min(face_tension_length(setup), inset) * 2.0**-TIP_ZONE_DEPTH
         self.delta = 2.0 * self.d_min
         self.zone = _LogBasis(TIP_ZONE_WIDTH * inset, self.d_min, zone_terms)
-        self.size += 2 * zone_terms
         self.bond_tension = setup.surface.gamma_interface > 0.0
 
-    def part_keys(self, piece):
+    def columns(self, piece):
         arc, which = divmod(piece, 4)
+        kinds = _PART_KINDS[FUNCTIONS[which]]
         if arc == 1 and which in (1, 3) and not self.bond_tension:
             # Without interface tension the bonded-arc conditions take no
             # derivative of g, so its real part is held only to the looser
             # class.
-            return "g_im", "g_im"
-        return _KINDS[FUNCTIONS[which]]
+            kinds = "g_im", "g_im"
+        zones = 2 * self.zone.k
+        return tuple(
+            np.concatenate([np.arange(self.size), self.size + zones * _KINDS.index(kind) + np.arange(zones)])
+            for kind in kinds
+        )
 
-    def keys(self, arc):
-        return tuple(dict.fromkeys(k for p in range(4 * arc, 4 * arc + 4) for k in self.part_keys(p)))
-
-    def lengths(self, piece):
-        return self.size, self.size
-
-    def functions(self, arc, kind, s, order=0):
-        """[len(s), size]: the order-th s-derivatives of the functions."""
+    def functions(self, arc, s, order=0):
+        """[len(s), N + 1 + 6 zone terms]: the order-th s-derivatives of the
+        Legendre block, then of each kind's zone series at both tips."""
         s = np.asarray(s, dtype=float)
-        out = [super().functions(arc, kind, s, order)]
+        out = [super().functions(arc, s, order)]
         start, end = (0.0, self.l0) if arc == 0 else (self.l0, self.l)
-        for d, sign in ((s - start, 1.0), (end - s, -1.0)):
-            z = np.zeros((s.size, self.zone.k))
-            near = d <= self.zone.width
-            if np.any(near):
-                z[near] = self.zone.values(kind, np.maximum(d[near], 0.0), order) * sign**order
-            out.append(z)
+        for kind in _KINDS:
+            for d, sign in ((s - start, 1.0), (end - s, -1.0)):
+                z = np.zeros((s.size, self.zone.k))
+                near = d <= self.zone.width
+                if np.any(near):
+                    z[near] = self.zone.values(kind, np.maximum(d[near], 0.0), order) * sign**order
+                out.append(z)
         return np.hstack(out)
 
     def series(self, piece, a, b, s, order=0):
-        """As _LegendreBasis.series, each part on its own function family."""
-        arc = piece // 4
-        key_a, key_b = self.part_keys(piece)
-        return (
-            self.functions(arc, key_a, s, order) @ a
-            + 1j * (self.functions(arc, key_b, s, order) @ b)
-        )
+        """As _LegendreBasis.series, from one evaluation of the arc's table.
+        np.take keeps the selected columns C-contiguous; a fancy index gives
+        an F-ordered copy, on which the matrix-vector product sums in another
+        order."""
+        table = self.functions(piece // 4, s, order)
+        cols_a, cols_b = self.columns(piece)
+        return np.take(table, cols_a, axis=1) @ a + 1j * (np.take(table, cols_b, axis=1) @ b)
 
     def collocation_points(self):
         """On each arc, OVERSAMPLE times as many points as the arc has

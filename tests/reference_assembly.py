@@ -22,8 +22,8 @@ def drift(coarse, fine):
     the coarser level to the finer one, all tables flattened into one
     vector, relative to the largest entry of the finer level's."""
     def flat(tab):
-        return np.concatenate([table[key].ravel() for table in (tab.A, tab.B1, tab.B2, tab.Q)
-                               for key in table])
+        return np.concatenate([table[arc].ravel() for table in (tab.A, tab.B1, tab.B2, tab.Q)
+                               for arc in table])
     old, new = flat(coarse), flat(fine)
     return float(np.max(np.abs(new - old))) / max(float(np.max(np.abs(new))), 1e-300)
 
@@ -39,8 +39,8 @@ def stacked_rows(setups, basis, tab):
 
 
 def regular_tables(contour, pts, arc_of_pt, disc, basis):
-    """(B1, B2) keyed by (arc, family) as ``solver._Tables`` holds them, from
-    k1/k2 tables built once over all nodes and sliced to each arc's rows."""
+    """(B1, B2) keyed by arc as ``solver._Tables`` holds them, from k1/k2
+    tables built once over all nodes and sliced to each arc's rows."""
     t_p, dt_p = contour.point(pts), contour.tangent(pts)
     k1m, k2m = _regular_kernels(
         contour, pts, t_p, dt_p, disc.s[:, None], disc.tau[:, None], DIAG_EPS_FACTOR * contour.l,
@@ -50,10 +50,9 @@ def regular_tables(contour, pts, arc_of_pt, disc, basis):
         qmask = disc.arc == arc
         wdt = disc.w[qmask] * disc.dt[qmask]
         wdtc = disc.w[qmask] * np.conj(disc.dt[qmask])
-        for key in basis.keys(arc):
-            m_arc = basis.functions(arc, key, disc.s[qmask]).T
-            b1[arc, key] = (m_arc * wdt[None, :]) @ k1m[qmask, :]
-            b2[arc, key] = (m_arc * wdtc[None, :]) @ k2m[qmask, :]
+        m_arc = basis.functions(arc, disc.s[qmask]).T
+        b1[arc] = (m_arc * wdt[None, :]) @ k1m[qmask, :]
+        b2[arc] = (m_arc * wdtc[None, :]) @ k2m[qmask, :]
     return b1, b2
 
 

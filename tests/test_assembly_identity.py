@@ -66,10 +66,12 @@ def test_bases_set_their_collocation(reference_setup):
     legendre = solver._LegendreBasis(contour.l0, contour.l, n)
     assert legendre.delta == solver.DEFAULT_INSET_FRACTION * min(contour.l0, contour.l - contour.l0)
     assert (legendre.taper_exponent, legendre.tip_weight) == (solver.DEFAULT_TAPER, solver.TIP_ROW_WEIGHT)
-    m_pts = int(round(solver.OVERSAMPLE * (n + 1)))
-    for got, want in zip(legendre.collocation_points(),
-                         solver.collocation_points(contour.l0, contour.l, m_pts - 1, legendre.delta)):
-        assert np.array_equal(got, want)
+    m_pts, delta = int(round(solver.OVERSAMPLE * (n + 1))), legendre.delta
+    crack, bond = legendre.collocation_points()
+    assert np.array_equal(crack, delta + np.arange(m_pts) * (contour.l0 - 2.0 * delta) / (m_pts - 1))
+    assert np.array_equal(
+        bond, contour.l0 + delta + np.arange(m_pts) * ((contour.l - contour.l0) - 2.0 * delta) / (m_pts - 1)
+    )
     enriched = tips.TipEnrichedBasis(reference_setup, n)
     assert enriched.delta == 2.0 * enriched.d_min
     assert (enriched.taper_exponent, enriched.tip_weight) == (0.0, tips.RESOLVED_TIP_ROW_WEIGHT)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crackst import postprocess as post
-from crackst.cli import _fmt, main
+from crackst.cli import main
 
 BASE = """
 [contour]
@@ -390,14 +390,14 @@ def test_order_zero_is_rejected(tmp_path, capsys):
 
 
 def _columns_csv_reference(path, header, columns):
-    """csv.writer with each value formatted alone by cli._fmt: how the fig1,
+    """csv.writer with each value formatted alone as %.12e: how the fig1,
     fig2, fig3, fig4, fig5a and fig6 CSVs were written before they went
     through postprocess.write_csv."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([f"{float(v):.12e}" for v in row])
 
 
 def test_column_csvs_match_csv_writer_reference(tmp_path):

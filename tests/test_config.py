@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,9 +116,11 @@ def test_constant_tractions_config():
 
 
 def test_dump_roundtrip():
-    for rc in (parse_config_text(GOOD), cs.scenario_config("fig6")):
+    constant = GOOD + "\n[tractions]\npreset = constant\nf1_re_mpa = 0.5\nf2_im_mpa = -0.25\n"
+    for rc in (parse_config_text(GOOD), cs.scenario_config("fig6"), parse_config_text(constant)):
         text = dump_config(rc)
         rc2 = parse_config_text(text)
+        assert rc2.setup.tractions.constants == rc.setup.tractions.constants
         assert rc2.numerics == rc.numerics
         assert rc2.setup.load.sigma1 == rc.setup.load.sigma1
         assert rc2.setup.contour.l0 == pytest.approx(rc.setup.contour.l0)
@@ -124,6 +128,13 @@ def test_dump_roundtrip():
         assert set(rc2.raw["numerics"]) == {
             "order", "nodes_per_panel", "panels_per_arc", "adaptive_quadrature", "rcond"
         }
+
+
+def test_dump_rejects_tractions_no_preset_describes():
+    rc = parse_config_text(GOOD)
+    custom = replace(rc, setup=replace(rc.setup, tractions=cs.CrackTractions(f1=np.sin)))
+    with pytest.raises(ConfigError, match=r"\[tractions\]"):
+        dump_config(custom)
 
 
 def test_scenario_configs_build():

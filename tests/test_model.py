@@ -138,6 +138,7 @@ def test_tractions_presets():
     assert np.allclose(t.f1(s), 1.0 + 2.0j)
     assert np.allclose(t.f2(s), -0.5j)
     assert np.allclose(t.scaled(2.0).f1(s), 2.0 + 4.0j)
+    assert t.scaled(2.0).constants == (2.0 + 4.0j, -1.0j) and z.constants == (0j, 0j)
 
 
 def test_tractions_reject_nonfinite():

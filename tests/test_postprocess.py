@@ -237,3 +237,14 @@ def test_summary_tip_fits_without_interface_tension(tmp_path, zero_interface_sol
 def test_tip_functions_reject_unknown_tips(zero_dset, reference_setup, fn, tip):
     with pytest.raises(ValueError, match=f"tip must be 0 or 1, got {tip}"):
         fn(zero_dset, reference_setup, tip=tip)
+
+
+def test_write_csv_writes_string_columns_as_csv_writer_does(tmp_path):
+    names, columns = ["param", "value"], [["gamma0", "order"], [0.1, np.nan]]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    post.write_csv(got, names, columns)
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([["gamma0", "1.000000000000e-01"], ["order", "nan"]])
+    assert got.read_bytes() == want.read_bytes()

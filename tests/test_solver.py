@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import crackst as cs
-from crackst import solver
+from crackst import solver, tips
 from crackst.scenarios import scenario_config
 from crackst.solver import _LegendreBasis
 
@@ -21,13 +21,14 @@ def test_full_coefficient_count():
 
 
 def test_collocation_points_arithmetic():
-    crack, bond = cs.collocation_points(np.pi, 2 * np.pi, 2, delta=0.01 * np.pi)
-    assert np.allclose(crack, [0.01 * np.pi, 0.5 * np.pi, 0.99 * np.pi])
-    assert crack.size == 3 and bond.size == 3
-    crack, bond = cs.collocation_points(np.pi, 2 * np.pi, 16, delta=0.01 * np.pi)
-    assert crack.size == 17 and bond.size == 17
-    with pytest.raises(ValueError):
-        cs.collocation_points(np.pi, 2 * np.pi, 8, delta=0.0)
+    basis = _LegendreBasis(np.pi, 2 * np.pi, 16)
+    basis.delta = 0.01 * np.pi
+    crack, bond = basis.collocation_points()
+    m = int(round(solver.OVERSAMPLE * 17))
+    assert crack.size == bond.size == m == 51
+    assert np.allclose(crack[[0, 25, -1]], [0.01 * np.pi, 0.5 * np.pi, 0.99 * np.pi])
+    assert np.allclose(bond[[0, 25, -1]], [1.01 * np.pi, 1.5 * np.pi, 1.99 * np.pi])
+    assert np.array_equal(crack, 0.01 * np.pi + np.arange(m) * (np.pi - 0.02 * np.pi) / (m - 1))
 
 
 def test_density_set_evaluation():
@@ -87,6 +88,24 @@ def test_density_set_roundtrip():
     # Legendre coefficients would give other densities.
     del saved["basis"]
     with pytest.raises(ValueError, match="basis"):
+        cs.DensitySet.from_dict(saved)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda d: d["pieces"].pop(), "7 pieces, expected 8"),
+        (lambda d: d["pieces"].append(d["pieces"][0]), "9 pieces, expected 8"),
+        (lambda d: d["pieces"][3].update(function="q"), r"piece 3 \(gp on arc 0\) is labelled 'q' on arc 0"),
+        (lambda d: d["pieces"][5].update(arc=0), r"piece 5 \(g0p on arc 1\) is labelled 'g0p' on arc 0"),
+        (lambda d: d["pieces"][6]["a"].pop(), r"piece 6 \(q on arc 1\) has 4 real coefficients, expected 5"),
+        (lambda d: d["pieces"][2]["b"].append(0.0), r"piece 2 \(q on arc 0\) has 6 imaginary coefficients"),
+    ],
+)
+def test_density_set_from_dict_rejects_malformed_records(damage, message):
+    saved = cs.DensitySet.zeros(4, np.pi, 2 * np.pi).to_dict()
+    damage(saved)
+    with pytest.raises(ValueError, match=message):
         cs.DensitySet.from_dict(saved)
 
 
@@ -272,9 +291,28 @@ def test_layout_column_bookkeeping():
     n = 6
     basis = _LegendreBasis(np.pi, 2 * np.pi, n)
     assert basis.total == 16 * n + 23
-    assert basis.lengths(6)[0] == n + 1  # bonded-arc q has one fewer real coefficient
-    seen = np.concatenate([np.concatenate([basis.a_cols(p), basis.b_cols(p)]) for p in range(8)])
-    assert np.array_equal(np.sort(seen), np.arange(basis.total))
+    assert basis.a_cols(6).size == n + 1  # bonded-arc q has one fewer real coefficient
+
+
+@pytest.mark.parametrize("enriched", [False, True])
+def test_basis_columns_select_from_one_table_per_arc(reference_setup, enriched):
+    """Each part's columns lie inside its arc's function table, as many as
+    its coefficients, and the coefficients of all parts partition the full
+    vector."""
+    contour, n = reference_setup.contour, 8
+    if enriched:
+        basis = tips.TipEnrichedBasis(reference_setup, n)
+    else:
+        basis = _LegendreBasis(contour.l0, contour.l, n)
+    taken = []
+    for p in range(8):
+        width = basis.functions(p // 4, [contour.l0]).shape[1]
+        for cols, coefficients in zip(basis.columns(p), (basis.a_cols(p), basis.b_cols(p))):
+            selected = np.r_[cols]
+            assert np.array_equal(np.arange(width)[cols], selected)  # inside the table
+            assert np.unique(selected).size == selected.size == coefficients.size
+            taken.append(coefficients)
+    assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(basis.total))
 
 
 def _fig6_grid():
