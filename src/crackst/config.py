@@ -57,6 +57,12 @@ _SCHEMA = {
 
 _REQUIRED = ("contour", "matrix", "inclusion", "surface_tension", "load")
 
+# The keys that only one contour kind or one tractions preset reads.
+_CHOICE_KEYS = {
+    "contour": {"circle": {"radius"}, "ellipse": {"semi_axis_a", "semi_axis_b"}},
+    "tractions": {"zero": set(), "constant": {"f1_re_mpa", "f1_im_mpa", "f2_re_mpa", "f2_im_mpa"}},
+}
+
 
 @dataclass
 class RunConfig:
@@ -81,6 +87,17 @@ def _read(parser, section, key, cast, default=None, required=False):
     return value
 
 
+def _check_choice(parser, section, key, choice):
+    """A ConfigError names an unknown contour kind or tractions preset, or a
+    key of its section that only another one reads."""
+    keys = _CHOICE_KEYS[section]
+    if choice not in keys:
+        raise ConfigError(f"unknown {section} {key} {choice!r}")
+    for unread in sorted(set().union(*keys.values()) - keys[choice]):
+        if parser.has_option(section, unread):
+            raise ConfigError(f"key {unread!r} in section [{section}] is not read with {key} = {choice}")
+
+
 def parse_config_text(text):
     parser = configparser.ConfigParser()
     try:
@@ -99,20 +116,19 @@ def parse_config_text(text):
             raise ConfigError(f"missing required section [{section}]")
 
     kind = _read(parser, "contour", "kind", str, default="circle").lower()
+    _check_choice(parser, "contour", "kind", kind)
     start = _read(parser, "contour", "crack_start_rad", float, required=True)
     end = _read(parser, "contour", "crack_end_rad", float, required=True)
     try:
         if kind == "circle":
             contour = CircleContour(_read(parser, "contour", "radius", float, default=1.0), start, end)
-        elif kind == "ellipse":
+        else:
             contour = EllipseContour(
                 _read(parser, "contour", "semi_axis_a", float, required=True),
                 _read(parser, "contour", "semi_axis_b", float, required=True),
                 start,
                 end,
             )
-        else:
-            raise ConfigError(f"unknown contour kind {kind!r}")
 
         def material(section):
             mode = _read(parser, section, "plane", str, default="stress").lower()
@@ -136,21 +152,13 @@ def parse_config_text(text):
             _read(parser, "load", "alpha_rad", float, default=0.0),
         )
         preset = _read(parser, "tractions", "preset", str, default="zero")
+        _check_choice(parser, "tractions", "preset", preset)
         if preset == "zero":
             tractions = CrackTractions.zero()
-        elif preset == "constant":
-            tractions = CrackTractions.constant(
-                f1=complex(
-                    _read(parser, "tractions", "f1_re_mpa", float, default=0.0),
-                    _read(parser, "tractions", "f1_im_mpa", float, default=0.0),
-                ),
-                f2=complex(
-                    _read(parser, "tractions", "f2_re_mpa", float, default=0.0),
-                    _read(parser, "tractions", "f2_im_mpa", float, default=0.0),
-                ),
-            )
         else:
-            raise ConfigError(f"unknown tractions preset {preset!r}")
+            keys = ("f1_re_mpa", "f1_im_mpa", "f2_re_mpa", "f2_im_mpa")
+            f1_re, f1_im, f2_re, f2_im = (_read(parser, "tractions", key, float, default=0.0) for key in keys)
+            tractions = CrackTractions.constant(f1=complex(f1_re, f1_im), f2=complex(f2_re, f2_im))
         setup = ProblemSetup(
             contour=contour,
             matrix=material("matrix"),

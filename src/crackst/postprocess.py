@@ -198,8 +198,11 @@ def deformed_boundary(dset, setup, scale=1.0, n_samples=2001):
 
 
 def opening_profile(dset, setup, n_samples=2001, window=(0.0, 1.0)):
-    """|jump of d(u1+iu2)/dt| across the crack faces over a window of L0."""
+    """|jump of d(u1+iu2)/dt| across the crack faces over a window (lo, hi)
+    of L0, with 0 <= lo < hi <= 1 (a ValueError otherwise)."""
     lo, hi = window
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"opening window {window!r} is not 0 <= lo < hi <= 1")
     s = np.linspace(max(lo, 1e-4) * dset.l0, min(hi, 1.0 - 1e-4) * dset.l0, n_samples)
     return s, np.abs(_opening_dudt(dset, setup, s))
 

@@ -38,10 +38,10 @@ material factors.
 The rows are built from a basis object (_LegendreBasis here): one table of
 functions per arc, and for each density piece the columns of that table
 its real and its imaginary part take.  The basis also sets the rows' points
-and weights, lays out the full coefficient vector and evaluates the
-densities (DensitySet holds a basis and its coefficients);
-tips.solve_tip_resolved assembles the same rows on a basis whose tables add
-functions resolving the crack tips to the same Legendre block.
+and weights and lays out the full coefficient vector, and DensitySet (a
+basis and its coefficients) evaluates each piece through the same table and
+columns.  tips.solve_tip_resolved assembles the same rows on a basis whose
+tables add functions resolving the crack tips to the same Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
 tables depend only on the contour and the discretization, and the load and
@@ -161,8 +161,9 @@ class DensitySet:
 
     ``a[p]`` and ``b[p]`` are the real and imaginary coefficient vectors of
     piece p (0..3 crack arc, 4..7 bonded arc, function order q0, g0', q, g')
-    on the functions ``basis`` gives it (_LegendreBasis: P_k(x), x = (s - c)/h,
-    with c the midpoint and h the half-length of the piece's arc).
+    on the columns ``basis.columns(p)`` of the arc's table
+    ``basis.functions`` (_LegendreBasis: P_k(x), x = (s - c)/h, with c the
+    midpoint and h the half-length of the piece's arc).
     """
 
     basis: object
@@ -188,18 +189,19 @@ class DensitySet:
         return basis.densities(np.zeros(basis.total))
 
     def eval(self, which, s, order=0):
-        """Value (order=0) or exact s-derivative of a density."""
+        """Value (order=0) or exact s-derivative of a density: on each arc
+        the piece's columns of the basis' table times its coefficients."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if not np.all((s_arr >= -1e-12) & (s_arr <= self.l + 1e-12)):
             raise ValueError("arc length outside [0, l] or not a number")
         crack_piece = _piece(which, 0)
-        arc = np.where(s_arr <= self.l0, 0, 1)
         out = np.zeros(s_arr.shape, dtype=complex)
-        for k in (0, 1):
-            mask = arc == k
+        for arc, mask in enumerate((s_arr <= self.l0, s_arr > self.l0)):
             if np.any(mask):
-                p = crack_piece + 4 * k
-                out[mask] = self.basis.series(p, self.a[p], self.b[p], s_arr[mask], order)
+                p = crack_piece + 4 * arc
+                table = self.basis.functions(arc, s_arr[mask], order)
+                cols_a, cols_b = self.basis.columns(p)
+                out[mask] = table[:, cols_a] @ self.a[p] + 1j * (table[:, cols_b] @ self.b[p])
         return out if np.ndim(s) else out[0]
 
     def max_abs_coefficient(self):
@@ -233,14 +235,25 @@ class DensitySet:
     @classmethod
     def from_dict(cls, d):
         """The densities of a densities.json record; a ValueError names the
-        first piece whose labels or coefficient counts do not fit."""
+        first header key or piece that does not fit."""
         if d.get("basis") != "legendre":
             raise ValueError(
                 f"densities basis {d.get('basis')!r} is not 'legendre'; files without "
                 "a basis hold monomial coefficients and cannot be read"
             )
-        dset = cls.zeros(d["order"], d["l0"], d["l"])
+        order, l0, l = d.get("order"), d.get("l0"), d.get("l")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+            raise ValueError(f"densities order {order!r} is not a non-negative integer")
+        for key, value in (("l0", l0), ("l", l)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
+                raise ValueError(f"densities {key} {value!r} is not a finite number")
+        if not 0.0 < l0 < l:
+            raise ValueError(f"densities l0 {l0!r} is not in (0, l) with l = {l!r}")
+        dset = cls.zeros(order, l0, l)
         basis, pieces = dset.basis, d["pieces"]
+        for key in ("centers", "halves"):
+            if key in d and d[key] != list(getattr(basis, key)):
+                raise ValueError(f"densities {key} {d[key]!r} are not the basis' {list(getattr(basis, key))!r}")
         if len(pieces) != 8:
             raise ValueError(f"densities hold {len(pieces)} pieces, expected 8")
         for p, item in enumerate(pieces):
@@ -307,9 +320,9 @@ class _LegendreBasis:
     (``columns``); here both are leading slices of the same polynomials.
     The tables and the rows of the system read the basis through these two
     alone, so another basis (tips.TipEnrichedBasis) adds its own functions
-    and columns and reuses the same equations.  The full coefficient vector
-    holds each piece's real, then imaginary part (``a_cols``, ``b_cols``),
-    and ``series`` evaluates a piece.
+    and columns and reuses the same equations and DensitySet.eval.  The full
+    coefficient vector holds each piece's real, then imaginary part
+    (``a_cols``, ``b_cols``).
 
     A basis also sets where the rows sit and how they weigh: its
     ``collocation_points``, the tip inset ``delta`` they keep (the
@@ -328,16 +341,15 @@ class _LegendreBasis:
         self.centers = (0.5 * l0, 0.5 * (l0 + l))
         self.halves = (0.5 * l0, 0.5 * (l - l0))
         self.delta = DEFAULT_INSET_FRACTION * min(l0, l - l0)
-        # Column j of _derivatives[k] holds the Legendre coefficients of
+        # Column j of _derivatives[k - 1] holds the Legendre coefficients of
         # d^k P_j / dx^k.
         eye = np.eye(self.size)
-        self._derivatives = [eye] + [
-            np.pad(L.legder(eye, k), ((0, k), (0, 0))) for k in (1, 2, 3)
-        ]
+        self._derivatives = [np.pad(L.legder(eye, k), ((0, k), (0, 0))) for k in (1, 2, 3)]
 
     def columns(self, piece):
         """(real, imaginary) columns of the arc's function table that a piece
-        takes; bonded-arc q has one real fewer."""
+        takes; bonded-arc q has one real fewer.  Slices, so that
+        DensitySet.eval multiplies views of the table, not copies."""
         return slice(0, self.n + 1 if piece == 6 else self.n + 2), slice(0, self.n + 1)
 
     @functools.cached_property
@@ -360,16 +372,8 @@ class _LegendreBasis:
         """[len(s), size]: the order-th s-derivatives (order <= 3) of the
         arc's functions at its arc lengths s."""
         h = self.halves[arc]
-        x = (np.asarray(s, dtype=float) - self.centers[arc]) / h
-        return L.legvander(x, self.degree) @ self._derivatives[order] / h**order
-
-    def series(self, piece, a, b, s, order=0):
-        """The order-th s-derivative, at the arc lengths s of the piece's
-        arc, of the density with real coefficients a and imaginary ones b."""
-        arc = piece // 4
-        h = self.halves[arc]
-        coef = L.legder(a + 1j * np.pad(b, (0, len(a) - len(b))), order) / h**order
-        return L.legval((s - self.centers[arc]) / h, coef)
+        vander = L.legvander((np.asarray(s, dtype=float) - self.centers[arc]) / h, self.degree)
+        return vander if order == 0 else vander @ self._derivatives[order - 1] / h**order
 
     def densities(self, full):
         """The DensitySet of the full coefficient vector."""
@@ -1013,21 +1017,14 @@ def _largest_singular_value(apply, apply_t, n, rtol):
 
 
 def _deficient_tags(scaled, row_tags, rcond):
+    """The (at most 4) distinct tags of the rows that weigh most in the left
+    singular vectors below rcond, heaviest first."""
     u, s, _ = np.linalg.svd(scaled, full_matrices=False)
     bad = s < rcond * s[0]
     if not np.any(bad):
         return []
     weight = np.sum(np.abs(u[:, bad]), axis=1)
-    order = np.argsort(weight)[::-1]
-    seen, out = set(), []
-    for idx in order:
-        tag = row_tags[idx]
-        if tag not in seen:
-            seen.add(tag)
-            out.append(tag)
-        if len(out) >= 4:
-            break
-    return out
+    return list(dict.fromkeys(row_tags[idx] for idx in np.argsort(weight)[::-1]))[:4]
 
 
 def solve_problem(setup, n, rule=None, rcond=1e-13):

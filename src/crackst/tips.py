@@ -20,13 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .kernels import FINE_RULE
-from .solver import (
-    FUNCTIONS,
-    OVERSAMPLE,
-    _LegendreBasis,
-    assemble,
-    solve,
-)
+from .solver import OVERSAMPLE, _LegendreBasis, assemble, solve
 
 __all__ = ["face_tension_length", "solve_tip_resolved"]
 
@@ -61,9 +55,13 @@ def face_tension_length(setup):
 
 # Function kinds of the zone series, in the order of the function table:
 # stress densities, and the real and imaginary parts of the
-# displacement-derivative densities; and the kinds of each density's parts.
+# displacement-derivative densities; and the kinds of the (real, imaginary)
+# parts of each density, in the order of FUNCTIONS.  Without interface
+# tension the bonded-arc conditions take no derivative of g, so there its
+# real part is held only to the looser class.
 _KINDS = ("q", "g_re", "g_im")
-_PART_KINDS = {"q0": ("q", "q"), "q": ("q", "q"), "g0p": ("g_re", "g_im"), "gp": ("g_re", "g_im")}
+_PART_KINDS = (("q", "q"), ("g_re", "g_im"), ("q", "q"), ("g_re", "g_im"))
+_UNTENSIONED_PART_KINDS = (("q", "q"), ("g_im", "g_im"), ("q", "q"), ("g_im", "g_im"))
 
 
 def _basis_terms(kind, k):
@@ -156,10 +154,11 @@ class _LogBasis:
 class TipEnrichedBasis(_LegendreBasis):
     """Basis of the tip-resolved solve.  Its function table on each arc holds
     the solver's Legendre polynomials P_0..P_N of the scaled arc variable,
-    then, for each kind of _basis_terms, the zone series of the tip at the
-    arc's start and of the tip at its end.  Each part of a density takes the
-    Legendre block and the two zone series of its kind, so the real and the
-    imaginary part of a density may differ in kind.
+    then, for each kind of _basis_terms that a part on the arc takes, the
+    zone series of the tip at the arc's start and of the tip at its end.
+    Each part of a density takes the Legendre block and the two zone series
+    of its kind (``part_kinds``), so the real and the imaginary part of a
+    density may differ in kind, and every column of a table is taken.
 
     Its rows run up to the tips: they keep only the inset 2 d_min, are not
     tapered, and the tip-anchored rows weigh RESOLVED_TIP_ROW_WEIGHT, since
@@ -175,29 +174,30 @@ class TipEnrichedBasis(_LegendreBasis):
         self.d_min = min(face_tension_length(setup), inset) * 2.0**-TIP_ZONE_DEPTH
         self.delta = 2.0 * self.d_min
         self.zone = _LogBasis(TIP_ZONE_WIDTH * inset, self.d_min, zone_terms)
-        self.bond_tension = setup.surface.gamma_interface > 0.0
+        # Per arc: the kinds of each density's parts, and the kinds its table holds.
+        bonded = _PART_KINDS if setup.surface.gamma_interface > 0.0 else _UNTENSIONED_PART_KINDS
+        self.part_kinds = (_PART_KINDS, bonded)
+        self.kinds = tuple(
+            tuple(kind for kind in _KINDS if any(kind in parts for parts in arc_parts))
+            for arc_parts in self.part_kinds
+        )
 
     def columns(self, piece):
         arc, which = divmod(piece, 4)
-        kinds = _PART_KINDS[FUNCTIONS[which]]
-        if arc == 1 and which in (1, 3) and not self.bond_tension:
-            # Without interface tension the bonded-arc conditions take no
-            # derivative of g, so its real part is held only to the looser
-            # class.
-            kinds = "g_im", "g_im"
-        zones = 2 * self.zone.k
+        zones, kinds = 2 * self.zone.k, self.kinds[arc]
         return tuple(
-            np.concatenate([np.arange(self.size), self.size + zones * _KINDS.index(kind) + np.arange(zones)])
-            for kind in kinds
+            np.concatenate([np.arange(self.size), self.size + zones * kinds.index(kind) + np.arange(zones)])
+            for kind in self.part_kinds[arc][which]
         )
 
     def functions(self, arc, s, order=0):
-        """[len(s), N + 1 + 6 zone terms]: the order-th s-derivatives of the
-        Legendre block, then of each kind's zone series at both tips."""
+        """[len(s), N + 1 + 2 zone terms per kind]: the order-th
+        s-derivatives of the Legendre block, then of each of the arc's kinds'
+        zone series at both tips."""
         s = np.asarray(s, dtype=float)
         out = [super().functions(arc, s, order)]
         start, end = (0.0, self.l0) if arc == 0 else (self.l0, self.l)
-        for kind in _KINDS:
+        for kind in self.kinds[arc]:
             for d, sign in ((s - start, 1.0), (end - s, -1.0)):
                 z = np.zeros((s.size, self.zone.k))
                 near = d <= self.zone.width
@@ -205,15 +205,6 @@ class TipEnrichedBasis(_LegendreBasis):
                     z[near] = self.zone.values(kind, np.maximum(d[near], 0.0), order) * sign**order
                 out.append(z)
         return np.hstack(out)
-
-    def series(self, piece, a, b, s, order=0):
-        """As _LegendreBasis.series, from one evaluation of the arc's table.
-        np.take keeps the selected columns C-contiguous; a fancy index gives
-        an F-ordered copy, on which the matrix-vector product sums in another
-        order."""
-        table = self.functions(piece // 4, s, order)
-        cols_a, cols_b = self.columns(piece)
-        return np.take(table, cols_a, axis=1) @ a + 1j * (np.take(table, cols_b, axis=1) @ b)
 
     def collocation_points(self):
         """On each arc, OVERSAMPLE times as many points as the arc has

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,13 +91,7 @@ class ValidationCheck:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "details": self.details,
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +107,31 @@ def test_ellipse_config():
     )
     rc = parse_config_text(text)
     assert rc.setup.contour.l > 2 * np.pi  # longer than the unit circle
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[output]", "[tractions]\nf1_re_mpa = 0.5\n\n[output]", r"'f1_re_mpa' in section \[tractions\] .* preset = zero"),
+        ("[output]", "[tractions]\npreset = zero\nf2_im_mpa = 1\n\n[output]", r"'f2_im_mpa' .* preset = zero"),
+        ("radius = 1.0", "radius = 1.0\nsemi_axis_a = 2.0", r"'semi_axis_a' in section \[contour\] .* kind = circle"),
+        ("kind = circle", "kind = ellipse\nsemi_axis_a = 1.5\nsemi_axis_b = 1.0", r"'radius' .* kind = ellipse"),
+        ("kind = circle", "kind = square", "unknown contour kind 'square'"),
+        ("[output]", "[tractions]\npreset = linear\n\n[output]", "unknown tractions preset 'linear'"),
+    ],
+)
+def test_keys_the_chosen_kind_or_preset_does_not_read_are_rejected(old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(GOOD.replace(old, new))
+
+
+def test_readme_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        rc = parse_config_text(block)
+        assert rc.setup.contour.l0 == pytest.approx(np.pi)
 
 
 def test_constant_tractions_config():

@@ -76,6 +76,10 @@ def test_opening_window_parameter(reference_solution, reference_setup):
     central = cs.max_crack_opening(dset, reference_setup)
     full = cs.max_crack_opening(dset, reference_setup, window=(0.0, 1.0))
     assert full >= central > 0.0
+    # A window outside [0, 1] would sample the bonded arc.
+    for window in ((1.2, 1.5), (-0.1, 0.5), (0.5, 1.1), (0.6, 0.4), (0.5, 0.5), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="opening window"):
+            cs.max_crack_opening(dset, reference_setup, window=window)
 
 
 def test_potentials_constant_limits(zero_dset, reference_setup):

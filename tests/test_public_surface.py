@@ -4,6 +4,7 @@ rather than only in a benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
@@ -58,3 +59,12 @@ def test_benchmark_order_ladder_runs(worker, tmp_path, monkeypatch):
         "surface_condition_residual", "force_balance", "single_valuedness",
     ]
     assert list(captured["outputs"]["g0p"]) == ["8"]
+
+
+def test_benchmark_fig6_grid_runs(worker, tmp_path):
+    captured = worker.capture("fig6_grid", worker.fig6_grid(str(tmp_path), 0))
+    _assert_captured(captured, 20)
+    assert set(captured["outputs"]["file_sizes"]) == set(worker.FIG6_FILES)
+    assert len(captured["outputs"]["fig6_opening"]) == 9  # 3 load angles x 3 face tensions
+    reference = json.loads((WORKER.parent / "reference.json").read_text())
+    assert worker.compare("fig6_grid", captured, reference) == []
