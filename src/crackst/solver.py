@@ -40,8 +40,11 @@ functions per arc, and for each density piece the columns of that table
 its real and its imaginary part take.  The basis also sets the rows' points
 and weights and lays out the full coefficient vector, and DensitySet (a
 basis and its coefficients) evaluates each piece through the same table and
-columns.  tips.solve_tip_resolved assembles the same rows on a basis whose
-tables add functions resolving the crack tips to the same Legendre block.
+columns.  The basis memoizes its tables per point set (``table``), so the
+densities of one basis, and the collocation points of every quadrature
+level, are tabulated once.  tips.solve_tip_resolved assembles the same rows
+on a basis whose tables add functions resolving the crack tips to the same
+Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
 tables depend only on the contour and the discretization, and the load and
@@ -57,11 +60,13 @@ each block is eliminated and weighted straight into the one preallocated
 matrix of its group.
 
 The least squares (``_least_squares``) factorize the weighted matrix by one
-Householder QR (Golub and Van Loan, Matrix Computations, 5.3) and take the
-condition of the column-equilibrated R from its extreme singular values,
-which block Lanczos iterations on R and on R^-1 find.  A full-rank system is
-then solved by back-substitution; only a rank-deficient R goes to the SVD
-(``np.linalg.lstsq``), for the truncated minimum-norm solution.
+Householder QR (Golub and Van Loan, Matrix Computations, 5.3): LAPACK's
+geqrf, in place in one transposed copy of the matrix, over whose reflectors
+R then moves.  The condition of the column-equilibrated R comes from its
+extreme singular values, which block Lanczos iterations on R and on R^-1
+find.  A full-rank system is then solved by back-substitution; only a
+rank-deficient R goes to the SVD (``np.linalg.lstsq``), for the truncated
+minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import lapack_lite
 from numpy.polynomial import legendre as L
 
 from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _cauchy_matrix, _regular_kernels
@@ -134,6 +140,9 @@ KRYLOV_RTOL = 1e-14
 # by more than this fraction of the data scale; a deficient but consistent
 # system still has a well-defined minimum-norm solution.
 FAIL_RESIDUAL = 0.05
+# Function tables kept per basis (_LegendreBasis.table), oldest dropped
+# first.  A fig6 pass evaluates its densities on about 20 point sets.
+TABLE_MEMO_SIZE = 64
 
 
 class SingularSystemError(RuntimeError):
@@ -189,8 +198,11 @@ class DensitySet:
         return basis.densities(np.zeros(basis.total))
 
     def eval(self, which, s, order=0):
-        """Value (order=0) or exact s-derivative of a density: on each arc
-        the piece's columns of the basis' table times its coefficients."""
+        """Value (order=0) or exact s-derivative (order 1..3) of a density: on
+        each arc the piece's columns of the basis' table (``basis.table``,
+        memoized per point set) times its coefficients."""
+        if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or not 0 <= order <= 3:
+            raise ValueError(f"derivative order {order!r} is not an integer in 0..3")
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if not np.all((s_arr >= -1e-12) & (s_arr <= self.l + 1e-12)):
             raise ValueError("arc length outside [0, l] or not a number")
@@ -199,7 +211,7 @@ class DensitySet:
         for arc, mask in enumerate((s_arr <= self.l0, s_arr > self.l0)):
             if np.any(mask):
                 p = crack_piece + 4 * arc
-                table = self.basis.functions(arc, s_arr[mask], order)
+                table = self.basis.table(arc, s_arr[mask], order)
                 cols_a, cols_b = self.basis.columns(p)
                 out[mask] = table[:, cols_a] @ self.a[p] + 1j * (table[:, cols_b] @ self.b[p])
         return out if np.ndim(s) else out[0]
@@ -345,6 +357,7 @@ class _LegendreBasis:
         # d^k P_j / dx^k.
         eye = np.eye(self.size)
         self._derivatives = [np.pad(L.legder(eye, k), ((0, k), (0, 0))) for k in (1, 2, 3)]
+        self._tables = {}  # the memo of ``table``
 
     def columns(self, piece):
         """(real, imaginary) columns of the arc's function table that a piece
@@ -373,7 +386,32 @@ class _LegendreBasis:
         arc's functions at its arc lengths s."""
         h = self.halves[arc]
         vander = L.legvander((np.asarray(s, dtype=float) - self.centers[arc]) / h, self.degree)
-        return vander if order == 0 else vander @ self._derivatives[order - 1] / h**order
+        return self._derived(vander, arc, order)
+
+    def _derived(self, vander, arc, order):
+        """The order-th s-derivatives of the polynomials whose values at some
+        points of the arc are ``vander``."""
+        return vander if order == 0 else vander @ self._derivatives[order - 1] / self.halves[arc] ** order
+
+    def table(self, arc, s, order=0):
+        """``functions(arc, s, order)`` as a read-only array, memoized on the
+        basis and keyed on the arc, the order and the points' shape and bytes
+        (TABLE_MEMO_SIZE kept, oldest dropped first)."""
+        s = np.asarray(s, dtype=float)
+        key = (arc, order, s.shape, s.tobytes())
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tabulate(arc, s, order)
+            table.flags.writeable = False
+            if len(self._tables) >= TABLE_MEMO_SIZE:
+                del self._tables[next(iter(self._tables))]
+            self._tables[key] = table
+        return table
+
+    def _tabulate(self, arc, s, order):
+        """A table for ``table`` to keep: derivatives from the memoized values,
+        with the arithmetic of ``functions``."""
+        return self.functions(arc, s) if order == 0 else self._derived(self.table(arc, s), arc, order)
 
     def densities(self, full):
         """The DensitySet of the full coefficient vector."""
@@ -397,10 +435,11 @@ class _Tables:
     Cauchy principal value A, the regular-kernel integrals B1 (against
     d tau) and B2 (against conj(d tau)), the plain moments Q, and the values
     and first two s-derivatives V at the collocation points of the
-    function's own arc; all are keyed by arc, one row per function.
+    function's own arc (``values``, from ``_point_values``, which the levels
+    of one assembly share); all are keyed by arc, one row per function.
     """
 
-    def __init__(self, contour, pts, arc_of_pt, disc, basis):
+    def __init__(self, contour, pts, arc_of_pt, disc, basis, values):
         t_p = contour.point(pts)
         dt_p = contour.tangent(pts)
         self.pts, self.arc_of_pt, self.t_p, self.dt_p = pts, arc_of_pt, t_p, dt_p
@@ -413,11 +452,10 @@ class _Tables:
         cmat, near_q, near_p = _cauchy_matrix(disc, pts, t_p, arc_of_pt, dd_eps)
         g_all = np.sum(cmat, axis=0)
 
-        self.A, self.B1, self.B2, self.Q, self.V = {}, {}, {}, {}, {}
+        self.A, self.B1, self.B2, self.Q, self.V = {}, {}, {}, {}, values
         for arc in (0, 1):
             qmask = disc.arc == arc
             arc_start = np.flatnonzero(qmask)[0]  # the nodes of an arc are contiguous
-            pmask = arc_of_pt == arc
             # The kernels' near-diagonal guard has its own, larger radius: the
             # raw kernel quotients lose about 1e-16/d**2 to cancellation.
             k1m, k2m = _regular_kernels(
@@ -425,11 +463,7 @@ class _Tables:
                 DIAG_EPS_FACTOR * contour.l,
             )
             m_arc = basis.functions(arc, disc.s[qmask]).T  # [K, n_q]
-            stack = np.zeros((3, m_arc.shape[0], pts.size))
-            for order in range(3):
-                stack[order][:, pmask] = basis.functions(arc, pts[pmask], order).T
-            self.V[arc] = stack
-            v0 = stack[0]
+            v0 = values[arc][0]
 
             t1 = m_arc @ cmat[qmask, :]
             a_tab = t1 - v0 * (g_all - 1j * np.pi)[None, :]
@@ -437,7 +471,7 @@ class _Tables:
             on_arc = disc.arc[near_q] == arc
             qi, pi = near_q[on_arc], near_p[on_arc]
             crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
-            np.add.at(a_tab.T, pi, (disc.w[qi] * stack[1][:, pi] - crude).T)
+            np.add.at(a_tab.T, pi, (disc.w[qi] * values[arc][1][:, pi] - crude).T)
             self.A[arc] = a_tab
 
             wdt = disc.w[qmask] * disc.dt[qmask]
@@ -458,6 +492,19 @@ class _Tables:
         scale = max(float(np.max(np.abs(fine))) for fine, _ in pairs)
         change = max(float(np.max(np.abs(fine - old))) for fine, old in pairs)
         return change / max(scale, 1e-300)
+
+
+def _point_values(basis, pts, arc_of_pt):
+    """{arc: [3, functions, points]}: the values and first two s-derivatives
+    of the arc's functions at the points of that arc, zero elsewhere."""
+    values = {}
+    for arc in (0, 1):
+        pmask = arc_of_pt == arc
+        tables = [basis.table(arc, pts[pmask], order) for order in range(3)]
+        values[arc] = np.zeros((3, tables[0].shape[1], pts.size))
+        for stack, table in zip(values[arc], tables):
+            stack[:, pmask] = table.T
+    return values
 
 
 def assemble(setup, n, rule=None, basis=None):
@@ -511,12 +558,13 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
 
     t0 = time.perf_counter()
+    values = _point_values(basis, pts, arc_of_pt)  # the same at every level
     tab = drift = None
     for level in range(1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
         if level:
             rule = rule.refined()
         disc = rule.discretize(contour, 0.5 * delta)
-        coarse, tab = tab, _Tables(contour, pts, arc_of_pt, disc, basis)
+        coarse, tab = tab, _Tables(contour, pts, arc_of_pt, disc, basis, values)
         if coarse is not None:
             drift = tab.drift_from(coarse)
             if drift < MATRIX_STABILITY_TOL:
@@ -803,8 +851,8 @@ def _assemble_rows(setups, basis, tab):
     # of the crack arc to the end of the bonded arc, tip 1 the other ends.
     for phase in phases:
         crack_piece, bond_piece = _piece(phase.g, 0), _piece(phase.g, 1)
-        crack_start, crack_end = basis.functions(0, [0.0, contour.l0])[:, basis.columns(crack_piece)[0]]
-        bond_start, bond_end = basis.functions(1, [contour.l0, contour.l])[:, basis.columns(bond_piece)[0]]
+        crack_start, crack_end = basis.table(0, [0.0, contour.l0])[:, basis.columns(crack_piece)[0]]
+        bond_start, bond_end = basis.table(1, [contour.l0, contour.l])[:, basis.columns(bond_piece)[0]]
         name = phase.g.removesuffix("p")  # g0 or g
         for crack_val, bond_val, tag in (
             (crack_start, bond_end, f"{name}_slope_continuity_tip0"),
@@ -867,6 +915,9 @@ def _solve_columns(system, rcond=1e-13, cases=None):
             rank, cols, system.basis.n, cond, "" if cases is None else f" for cases {cases}",
         )
 
+    # The rows of a tag come in runs (one per block of _assemble_rows).
+    tags = system.row_tags
+    runs = [i for i, tag in enumerate(tags) if i == 0 or tag != tags[i - 1]]
     out = []
     for j in range(rhs.shape[1]):
         x = sol[:, j]
@@ -883,8 +934,8 @@ def _solve_columns(system, rcond=1e-13, cases=None):
                 case=None if cases is None else cases[j],
             )
         per_tag = {}
-        for tag, r in zip(system.row_tags, resid):
-            per_tag[tag] = max(per_tag.get(tag, 0.0), abs(float(r)))
+        for i, r in zip(runs, np.maximum.reduceat(np.abs(resid), runs).tolist()):
+            per_tag[tags[i]] = max(per_tag.get(tags[i], 0.0), r)
         # The eliminated constraints report their residuals c @ full.
         full = system.elimination.expand(x)
         per_tag.update(zip(system.elimination.tags, np.abs(system.elimination.rows @ full).tolist()))
@@ -909,20 +960,20 @@ def _least_squares(mat, rhs, col_scale, rcond):
     """(solutions [cols, columns of rhs], rank, condition) of the least
     squares mat x = rhs, equilibrated by the column scales ``col_scale``.
 
-    One Householder QR of mat gives Q^T rhs (``_apply_qt``) and R; the
-    extreme singular values of R C^-1 (C = diag(col_scale)) come from
-    ``_largest_singular_value`` on it and on its inverse.  Since the
-    smallest is at most min |r_ii| / c_i, a diagonal at or below rcond times
-    the largest skips the second iteration.  A full-rank R is inverted by
-    back-substitution; otherwise the SVD of R C^-1 (np.linalg.lstsq) gives
+    One Householder QR of mat (``_householder_qr``, in one copy of mat)
+    gives Q^T rhs (``_apply_qt``) and then R, moved in place over the
+    reflectors; the extreme singular values of R C^-1 (C = diag(col_scale))
+    come from ``_largest_singular_value`` on it and on its inverse.  Since
+    the smallest is at most min |r_ii| / c_i, a diagonal at or below rcond
+    times the largest skips the second iteration.  A full-rank R is inverted
+    by back-substitution; otherwise the SVD of R C^-1 (np.linalg.lstsq) gives
     the truncated minimum-norm solution, the rank and the condition, as it
     would for mat C^-1 itself.
     """
-    h, tau = np.linalg.qr(mat, mode="raw")
-    qr = h.T  # geqrf's layout: R on and above the diagonal, reflectors below
-    n = qr.shape[1]
-    qtb = _apply_qt(qr, tau, rhs)[:n]
-    r = _equilibrated_r(qr, col_scale)
+    qrt, tau = _householder_qr(mat)
+    n = qrt.shape[0]
+    qtb = _apply_qt(qrt.T, tau, rhs)[:n]
+    r = _equilibrated_r(qrt, col_scale)
     s_max = _largest_singular_value(lambda z: r @ z, lambda y: r.T @ y, n, KRYLOV_RTOL)
     diagonal = np.min(np.abs(np.diagonal(r)))
     if diagonal > rcond * s_max:
@@ -938,6 +989,24 @@ def _least_squares(mat, rhs, col_scale, rcond):
     sol, _, rank, sing = np.linalg.lstsq(r, qtb, rcond=rcond)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
     return sol / col_scale[:, None], int(rank), cond
+
+
+def _householder_qr(mat):
+    """(qrt, tau): LAPACK geqrf's QR of mat [rows, cols] with its output
+    transposed, qrt [cols, rows] (R^T on and below the diagonal of its
+    leading columns, reflector j in row j past the diagonal), computed in
+    place in one C-ordered copy of mat^T, which LAPACK reads as mat in
+    column order.  np.linalg.qr(mat, mode="raw") gives the same (qrt, tau)
+    bit for bit, but holds a second copy of mat in its own buffer."""
+    m, n = mat.shape
+    qrt = np.array(mat.T, dtype=float, order="C")
+    tau, work = np.empty(min(m, n)), np.empty(1)
+    lapack_lite.dgeqrf(m, n, qrt, m, tau, work, -1, 0)  # workspace query
+    work = np.empty(int(work[0]))
+    info = lapack_lite.dgeqrf(m, n, qrt, m, tau, work, work.size, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"geqrf failed with info {info}")
+    return qrt, tau
 
 
 def _apply_qt(qr, tau, b):
@@ -959,14 +1028,18 @@ def _apply_qt(qr, tau, b):
     return c
 
 
-def _equilibrated_r(qr, col_scale):
-    """R C^-1 in place of the QR's leading rows, its reflectors zeroed."""
-    n = qr.shape[1]
-    r = qr[:n]
+def _equilibrated_r(qrt, col_scale):
+    """R C^-1 in place of the leading columns of ``_householder_qr``'s qrt,
+    a C-ordered view.  Block row by block row, the block's upper part
+    (reflectors that Q^T b no longer needs) takes R from the R^T below it,
+    and its lower part is zeroed once the rows above have taken it."""
+    n = qrt.shape[0]
+    r = qrt[:, :n]
     for j0 in range(0, n, LSQ_BLOCK):
         j1 = min(j0 + LSQ_BLOCK, n)
+        r[j0:j1, j1:] = r[j1:, j0:j1].T
+        r[j0:j1, j0:j1] = np.tril(r[j0:j1, j0:j1]).T
         r[j0:j1, :j0] = 0.0
-        r[j0:j1, j0:j1] = np.triu(r[j0:j1, j0:j1])
     r /= col_scale
     return r
 

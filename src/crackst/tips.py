@@ -206,6 +206,11 @@ class TipEnrichedBasis(_LegendreBasis):
                 out.append(z)
         return np.hstack(out)
 
+    def _tabulate(self, arc, s, order):
+        """Every order of the full table from ``functions``: the zone series
+        are not linear in their values."""
+        return self.functions(arc, s, order)
+
     def collocation_points(self):
         """On each arc, OVERSAMPLE times as many points as the arc has
         Legendre functions, at its Chebyshev points, and at each end

@@ -94,7 +94,7 @@ def test_per_arc_kernel_tables_match_sliced_reference(reference_setup, enriched)
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
     disc = rule.discretize(contour, 0.5 * basis.delta)
-    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
+    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis, solver._point_values(basis, pts, arc_of_pt))
     want_b1, want_b2 = ref.regular_tables(contour, pts, arc_of_pt, disc, basis)
     assert tab.B1.keys() == want_b1.keys() and tab.B2.keys() == want_b2.keys()
     for key in want_b1:
@@ -138,9 +138,11 @@ def test_groups_share_the_drift_of_the_call():
     points = basis.collocation_points()
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
-    rule = cs.QuadratureRule()
+    rule, values = cs.QuadratureRule(), solver._point_values(basis, pts, arc_of_pt)
     coarse, fine = (
-        solver._Tables(setups[0].contour, pts, arc_of_pt, r.discretize(setups[0].contour, 0.5 * basis.delta), basis)
+        solver._Tables(
+            setups[0].contour, pts, arc_of_pt, r.discretize(setups[0].contour, 0.5 * basis.delta), basis, values
+        )
         for r in (rule, rule.refined())
     )
     for _, cases in systems:

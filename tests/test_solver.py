@@ -93,6 +93,58 @@ def test_density_eval_matches_clenshaw_sums():
             assert np.max(np.abs(got - want)) <= 8 * (n + 2) * np.finfo(float).eps * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("order", [-1, 4, 1.5, True, "1"])
+def test_density_eval_rejects_bad_orders(order):
+    dset = cs.DensitySet.zeros(4, np.pi, 2 * np.pi)
+    with pytest.raises(ValueError, match=f"derivative order {order!r} "):
+        dset.eval("q0", 0.5, order=order)
+    assert not dset.basis._tables  # rejected before the memo is consulted
+
+
+@pytest.mark.parametrize("enriched", [False, True])
+def test_table_memo_is_read_only_and_bit_equal_to_functions(reference_setup, enriched):
+    contour, n = reference_setup.contour, 8
+
+    def new_basis():
+        return tips.TipEnrichedBasis(reference_setup, n) if enriched else _LegendreBasis(contour.l0, contour.l, n)
+
+    basis, fresh = new_basis(), new_basis()
+    points = (np.linspace(0.0, contour.l0, 41), np.linspace(contour.l0, contour.l, 37))
+    for order in (3, 0, 2, 1):  # a derivative before the values it is taken from
+        for arc, s in enumerate(points):
+            table = basis.table(arc, s, order)
+            want = fresh.functions(arc, s, order)
+            assert not table.flags.writeable
+            assert table.shape == want.shape and table.strides == want.strides
+            assert np.array_equal(table, want)
+            assert basis.table(arc, s.copy(), order) is table
+
+
+def test_table_memo_is_bounded():
+    basis = _LegendreBasis(np.pi, 2 * np.pi, 4)
+    point_sets = [np.array([0.1 + 1e-3 * k]) for k in range(solver.TABLE_MEMO_SIZE + 5)]
+    for s in point_sets:
+        basis.table(0, s)
+    # The oldest are dropped first.
+    kept = [key[-1] for key in basis._tables]
+    assert kept == [s.tobytes() for s in point_sets[-solver.TABLE_MEMO_SIZE:]]
+
+
+def _counting_functions(monkeypatch):
+    """Record every (basis, arc, order, points) that _LegendreBasis.functions
+    tabulates."""
+    calls = []
+    functions = solver._LegendreBasis.functions
+
+    def counting(self, arc, s, order=0):
+        s = np.asarray(s, dtype=float)
+        calls.append((id(self), arc, order, s.shape, s.tobytes()))
+        return functions(self, arc, s, order)
+
+    monkeypatch.setattr(solver._LegendreBasis, "functions", counting)
+    return calls
+
+
 def test_density_set_roundtrip():
     dset = cs.DensitySet.zeros(5, np.pi, 2 * np.pi)
     rng = np.random.default_rng(0)
@@ -416,6 +468,39 @@ def test_solve_cases_builds_tables_once_per_level(monkeypatch):
     assert len(built) == 2
 
 
+def test_fig6_grid_tabulates_each_point_set_once(monkeypatch):
+    """The solve and the openings of every case read one memo: the cases
+    of a call share its basis."""
+    calls = _counting_functions(monkeypatch)
+    cases = _fig6_grid()
+    for setup, (dset, _) in zip(cases, cs.solve_cases(cases, 20)):
+        cs.postprocess.max_crack_opening(dset, setup)
+    assert calls and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("levels", [1, 1 + solver.MAX_ADAPTIVE_ROUNDS])
+def test_assembly_tabulates_collocation_points_once(reference_setup, monkeypatch, levels):
+    """V, the basis at the collocation points, is the same at every
+    quadrature level; only the node tables are built per level."""
+    monkeypatch.setattr(solver, "MATRIX_STABILITY_TOL", 0.0)  # every refinement runs
+    calls, values = _counting_functions(monkeypatch), []
+    init = solver._Tables.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        values.append(self.V)
+
+    monkeypatch.setattr(solver._Tables, "__init__", recording)
+    rule = cs.QuadratureRule(adaptive=levels > 1)
+    ((system, _),) = solver._assemble_cases([reference_setup], 8, rule=rule)
+    assert system.meta["batch"]["table_builds"] == len(values) == levels
+    assert all(v is values[0] for v in values)
+    crack, bond = system.basis.collocation_points()
+    at_points = [call for call in calls if call[4] in (crack.tobytes(), bond.tobytes())]
+    assert sorted(call[1:3] for call in at_points) == [(0, 0), (1, 0)]  # orders 1, 2 from the values
+    assert len(calls) == len(at_points) + 2 * levels + 2  # node tables per level and arc, tip rows
+
+
 def test_solve_cases_needs_one_contour(reference_setup):
     other = replace(reference_setup, contour=cs.circular_contour(1.0, (0.0, np.pi)))
     with pytest.raises(ValueError, match="contour"):
@@ -510,6 +595,20 @@ def test_condition_and_rank_match_the_svd(reference_setup, shape, n):
     cond = sing[0] / sing[-1]
     assert report.rank == report.cols == 14 * n + 18
     assert abs(report.condition - cond) <= max(1e-10, np.finfo(float).eps * cond) * cond
+
+
+def test_householder_qr_in_place_matches_numpy(reference_setup):
+    """One copy of the matrix holds the QR and then R; the reflectors, tau
+    and R are np.linalg.qr's bit for bit, and R is a C-ordered view."""
+    mat = cs.assemble(reference_setup, 16).matrix
+    h, tau = np.linalg.qr(mat, mode="raw")
+    qrt, tau_in_place = solver._householder_qr(mat)
+    assert np.array_equal(qrt, h) and np.array_equal(tau_in_place, tau)
+    scale = solver._column_scale(mat)
+    n = mat.shape[1]
+    r = solver._equilibrated_r(qrt, scale)
+    assert np.shares_memory(r, qrt) and r.strides == (8 * mat.shape[0], 8)
+    assert np.array_equal(r, np.triu(h.T[:n]) / scale)
 
 
 def test_solve_does_not_load_numpy_random():
