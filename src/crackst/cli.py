@@ -101,6 +101,9 @@ def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=Non
         post.interface_fields(dset, setup),
     )
     vreport.write_json(os.path.join(outdir, "validation.json"))
+    failed = [c.name for c in vreport.checks if not c.passed]
+    if failed:
+        logging.getLogger("crackst").warning("validation checks failed: %s", failed)
     # Stage timings vary between runs, so they stay out of summary.json and validation.json.
     timings = {**report.meta.get("timings", {}), **vreport.timings}
     write_json(os.path.join(outdir, "timings.json"), {"timings": timings, "batch": report.meta.get("batch")})
@@ -134,9 +137,6 @@ def cmd_solve(args):
     _write_standard_outputs(outdir, run_config, dset, report, vreport, tip_fits=args.tip_fits)
     if not args.quiet:
         print(f"outputs written to {outdir}")
-        if not vreport.all_passed:
-            failed = [c.name for c in vreport.checks if not c.passed]
-            print(f"warning: validation checks failed: {failed}")
     return EXIT_OK
 
 
@@ -202,6 +202,11 @@ def cmd_sweep(args):
         if not values:
             raise ConfigError("empty sweep value list")
         cases = [_apply_sweep_value(run_config, args.param, value) for value in values]
+        subdirs = [f"{args.param}_{value:g}" for value in values]
+        for i, name in enumerate(subdirs):
+            if name in subdirs[:i]:
+                first = values[subdirs.index(name)]
+                raise ConfigError(f"sweep values {first!r} and {values[i]!r} would both write to {name}")
     except (OSError, ConfigError, ValueError) as exc:
         print(f"sweep setup error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -218,8 +223,8 @@ def cmd_sweep(args):
         print(f"solver failure at {args.param}={failed:g}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     rows = []
-    for value, case, (dset, report) in zip(values, cases, results):
-        subdir = os.path.join(outdir, f"{args.param}_{value:g}")
+    for value, name, case, (dset, report) in zip(values, subdirs, cases, results):
+        subdir = os.path.join(outdir, name)
         os.makedirs(subdir, exist_ok=True)
         vreport = validate_solution(dset, case.setup)
         summary = _write_standard_outputs(subdir, case, dset, report, vreport, tip_fits=args.tip_fits)
@@ -434,8 +439,8 @@ def main(argv=None):
         "scenario": cmd_scenario,
         "validate": cmd_validate,
     }[args.command]
-    # The solver's warnings (rank deficiency, unconverged quadrature,
-    # degenerate material pair) go to stderr unless --quiet.
+    # The warnings of the solver (rank deficiency, unconverged quadrature, degenerate
+    # material pair) and of failed validation checks go to stderr unless --quiet.
     log = logging.getLogger("crackst")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("warning: %(message)s"))

@@ -31,8 +31,30 @@ __all__ = [
 
 # 5-point Gauss-Legendre rule of the arc-length table's local integrals.
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
-# s -> theta inversions kept per reparametrized contour.
-THETA_MEMO_SIZE = 64
+# Entries kept per memo (_memoized), oldest dropped first.  A fig6 pass
+# tabulates about 20 point sets per basis; a solve and its validation build
+# about 8 discretizations per contour, and graded stress traces one more per
+# tip depth.
+MEMO_SIZE = 64
+
+
+def _memoized(owner, name, key, build):
+    """build(), memoized under key in owner's dict attribute ``name``, with
+    MEMO_SIZE entries kept (oldest dropped first).  The arrays of an entry
+    (the entry itself, or the values of its dict or attributes) are handed
+    out read-only."""
+    memo = vars(owner).setdefault(name, {})
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        parts = getattr(value, "__dict__", value)
+        for part in parts.values() if isinstance(parts, dict) else (parts,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        if len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return value
 
 
 def _require_finite(**values):
@@ -163,20 +185,16 @@ class _ReparametrizedContour(Contour):
 
     def _s_to_theta(self, s):
         # The maps of one point set share one inversion, memoized on the
-        # input's bytes (oldest dropped first) and handed out read-only.
+        # input's shape and bytes.
         s = np.asarray(s, dtype=float)
-        memo = vars(self).setdefault("_thetas", {})
-        key = (s.shape, s.tobytes())
-        if key not in memo:
-            if len(memo) >= THETA_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            s = self.wrap(s)
-            theta = np.interp(s, self._s_grid, self._theta_grid)
-            for _ in range(4):
-                theta = theta - (self._theta_to_s(theta) - s) / self._speed(theta)
-            memo[key] = np.asarray(theta)
-            memo[key].flags.writeable = False
-        return memo[key]
+        return _memoized(self, "_thetas", (s.shape, s.tobytes()), lambda: self._invert(s))
+
+    def _invert(self, s):
+        s = self.wrap(s)
+        theta = np.interp(s, self._s_grid, self._theta_grid)
+        for _ in range(4):
+            theta = theta - (self._theta_to_s(theta) - s) / self._speed(theta)
+        return np.asarray(theta)
 
     def _speed(self, theta):
         return np.abs(self._r_prime(theta))

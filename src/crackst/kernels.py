@@ -45,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _memoized
+
 __all__ = [
     "TipProximityError",
     "QuadratureRule",
@@ -60,9 +62,6 @@ __all__ = [
 DIAG_EPS_FACTOR = 1e-5
 # Field points closer than this to a crack tip are rejected for PV evaluation.
 TIP_EPS_FACTOR = 1e-6
-# Discretizations kept per contour, oldest dropped first.  A solve and its
-# validation use about 8; graded stress traces add one per tip depth.
-DISCRETIZATION_MEMO_SIZE = 64
 # Field points per block of a principal-value evaluation; the block's kernel
 # matrix holds nodes x PV_BLOCK_POINTS complex entries (one more at most).
 PV_BLOCK_POINTS = 128
@@ -142,13 +141,8 @@ class Discretization:
         return self.s.size
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    xg.flags.writeable = False
-    wg.flags.writeable = False
-    return xg, wg
+# Gauss-Legendre nodes and weights on [-1, 1], which the rules only read.
+_gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
 def _build_discretization(contour, nodes_per_panel, panels_per_arc, tip_panel):
@@ -166,7 +160,7 @@ def _build_discretization(contour, nodes_per_panel, panels_per_arc, tip_panel):
         ww.append(weights)
         aa.append(np.full(nodes.size, arc, dtype=int))
     s = np.concatenate(ss)
-    disc = Discretization(
+    return Discretization(
         s=s,
         w=np.concatenate(ww),
         arc=np.concatenate(aa),
@@ -174,9 +168,6 @@ def _build_discretization(contour, nodes_per_panel, panels_per_arc, tip_panel):
         dt=contour.tangent(s),
         panel_edges=tuple(tuple(e) for e in alledges),
     )
-    for values in (disc.s, disc.w, disc.arc, disc.tau, disc.dt):
-        values.flags.writeable = False
-    return disc
 
 
 @dataclass(frozen=True)
@@ -211,9 +202,9 @@ class QuadratureRule:
     def discretize(self, contour, tip_panel=None):
         """Nodes, weights and cached geometry for both arcs of the contour.
 
-        Discretizations are memoized on the contour, which is treated as
-        immutable: an equal rule and tip grading return the same
-        Discretization, whose arrays are read-only.
+        Discretizations are memoized on the contour (geometry._memoized),
+        which is treated as immutable: an equal rule and tip grading return
+        the same Discretization, whose arrays are read-only.
         """
         if tip_panel is not None and tip_panel <= 0.0:
             tip_panel = None
@@ -222,13 +213,7 @@ class QuadratureRule:
             self.panels_per_arc,
             None if tip_panel is None else float(tip_panel),
         )
-        memo = vars(contour).setdefault("_discretizations", {})
-        disc = memo.get(key)
-        if disc is None:
-            if len(memo) >= DISCRETIZATION_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            disc = memo[key] = _build_discretization(contour, *key)
-        return disc
+        return _memoized(contour, "_discretizations", key, lambda: _build_discretization(contour, *key))
 
 
 # The fixed rule of the post-hoc validation checks, postprocess.potentials_at

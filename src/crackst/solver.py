@@ -80,6 +80,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 from numpy.polynomial import legendre as L
 
+from .geometry import _memoized
 from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _cauchy_matrix, _regular_kernels
 
 __all__ = [
@@ -140,9 +141,6 @@ KRYLOV_RTOL = 1e-14
 # by more than this fraction of the data scale; a deficient but consistent
 # system still has a well-defined minimum-norm solution.
 FAIL_RESIDUAL = 0.05
-# Function tables kept per basis (_LegendreBasis.table), oldest dropped
-# first.  A fig6 pass evaluates its densities on about 20 point sets.
-TABLE_MEMO_SIZE = 64
 
 
 class SingularSystemError(RuntimeError):
@@ -395,18 +393,11 @@ class _LegendreBasis:
 
     def table(self, arc, s, order=0):
         """``functions(arc, s, order)`` as a read-only array, memoized on the
-        basis and keyed on the arc, the order and the points' shape and bytes
-        (TABLE_MEMO_SIZE kept, oldest dropped first)."""
+        basis (geometry._memoized) and keyed on the arc, the order and the
+        points' shape and bytes."""
         s = np.asarray(s, dtype=float)
         key = (arc, order, s.shape, s.tobytes())
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tabulate(arc, s, order)
-            table.flags.writeable = False
-            if len(self._tables) >= TABLE_MEMO_SIZE:
-                del self._tables[next(iter(self._tables))]
-            self._tables[key] = table
-        return table
+        return _memoized(self, "_tables", key, lambda: self._tabulate(arc, s, order))
 
     def _tabulate(self, arc, s, order):
         """A table for ``table`` to keep: derivatives from the memoized values,
@@ -454,6 +445,8 @@ class _Tables:
 
         self.A, self.B1, self.B2, self.Q, self.V = {}, {}, {}, {}, values
         for arc in (0, 1):
+            # The mask copies the arc's rows of cmat: with views of them the
+            # N = 64 solve peaks 7% higher in resident memory (glibc heap state).
             qmask = disc.arc == arc
             arc_start = np.flatnonzero(qmask)[0]  # the nodes of an arc are contiguous
             # The kernels' near-diagonal guard has its own, larger radius: the

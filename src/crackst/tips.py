@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
+from .geometry import _memoized
 from .kernels import FINE_RULE
 from .solver import OVERSAMPLE, _LegendreBasis, assemble, solve
 
@@ -106,7 +107,6 @@ class _LogBasis:
         self.width, self.d_min, self.k = width, d_min, k
         self._dx = 2.0 / -np.log(d_min / width)  # dx/dlog(u)
         self._terms = {kind: _basis_terms(kind, k) for kind in _KINDS}
-        self._cache = {}
 
     def distance(self, x):
         """Inverse map: the distances d at which the variable takes values x."""
@@ -118,16 +118,13 @@ class _LogBasis:
         d^n/du^n f = u^-n (D - n + 1) ... (D - 1) D f with D = u d/du, and
         D [u^j S(x)] = u^j (j S + x' S'), x' = u dx/du constant.
         """
-        key = (kind, order)
-        if key not in self._cache:
-            terms = {m: coef.T for m, coef in self._terms[kind].items()}
-            for n in range(order):
-                terms = {
-                    j: (j - n) * g + self._dx * np.pad(C.chebder(g), ((0, 1), (0, 0)))
-                    for j, g in terms.items()
-                }
-            self._cache[key] = terms
-        return self._cache[key]
+        terms = {m: coef.T for m, coef in self._terms[kind].items()}
+        for n in range(order):
+            terms = {
+                j: (j - n) * g + self._dx * np.pad(C.chebder(g), ((0, 1), (0, 0)))
+                for j, g in terms.items()
+            }
+        return terms
 
     def values(self, kind, d, order=0):
         """[len(d), k]: the order-th d-derivatives of the kind's functions."""
@@ -137,7 +134,8 @@ class _LogBasis:
         x = 1.0 + self._dx * np.log(u_in)
         vander = C.chebvander(x, self.k)
         out = np.zeros((d.size, self.k))
-        for j, g in self._derivative_terms(kind, order).items():
+        terms = _memoized(self, "_derived_terms", (kind, order), lambda: self._derivative_terms(kind, order))
+        for j, g in terms.items():
             out += (vander @ g) * (u_in ** (j - order))[:, None]
         frozen = d <= self.d_min
         if np.any(frozen):

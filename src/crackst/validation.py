@@ -84,14 +84,19 @@ INNER_TIP_GRADING = 1e-6
 
 @dataclass
 class ValidationCheck:
+    """A check passes when its value is below its tolerance (NaN fails)."""
+
     name: str
     value: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.passed = bool(self.value < self.tolerance)
+
     def to_dict(self):
-        return {**asdict(self), "passed": bool(self.passed)}
+        return asdict(self)
 
 
 @dataclass
@@ -198,7 +203,6 @@ def cauchy_inversion_checks(contour, trials, rule=FINE_RULE):
             name="cauchy_inversion",
             value=float(err),
             tolerance=INVERSION_TOL,
-            passed=err < INVERSION_TOL,
             details={"n_eval": int(at.size)},
         )
         for err in errs
@@ -279,7 +283,6 @@ def original_bc_residual(dset, setup, s_samples=None, scale=None):
         name="surface_condition_residual",
         value=value,
         tolerance=SURFACE_TOL * scale,
-        passed=value < SURFACE_TOL * scale,
         details={"traction_scale": scale, "relative": value / scale},
     )
 
@@ -387,7 +390,6 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
         name="trace_consistency",
         value=float(worst),
         tolerance=TRACE_TOL,
-        passed=worst < TRACE_TOL,
         details={"n_samples": int(s_samples.size), "scale": scale},
     )
 
@@ -416,14 +418,12 @@ def conservation_checks(dset, setup, rule=FINE_RULE):
             name="force_balance",
             value=float(abs(force)),
             tolerance=CONSERVATION_TOL,
-            passed=abs(force) < CONSERVATION_TOL,
             details={},
         ),
         ValidationCheck(
             name="single_valuedness",
             value=float(abs(single)),
             tolerance=CONSERVATION_TOL,
-            passed=abs(single) < CONSERVATION_TOL,
             details={},
         ),
     ]

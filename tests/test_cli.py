@@ -223,6 +223,49 @@ def test_bad_orders_are_rejected(tmp_path, capsys):
     assert "got 8.7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, values, name", [("gamma0", "0.1,0.1000001", "gamma0_0.1"), ("order", "8,8", "order_8")])
+def test_sweep_rejects_values_that_share_a_directory(tmp_path, capsys, param, values, name):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--param", param, "--values", values, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    first, second = (repr(float(v)) for v in values.split(","))
+    assert f"sweep values {first} and {second} would both write to {name}" in err
+    assert not out.exists()  # rejected before any solve
+
+
+def _failed_checks(outdir):
+    report = json.loads((outdir / "validation.json").read_text())
+    return [c["name"] for c in report["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("command", [["solve", "--config", "{cfg}"], ["scenario", "fig4"]])
+def test_failed_validation_checks_warn_unless_quiet(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("crackst.validation.TRACE_TOL", 0.0)
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    argv = [arg.format(cfg=cfg) for arg in command] + ["--out", str(out), "--order", "8"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    failed = _failed_checks(out)
+    assert "trace_consistency" in failed
+    assert captured.err.count(f"warning: validation checks failed: {failed}") == 1
+    assert "checks failed" not in captured.out
+    assert main(argv + ["--quiet"]) == 0
+    assert "checks failed" not in capsys.readouterr().err
+
+
+def test_sweep_warns_of_failed_validation_checks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("crackst.validation.TRACE_TOL", 0.0)
+    cfg, out = write_config(tmp_path), tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--param", "alpha", "--values", "0,0.7", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    for name in ("alpha_0", "alpha_0.7"):
+        failed = _failed_checks(out / name)
+        assert "trace_consistency" in failed
+        assert f"warning: validation checks failed: {failed}" in err
+    assert err.count("validation checks failed") == 2
+
+
 def test_sweep_rejects_empty_values(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--param", "gamma0", "--values", "", "--quiet"]) == 1

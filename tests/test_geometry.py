@@ -181,3 +181,38 @@ def test_tabulated_contour_rejects_clockwise_samples():
     with pytest.raises(ValueError, match="clockwise"):
         TabulatedContour(np.linspace(0.0, 1.0, 16) + 0j, crack_end_fraction=0.5)
     assert TabulatedContour(np.exp(1j * theta), crack_end_fraction=0.5).curvature(1.0) > 0.0
+
+
+def test_memoized_builds_once_and_hands_out_read_only_arrays():
+    from types import SimpleNamespace
+
+    from crackst.geometry import MEMO_SIZE, _memoized
+
+    owner, built = SimpleNamespace(), []
+
+    def build(value):
+        built.append(value)
+        return {"array": np.full(3, value), "scalar": value}
+
+    first = _memoized(owner, "_memo", "a", lambda: build(1.0))
+    assert _memoized(owner, "_memo", "a", lambda: build(2.0)) is first and built == [1.0]
+    assert not first["array"].flags.writeable
+    entry = _memoized(owner, "_memo", "b", lambda: SimpleNamespace(x=np.zeros(2), n=1))
+    assert not entry.x.flags.writeable
+    assert not _memoized(owner, "_memo", "c", lambda: np.ones(2)).flags.writeable
+    for k in range(MEMO_SIZE):
+        _memoized(owner, "_memo", k, lambda: np.zeros(1))
+    assert len(owner._memo) == MEMO_SIZE and "a" not in owner._memo and 0 in owner._memo
+
+
+def test_log_basis_derivative_terms_are_memoized_read_only():
+    from crackst.tips import _LogBasis
+
+    basis, fresh = _LogBasis(2.0, 1e-6, 8), _LogBasis(2.0, 1e-6, 8)
+    d = np.geomspace(1e-7, 2.0, 9)
+    for order in (0, 1, 2, 3):
+        first = basis.values("g_re", d, order)
+        assert np.array_equal(basis.values("g_re", d, order), first)  # from the memo
+        assert np.array_equal(first, fresh.values("g_re", d, order))
+    terms = basis._derived_terms[("g_re", 2)]
+    assert all(not g.flags.writeable for g in terms.values())

@@ -10,7 +10,7 @@ import pytest
 import crackst as cs
 from crackst import kernels
 from crackst import validation as val
-from crackst.geometry import THETA_MEMO_SIZE
+from crackst.geometry import MEMO_SIZE
 from crackst.kernels import (
     DIAG_EPS_FACTOR,
     PV_BLOCK_POINTS,
@@ -151,10 +151,10 @@ def test_theta_memo_matches_fresh_contour_and_is_bounded():
     with pytest.raises(ValueError):
         theta[0] = 0.0
 
-    for k in range(THETA_MEMO_SIZE + 5):
+    for k in range(MEMO_SIZE + 5):
         warm.point(np.array([1e-3 * k]))
     memo = vars(warm)["_thetas"]
-    assert len(memo) == THETA_MEMO_SIZE
+    assert len(memo) == MEMO_SIZE
     assert warm._s_to_theta(s) is not theta  # the oldest entries were dropped
     assert np.array_equal(warm._s_to_theta(s), theta)
 

@@ -224,14 +224,14 @@ def test_discretize_is_memoized_read_only():
 
 
 def test_discretization_memo_is_bounded():
-    from crackst import kernels
+    from crackst.geometry import MEMO_SIZE
 
     contour = cs.circular_contour(1.0, (0.0, np.pi))
     rule = QuadratureRule(nodes_per_panel=4, panels_per_arc=1)
-    for k in range(kernels.DISCRETIZATION_MEMO_SIZE + 5):
+    for k in range(MEMO_SIZE + 5):
         rule.discretize(contour, 1e-3 / (k + 1))
-    assert len(contour._discretizations) == kernels.DISCRETIZATION_MEMO_SIZE
-    assert rule.discretize(contour, 1e-3 / (kernels.DISCRETIZATION_MEMO_SIZE + 5)).n_nodes > 0
+    assert len(contour._discretizations) == MEMO_SIZE
+    assert rule.discretize(contour, 1e-3 / (MEMO_SIZE + 5)).n_nodes > 0
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])

@@ -61,10 +61,21 @@ def test_benchmark_order_ladder_runs(worker, tmp_path, monkeypatch):
     assert list(captured["outputs"]["g0p"]) == ["8"]
 
 
+def _reference():
+    return json.loads((WORKER.parent / "reference.json").read_text())
+
+
 def test_benchmark_fig6_grid_runs(worker, tmp_path):
     captured = worker.capture("fig6_grid", worker.fig6_grid(str(tmp_path), 0))
     _assert_captured(captured, 20)
     assert set(captured["outputs"]["file_sizes"]) == set(worker.FIG6_FILES)
     assert len(captured["outputs"]["fig6_opening"]) == 9  # 3 load angles x 3 face tensions
-    reference = json.loads((WORKER.parent / "reference.json").read_text())
-    assert worker.compare("fig6_grid", captured, reference) == []
+    assert worker.compare("fig6_grid", captured, _reference()) == []
+
+
+@pytest.mark.parametrize("workload", ["order_ladder", "ellipse_validate"])
+def test_benchmark_outputs_match_reference_at_full_size(worker, tmp_path, workload):
+    """The benchmark's output gate on a seed-0 pass of the workload as the
+    benchmark runs it."""
+    captured = worker.capture(workload, worker.WORKLOADS[workload](str(tmp_path), 0))
+    assert worker.compare(workload, captured, _reference()) == []

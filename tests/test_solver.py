@@ -10,6 +10,7 @@ from numpy.polynomial import legendre
 
 import crackst as cs
 from crackst import solver, tips
+from crackst.geometry import MEMO_SIZE
 from crackst.scenarios import scenario_config
 from crackst.solver import _LegendreBasis
 
@@ -122,12 +123,12 @@ def test_table_memo_is_read_only_and_bit_equal_to_functions(reference_setup, enr
 
 def test_table_memo_is_bounded():
     basis = _LegendreBasis(np.pi, 2 * np.pi, 4)
-    point_sets = [np.array([0.1 + 1e-3 * k]) for k in range(solver.TABLE_MEMO_SIZE + 5)]
+    point_sets = [np.array([0.1 + 1e-3 * k]) for k in range(MEMO_SIZE + 5)]
     for s in point_sets:
         basis.table(0, s)
     # The oldest are dropped first.
     kept = [key[-1] for key in basis._tables]
-    assert kept == [s.tobytes() for s in point_sets[-solver.TABLE_MEMO_SIZE:]]
+    assert kept == [s.tobytes() for s in point_sets[-MEMO_SIZE:]]
 
 
 def _counting_functions(monkeypatch):

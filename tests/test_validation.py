@@ -167,6 +167,15 @@ def test_validate_solution_report(tmp_path, reference_solution, reference_setup)
     assert len(data["checks"]) == len(report.checks)
 
 
+@pytest.mark.parametrize("value, passed", [(0.5, True), (1.0, False), (2.0, False), (float("nan"), False)])
+def test_check_passes_only_below_its_tolerance(value, passed):
+    check = val.ValidationCheck(name="probe", value=value, tolerance=1.0)
+    assert check.passed is passed
+    assert check.to_dict()["passed"] is passed
+    with pytest.raises(TypeError):
+        val.ValidationCheck(name="probe", value=value, tolerance=1.0, passed=not passed)
+
+
 def test_validate_solution_times_each_check_family(reference_solution, reference_setup):
     dset, _ = reference_solution
     report = cs.validate_solution(dset, reference_setup)
