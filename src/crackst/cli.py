@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import postprocess as post
-from .config import ConfigError, RunConfig, dump_config, parse_config
+from .config import ConfigError, dump_config, parse_config
 from .scenarios import SCENARIOS, scenario_config, scenario_metadata
 from .kernels import QuadratureRule
 from .solver import MIN_ORDER, SingularSystemError, solve_cases
@@ -58,38 +58,49 @@ def _load_config(args):
     return run_config
 
 
-def _with_param(setup, param, value):
-    """The setup with its face tensions (gamma0) or its load angle (alpha)
-    set to value; it keeps the contour object, so cases built this way share
-    their operator tables in solve_cases."""
+def _with_value(run_config, param, value):
+    """The run configuration with its face tensions (gamma0), its load angle
+    (alpha) or its order (order or N) set to value.  It keeps the contour
+    object, so cases built this way share their operator tables in solve_cases."""
+    setup, numerics = run_config.setup, run_config.numerics
     if param == "gamma0":
-        return replace(setup, surface=replace(setup.surface, gamma_plus=value, gamma_minus=value))
-    return replace(setup, load=replace(setup.load, alpha=value))
+        setup = replace(setup, surface=replace(setup.surface, gamma_plus=value, gamma_minus=value))
+    elif param == "alpha":
+        setup = replace(setup, load=replace(setup.load, alpha=value))
+    elif param in ("order", "N"):
+        numerics = replace(numerics, order=_checked_order(value))
+    else:
+        raise ConfigError(f"sweep parameter must be gamma0, alpha or order, got {param!r}")
+    return replace(run_config, setup=setup, numerics=numerics)
 
 
 def _solve_runs(cases, quiet=False):
-    """Solve run configurations that share the numerics of the first and its
-    contour object in one solve_cases call; one (dset, report) per case."""
-    numerics = cases[0].numerics
-    rule = QuadratureRule(
-        nodes_per_panel=numerics.nodes_per_panel,
-        panels_per_arc=numerics.panels_per_arc,
-        adaptive=numerics.adaptive_quadrature,
-    )
-    results = solve_cases(
-        [case.setup for case in cases], numerics.order, rule=rule, rcond=numerics.rcond
-    )
-    if not quiet:
-        for _, report in results:
-            print(
-                f"solved order {numerics.order}: rows={report.rows} cols={report.cols} "
-                f"max residual {report.max_residual:.3e} condition {report.condition:.3e}"
-            )
+    """One (dset, report) per run configuration, in order.  The cases share a
+    contour object and every numerics key but the order; the cases of each
+    order are solved in one solve_cases call, and a SingularSystemError names
+    the index of its case in cases."""
+    results = [None] * len(cases)
+    for order in dict.fromkeys(case.numerics.order for case in cases):
+        group = [i for i, case in enumerate(cases) if case.numerics.order == order]
+        numerics = cases[group[0]].numerics
+        rule = QuadratureRule(
+            nodes_per_panel=numerics.nodes_per_panel,
+            panels_per_arc=numerics.panels_per_arc,
+            adaptive=numerics.adaptive_quadrature,
+        )
+        try:
+            solved = solve_cases([cases[i].setup for i in group], order, rule=rule, rcond=numerics.rcond)
+        except SingularSystemError as exc:
+            exc.case = group[exc.case or 0]
+            raise
+        for i, (dset, report) in zip(group, solved):
+            results[i] = dset, report
+            if not quiet:
+                print(
+                    f"solved order {order}: rows={report.rows} cols={report.cols} "
+                    f"max residual {report.max_residual:.3e} condition {report.condition:.3e}"
+                )
     return results
-
-
-def _solve_run(run_config, quiet=False):
-    return _solve_runs([run_config], quiet)[0]
 
 
 def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=None, tip_fits=False):
@@ -122,7 +133,7 @@ def _solve_config(args):
         return EXIT_USAGE
     outdir = _out_dir(run_config, args.out)
     try:
-        dset, report = _solve_run(run_config, args.quiet)
+        ((dset, report),) = _solve_runs([run_config], args.quiet)
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -138,17 +149,6 @@ def cmd_solve(args):
     if not args.quiet:
         print(f"outputs written to {outdir}")
     return EXIT_OK
-
-
-def _apply_sweep_value(run_config, param, value):
-    setup, numerics = run_config.setup, run_config.numerics
-    if param in ("gamma0", "alpha"):
-        setup = _with_param(setup, param, value)
-    elif param in ("order", "N"):
-        numerics = replace(numerics, order=_checked_order(value))
-    else:
-        raise ConfigError(f"sweep parameter must be gamma0, alpha or order, got {param!r}")
-    return RunConfig(setup, numerics, run_config.output_dir)
 
 
 SWEEP_COLUMNS = [
@@ -201,7 +201,7 @@ def cmd_sweep(args):
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         if not values:
             raise ConfigError("empty sweep value list")
-        cases = [_apply_sweep_value(run_config, args.param, value) for value in values]
+        cases = [_with_value(run_config, args.param, value) for value in values]
         subdirs = [f"{args.param}_{value:g}" for value in values]
         for i, name in enumerate(subdirs):
             if name in subdirs[:i]:
@@ -211,16 +211,10 @@ def cmd_sweep(args):
         print(f"sweep setup error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     outdir = _out_dir(run_config, args.out)
-    results = []
     try:
-        if args.param in ("gamma0", "alpha"):
-            results = _solve_runs(cases, args.quiet)
-        else:  # each order has its own tables
-            for case in cases:
-                results.append(_solve_run(case, args.quiet))
+        results = _solve_runs(cases, args.quiet)
     except SingularSystemError as exc:
-        failed = values[len(results) if exc.case is None else exc.case]
-        print(f"solver failure at {args.param}={failed:g}: {exc}", file=sys.stderr)
+        print(f"solver failure at {args.param}={values[exc.case]:g}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     rows = []
     for value, name, case, (dset, report) in zip(values, subdirs, cases, results):
@@ -235,42 +229,32 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-# Each scenario writes its data files and returns the solution of its base
-# configuration, (dset, report), for the standard artifacts.
+# Each scenario's writer gets its grid cases and their (dset, report)
+# solutions and writes its data files.
 
-def _scenario_fig1(entry, run_config, outdir, quiet):
-    orders, solved, curves = entry["orders_sweep"], {}, {}
-    for order in orders:
-        case = RunConfig(run_config.setup, replace(run_config.numerics, order=order), run_config.output_dir)
-        solved[order] = _solve_run(case, quiet)
-        curves[order] = post.crack_face_fields(solved[order][0], run_config.setup, 241)
-    header = ["s"] + [f"{part}_g0_prime_order{n}" for n in orders for part in ("re", "im")]
-    cols = [curves[orders[0]].s] + [part(curves[n].g0p) for n in orders for part in (np.real, np.imag)]
+def _write_fig1(outdir, name, entry, cases, solved):
+    curves = [post.crack_face_fields(dset, case.setup, 241) for case, (dset, _) in zip(cases, solved)]
+    header = ["s"] + [f"{part}_g0_prime_order{case.numerics.order}" for case in cases for part in ("re", "im")]
+    cols = [curves[0].s] + [part(curve.g0p) for curve in curves for part in (np.real, np.imag)]
     post.write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
-    return solved.get(run_config.numerics.order) or _solve_run(run_config, quiet)
 
 
-def _scenario_fig2_fig3(name, entry, run_config, outdir, quiet):
-    gammas = entry["gammas"]
-    cases = [replace(run_config, setup=_with_param(run_config.setup, "gamma0", g)) for g in gammas]
-    *solved, base = _solve_runs(cases + [run_config], quiet)
+def _write_fig2_fig3(outdir, name, entry, cases, solved):
     prefixes = ("sigma_n", "tau_n") if name == "fig2" else ("ut", "un")
     for sample, label in ((post.crack_face_fields, "crack"), (post.interface_fields, "bond")):
         fields = [sample(dset, case.setup, 241) for case, (dset, _) in zip(cases, solved)]
         for prefix in prefixes:
             qname = prefix.partition("_")[0]
             header, cols = ["s"], [fields[0].s]
-            for gamma, fld in zip(gammas, fields):
+            for case, fld in zip(cases, fields):
                 for suffix, side in (("plus0", "plus_0"), ("minus", "minus")):
-                    header.append(f"{qname}_{side}_gamma{gamma:g}")
+                    header.append(f"{qname}_{side}_gamma{case.setup.surface.gamma_plus:g}")
                     cols.append(getattr(fld, f"{prefix}_{suffix}"))
             post.write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
-    return base
 
 
-def _scenario_fig4(entry, run_config, outdir, quiet):
-    dset, report = _solve_run(run_config, quiet)
-    setup = run_config.setup
+def _write_fig4(outdir, name, entry, cases, solved):
+    (dset, _), setup = solved[0], cases[0].setup
     s = np.linspace(1e-3 * dset.l0, 0.5 * dset.l0, 161)  # right half of the crack
     fld = post.boundary_fields(dset, setup, s)
     post.write_csv(
@@ -278,55 +262,52 @@ def _scenario_fig4(entry, run_config, outdir, quiet):
         ["s", "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus"],
         [s, fld.ut_plus0, fld.un_plus0, fld.ut_minus, fld.un_minus],
     )
-    return dset, report
 
 
-def _scenario_fig5(entry, run_config, outdir, quiet):
-    alphas = entry["alphas"]
-    cases = [replace(run_config, setup=_with_param(run_config.setup, "alpha", a)) for a in alphas]
-    *solved, base = _solve_runs(cases + [run_config], quiet)
-    for alpha, case, (dset, _) in zip(alphas, cases, solved):
+def _write_fig5(outdir, name, entry, cases, solved):
+    for case, (dset, _) in zip(cases, solved):
         columns = post.deformed_boundary(dset, case.setup, scale=entry["displacement_scale"])
         post.write_deformed_boundary_csv(
-            os.path.join(outdir, f"fig5_deformed_alpha{alpha:g}.csv"), columns
+            os.path.join(outdir, f"fig5_deformed_alpha{case.setup.load.alpha:g}.csv"), columns
         )
-    return base
 
 
-def _scenario_fig5a(entry, run_config, outdir, quiet):
-    dset, report = _solve_run(run_config, quiet)
-    fld = post.interface_fields(dset, run_config.setup, 241)
+def _write_fig5a(outdir, name, entry, cases, solved):
+    fld = post.interface_fields(solved[0][0], cases[0].setup, 241)
     post.write_csv(
         os.path.join(outdir, "fig5a_stress_bond.csv"),
         ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
         [fld.s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
     )
-    return dset, report
 
 
-def _scenario_fig6(entry, run_config, outdir, quiet):
-    grid = [(alpha, gamma0) for alpha in entry["alphas"] for gamma0 in entry["gammas"]]
-    cases = [
-        replace(run_config, setup=_with_param(_with_param(run_config.setup, "gamma0", g), "alpha", a))
-        for a, g in grid
-    ]
-    *solved, base = _solve_runs(cases + [run_config], quiet)
+def _write_fig6(outdir, name, entry, cases, solved):
     rows = [
         (
-            alpha,
-            gamma0,
+            case.setup.load.alpha,
+            case.setup.surface.gamma_plus,
             post.max_crack_opening(dset, case.setup),
             post.max_crack_opening(dset, case.setup, window=(0.0, 1.0)),
             post.max_crack_aperture(dset, case.setup),
         )
-        for (alpha, gamma0), case, (dset, _) in zip(grid, cases, solved)
+        for case, (dset, _) in zip(cases, solved)
     ]
     post.write_csv(
         os.path.join(outdir, "fig6_opening.csv"),
         ["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"],
         np.array(rows, dtype=float).T,
     )
-    return base
+
+
+_WRITERS = {
+    "fig1": _write_fig1,
+    "fig2": _write_fig2_fig3,
+    "fig3": _write_fig2_fig3,
+    "fig4": _write_fig4,
+    "fig5": _write_fig5,
+    "fig5a": _write_fig5a,
+    "fig6": _write_fig6,
+}
 
 
 def cmd_scenario(args):
@@ -345,22 +326,18 @@ def cmd_scenario(args):
     with open(os.path.join(outdir, "config.ini"), "w") as fh:
         fh.write(dump_config(run_config))
     write_json(os.path.join(outdir, "metadata.json"), scenario_metadata(name))
+    cases = [run_config]
+    for param, values in entry.get("grid", ()):
+        cases = [_with_value(case, param, value) for case in cases for value in values]
+    # The base is solved as the grid case equal to it, or after the grid.
+    runs = cases if run_config in cases else cases + [run_config]
     try:
-        if name == "fig1":
-            dset, report = _scenario_fig1(entry, run_config, outdir, args.quiet)
-        elif name in ("fig2", "fig3"):
-            dset, report = _scenario_fig2_fig3(name, entry, run_config, outdir, args.quiet)
-        elif name == "fig4":
-            dset, report = _scenario_fig4(entry, run_config, outdir, args.quiet)
-        elif name == "fig5":
-            dset, report = _scenario_fig5(entry, run_config, outdir, args.quiet)
-        elif name == "fig5a":
-            dset, report = _scenario_fig5a(entry, run_config, outdir, args.quiet)
-        else:
-            dset, report = _scenario_fig6(entry, run_config, outdir, args.quiet)
+        solved = _solve_runs(runs, args.quiet)
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    _WRITERS[name](outdir, name, entry, cases, solved)
+    dset, report = solved[runs.index(run_config)]
     vreport = validate_solution(dset, run_config.setup)
     _write_standard_outputs(
         outdir, run_config, dset, report, vreport, extra=scenario_metadata(name), tip_fits=args.tip_fits

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class RunConfig:
     setup: ProblemSetup
     numerics: Numerics
     output_dir: str = "out"
-    raw: dict = field(default_factory=dict)
 
 
 def _read(parser, section, key, cast, default=None, required=False):
@@ -184,8 +183,7 @@ def parse_config_text(text):
             raise ConfigError(f"bad value for [numerics] {key}: {getattr(numerics, key)!r}, need {need}")
 
     output_dir = _read(parser, "output", "directory", str, default="out")
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    return RunConfig(setup=setup, numerics=numerics, output_dir=output_dir, raw=raw)
+    return RunConfig(setup=setup, numerics=numerics, output_dir=output_dir)
 
 
 def parse_config(path):

@@ -35,16 +35,16 @@ def _fig1():
     return _circle_setup(40.0, 0.25, 60.0, 0.35, (0.1, 0.1, 0.1))
 
 
-def _fig2(gamma=0.1):
-    return _circle_setup(40.0, 0.25, 60.0, 0.35, (gamma, gamma, 0.0))
+def _fig2():
+    return _circle_setup(40.0, 0.25, 60.0, 0.35, (0.1, 0.1, 0.0))
 
 
 def _fig4():
     return _circle_setup(40.0, 0.25, 40.0, 0.25, (0.01, 0.01, 0.05))
 
 
-def _fig5(alpha=0.0):
-    return _circle_setup(40.0, 0.25, 60.0, 0.35, (0.1, 0.1, 0.05), alpha=alpha)
+def _fig5():
+    return _circle_setup(40.0, 0.25, 60.0, 0.35, (0.1, 0.1, 0.05))
 
 
 def _fig5a():
@@ -54,29 +54,27 @@ def _fig5a():
     )
 
 
-def _fig6(gamma0=0.1, alpha=0.0):
-    return _circle_setup(40.0, 0.25, 60.0, 0.35, (gamma0, gamma0, 0.0), alpha=alpha)
-
-
+# The cases of a preset: its base with each (param, values) pair of "grid"
+# applied in turn, the first param varying slowest; its base alone without one.
 SCENARIOS = {
     "fig1": {
         "setup": _fig1,
         "order": 24,
-        "orders_sweep": (16, 24, 30),
+        "grid": (("order", (16, 24, 30)),),
         "description": "semicircular crack, dissimilar phases, horizontal tension; "
                        "density curves exported for several polynomial orders",
     },
     "fig2": {
         "setup": _fig2,
         "order": 24,
-        "gammas": (0.1, 0.5, 1.0),
+        "grid": (("gamma0", (0.1, 0.5, 1.0)),),
         "description": "normal and shear stresses on both arcs for three "
                        "crack-face surface-tension values",
     },
     "fig3": {
         "setup": _fig2,
         "order": 24,
-        "gammas": (0.1, 0.5, 1.0),
+        "grid": (("gamma0", (0.1, 0.5, 1.0)),),
         "description": "displacement-derivative components on both arcs for "
                        "three crack-face surface-tension values",
     },
@@ -90,7 +88,7 @@ SCENARIOS = {
     "fig5": {
         "setup": _fig5,
         "order": 24,
-        "alphas": (0.0, np.pi / 2),
+        "grid": (("alpha", (0.0, np.pi / 2)),),
         "displacement_scale": 2.0,
         "description": "deformed boundary for horizontal and vertical remote tension",
     },
@@ -102,24 +100,22 @@ SCENARIOS = {
         "note": "externally published comparison curves are not regenerated",
     },
     "fig6": {
-        "setup": _fig6,
+        "setup": _fig2,
         "order": 20,
-        "gammas": (0.1, 0.5, 1.0),
-        "alphas": (0.0, np.pi / 4, np.pi / 2),
+        "grid": (("alpha", (0.0, np.pi / 4, np.pi / 2)), ("gamma0", (0.1, 0.5, 1.0))),
         "description": "maximal crack opening versus surface tension for "
                        "several load angles",
     },
 }
 
 
-def scenario_config(name, order=None, **params):
-    """RunConfig for a named scenario; extra params feed the setup factory."""
+def scenario_config(name, order=None):
+    """RunConfig of a named scenario's base case."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     entry = SCENARIOS[name]
-    setup = entry["setup"](**params)
     return RunConfig(
-        setup=setup,
+        setup=entry["setup"](),
         numerics=Numerics(order=order or entry["order"]),
         output_dir=name,
     )

@@ -259,6 +259,8 @@ class DensitySet:
                 raise ValueError(f"densities {key} {value!r} is not a finite number")
         if not 0.0 < l0 < l:
             raise ValueError(f"densities l0 {l0!r} is not in (0, l) with l = {l!r}")
+        if "pieces" not in d:
+            raise ValueError("densities record has no 'pieces'")
         dset = cls.zeros(order, l0, l)
         basis, pieces = dset.basis, d["pieces"]
         for key in ("centers", "halves"):
@@ -270,11 +272,15 @@ class DensitySet:
             name = f"piece {p} ({FUNCTIONS[p % 4]} on arc {p // 4})"
             if (item.get("function"), item.get("arc")) != (FUNCTIONS[p % 4], p // 4):
                 raise ValueError(f"{name} is labelled {item.get('function')!r} on arc {item.get('arc')!r}")
-            a, b = np.asarray(item["a"], dtype=float), np.asarray(item["b"], dtype=float)
-            for part, coef, cols in (("real", a, basis.a_cols(p)), ("imaginary", b, basis.b_cols(p))):
+            for key, part, cols in (("a", "real", basis.a_cols(p)), ("b", "imaginary", basis.b_cols(p))):
+                if key not in item:
+                    raise ValueError(f"{name} has no {key!r} ({part} coefficients)")
+                coef = np.asarray(item[key], dtype=float)
                 if coef.shape != cols.shape:
                     raise ValueError(f"{name} has {coef.size} {part} coefficients, expected {cols.size}")
-            dset.a[p], dset.b[p] = a, b
+                if not np.isfinite(coef).all():
+                    raise ValueError(f"{name} has a non-finite {part} coefficient")
+                getattr(dset, key)[p] = coef
         return dset
 
 

@@ -287,49 +287,100 @@ def test_scenario_unknown_name(capsys):
     assert main(["scenario", "fig99", "--quiet"]) == 1
 
 
-def test_scenario_fig2_emits_four_csvs(tmp_path):
-    out = str(tmp_path / "fig2")
-    assert main(["scenario", "fig2", "--out", out, "--order", "8", "--quiet"]) == 0
-    for fname in (
-        "fig2_sigma_crack.csv",
-        "fig2_tau_crack.csv",
-        "fig2_sigma_bond.csv",
-        "fig2_tau_bond.csv",
-    ):
-        path = os.path.join(out, fname)
-        assert os.path.exists(path), fname
-        rows = list(csv.DictReader(open(path)))
-        assert len(rows) > 100
-        assert any("gamma0.5" in k for k in rows[0])
+STANDARD_FILES = [
+    "boundary_fields.csv", "config.ini", "densities.json", "metadata.json",
+    "summary.json", "timings.json", "validation.json",
+]
+
+# Each preset's data files and the number of its cases at the base's order:
+# the base is one of them, solved once.
+SCENARIO_FILES = {
+    "fig1": (["fig1_density_convergence.csv"], 1),
+    "fig2": ([f"fig2_{q}_{arc}.csv" for q in ("sigma", "tau") for arc in ("crack", "bond")], 3),
+    "fig3": ([f"fig3_{q}_{arc}.csv" for q in ("ut", "un") for arc in ("crack", "bond")], 3),
+    "fig4": (["fig4_displacement_derivatives.csv"], 1),
+    "fig5": (["fig5_deformed_alpha0.csv", "fig5_deformed_alpha1.5708.csv"], 2),
+    "fig5a": (["fig5a_stress_bond.csv"], 1),
+    "fig6": (["fig6_opening.csv"], 9),
+}
 
 
-def test_scenario_fig5_emits_deformed_boundaries(tmp_path):
-    out = str(tmp_path / "fig5")
-    assert main(["scenario", "fig5", "--out", out, "--order", "8", "--quiet"]) == 0
-    names = sorted(f for f in os.listdir(out) if f.startswith("fig5_deformed"))
-    assert len(names) == 2
-    rows = list(csv.DictReader(open(os.path.join(out, names[0]))))
-    assert "x_deformed_inclusion" in rows[0]
+@pytest.mark.parametrize("name", sorted(SCENARIO_FILES))
+def test_scenario_writes_its_files_and_solves_its_base_once(tmp_path, name):
+    files, cases = SCENARIO_FILES[name]
+    out = str(tmp_path / name)
+    assert main(["scenario", name, "--out", out, "--order", "8", "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == sorted(files + STANDARD_FILES)
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert summary["residual_report"]["meta"]["batch"]["cases"] == cases
+    if name == "fig2":
+        for fname in files:
+            rows = list(csv.DictReader(open(os.path.join(out, fname))))
+            assert len(rows) > 100
+            assert any("gamma0.5" in k for k in rows[0])
+    elif name == "fig5":
+        rows = list(csv.DictReader(open(os.path.join(out, files[0]))))
+        assert "x_deformed_inclusion" in rows[0]
+    elif name == "fig5a":
+        meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+        assert "not regenerated" in meta["note"]
 
 
-def test_scenario_fig5a_metadata_note(tmp_path):
-    out = str(tmp_path / "fig5a")
-    assert main(["scenario", "fig5a", "--out", out, "--order", "8", "--quiet"]) == 0
-    meta = json.loads(open(os.path.join(out, "metadata.json")).read())
-    assert "not regenerated" in meta["note"]
-    assert os.path.exists(os.path.join(out, "fig5a_stress_bond.csv"))
-
-
-def test_scenario_roundtrip_through_dumped_config(tmp_path):
-    out = str(tmp_path / "fig4")
-    assert main(["scenario", "fig4", "--out", out, "--order", "8", "--quiet"]) == 0
+@pytest.mark.parametrize("name", ["fig4", "fig2"])
+def test_scenario_roundtrip_through_dumped_config(tmp_path, name):
+    out = str(tmp_path / name)
+    assert main(["scenario", name, "--out", out, "--order", "8", "--quiet"]) == 0
     cfg = os.path.join(out, "config.ini")
     assert os.path.exists(cfg)
-    out2 = str(tmp_path / "fig4_replay")
+    out2 = str(tmp_path / f"{name}_replay")
     assert main(["solve", "--config", cfg, "--out", out2, "--order", "8", "--quiet"]) == 0
     b1 = open(os.path.join(out, "boundary_fields.csv"), "rb").read()
     b2 = open(os.path.join(out2, "boundary_fields.csv"), "rb").read()
     assert b1 == b2
+
+
+def _fail_at(predicate):
+    """A solve_cases that raises SingularSystemError naming the case that
+    predicate(setups, n) returns (None for a one-case call), and solves when
+    it returns False."""
+    from crackst.solver import SingularSystemError, solve_cases
+
+    def failing(setups, n, **kwargs):
+        found = predicate(setups, n)
+        if found is not False:
+            raise SingularSystemError("rank 3 < 4", case=found)
+        return solve_cases(setups, n, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "command, predicate, named",
+    [
+        (["solve", "--config", "{cfg}"], lambda setups, n: None, None),
+        (
+            ["sweep", "--config", "{cfg}", "--param", "gamma0", "--values", "0.1,0.5"],
+            lambda setups, n: 1,
+            "gamma0=0.5",
+        ),
+        (
+            ["sweep", "--config", "{cfg}", "--param", "order", "--values", "8,12"],
+            lambda setups, n: None if n == 12 else False,
+            "order=12",
+        ),
+        (["scenario", "fig2", "--order", "8"], lambda setups, n: 2, None),
+    ],
+    ids=["solve", "sweep-gamma0", "sweep-order", "scenario-fig2"],
+)
+def test_solver_failure_exits_with_solver_code(tmp_path, capsys, monkeypatch, command, predicate, named):
+    monkeypatch.setattr("crackst.cli.solve_cases", _fail_at(predicate))
+    cfg = write_config(tmp_path)
+    argv = [arg.format(cfg=cfg) for arg in command] + ["--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "rank 3 < 4" in err
+    if named is not None:
+        assert f"solver failure at {named}:" in err
 
 
 def test_validate_command(tmp_path):

@@ -186,6 +186,10 @@ def test_density_set_roundtrip():
         (lambda d: d.update(l0="1"), "l0 '1' is not a finite number"),
         (lambda d: d["centers"].reverse(), "centers .* are not the basis'"),
         (lambda d: d["halves"].__setitem__(1, 1.0), "halves .* are not the basis'"),
+        (lambda d: d.pop("pieces"), "densities record has no 'pieces'"),
+        (lambda d: d["pieces"][4].pop("a"), r"piece 4 \(q0 on arc 1\) has no 'a' \(real coefficients\)"),
+        (lambda d: d["pieces"][7].pop("b"), r"piece 7 \(gp on arc 1\) has no 'b' \(imaginary coefficients\)"),
+        (lambda d: d["pieces"][1]["b"].__setitem__(0, float("nan")), r"piece 1 \(g0p on arc 0\) has a non-finite imaginary"),
     ],
 )
 def test_density_set_from_dict_rejects_malformed_records(damage, message):
