@@ -325,7 +325,8 @@ def cmd_scenario(args):
     outdir = _out_dir(run_config, args.out)
     with open(os.path.join(outdir, "config.ini"), "w") as fh:
         fh.write(dump_config(run_config))
-    write_json(os.path.join(outdir, "metadata.json"), scenario_metadata(name))
+    meta = {**scenario_metadata(name), "order": run_config.numerics.order}  # the order solved
+    write_json(os.path.join(outdir, "metadata.json"), meta)
     cases = [run_config]
     for param, values in entry.get("grid", ()):
         cases = [_with_value(case, param, value) for case in cases for value in values]
@@ -339,9 +340,7 @@ def cmd_scenario(args):
     _WRITERS[name](outdir, name, entry, cases, solved)
     dset, report = solved[runs.index(run_config)]
     vreport = validate_solution(dset, run_config.setup)
-    _write_standard_outputs(
-        outdir, run_config, dset, report, vreport, extra=scenario_metadata(name), tip_fits=args.tip_fits
-    )
+    _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=meta, tip_fits=args.tip_fits)
     if not args.quiet:
         print(f"scenario {name} outputs written to {outdir}")
     return EXIT_OK

@@ -20,10 +20,12 @@ singularity subtraction,
         = int (phi(tau) - phi(t))/(tau - t) dtau + i*pi*phi(t),
 
 which keeps composite Gauss-Legendre panels spectrally accurate for smooth
-per-arc densities.  Densities may jump at the crack tips; panels never
-straddle a tip, and an optional geometric grading of the end panels resolves
-the resulting near-tip boundary layers.  The nodes ascend in s over both arcs,
-which the bisection search for near node/field pairs relies on.
+per-arc densities.  Every node/field pair, here and in the solver's Cauchy
+table, takes the raw quotient but a node on the field point, which takes its
+slope limit.  Densities may jump at the crack tips; panels never straddle a
+tip, and an optional geometric grading of the end panels resolves the
+resulting near-tip boundary layers.  The nodes ascend in s over both arcs,
+which the bisection search for coincident node/field pairs relies on.
 
 Principal values are evaluated in blocks of PV_BLOCK_POINTS = 128 field
 points, so their kernel matrix takes O(nodes) memory however many points are
@@ -58,8 +60,15 @@ __all__ = [
 
 # Fraction of the total length below which kernel evaluation switches from
 # the raw quotients (cancellation error 1e-16/d**2) to the near-diagonal
-# expansion (error O(d**2)), and the PV's divided differences to a derivative.
+# expansion (error O(d**2)).
 DIAG_EPS_FACTOR = 1e-5
+# Same-arc node/field pairs closer than this fraction of the total length
+# coincide: the Cauchy quotient would divide by zero there and takes its slope
+# limit, while elsewhere it loses only about 1e-16/d to rounding.
+DIVIDED_DIFFERENCE_EPS_FACTOR = 1e-13
+# Step, as a fraction of the total length, of the central difference giving
+# that slope (README weighs its h**2 error against rounding).
+PV_SLOPE_STEP_FACTOR = 1e-6
 # Field points closer than this to a crack tip are rejected for PV evaluation.
 TIP_EPS_FACTOR = 1e-6
 # Field points per block of a principal-value evaluation; the block's kernel
@@ -237,8 +246,8 @@ def _check_off_tips(contour, s_field, tip_eps=None):
 def _cauchy_matrix(disc, at, t, arc_at, eps):
     """w dtau/(tau - t) of the nodes (rows) at the field points at, t(at)
     (columns), in one complex array, and the same-arc pairs (qi, ai) with
-    |disc.s - at| < eps in row-major order; their denominators are set to 1
-    for the caller's divided differences.  The pairs are found by bisection
+    |disc.s - at| < eps in row-major order, which the matrix leaves out
+    (zero) for the caller's slope limit.  The pairs are found by bisection
     in disc.s, which ascends over both arcs, so no dense mask is built."""
     lo = np.searchsorted(disc.s, at - 2.0 * eps, side="left")
     counts = np.searchsorted(disc.s, at + 2.0 * eps, side="right") - lo
@@ -249,30 +258,31 @@ def _cauchy_matrix(disc, at, t, arc_at, eps):
     qi, ai = qi[keep][order], ai[keep][order]
     cmat = np.subtract.outer(disc.tau, t)
     cmat[qi, ai] = 1.0
-    return np.divide((disc.w * disc.dt)[:, None], cmat, out=cmat), qi, ai
+    np.divide((disc.w * disc.dt)[:, None], cmat, out=cmat)
+    cmat[qi, ai] = 0.0
+    return cmat, qi, ai
 
 
-def _pv_values(contour, density, at, disc, eps=None):
-    """Vectorized subtraction PV of int density/(tau - t(at)) dtau.
-
-    ``density`` may return a stack of densities on leading axes; they share
-    the kernel matrix and the near-diagonal pairs.  The kernel matrix is
-    built for PV_BLOCK_POINTS field points at a time (see _pv_blocks).
+def _pv_values(contour, density, at, disc):
+    """Vectorized subtraction PV of int density/(tau - t(at)) dtau: the raw
+    divided difference for every pair but a node on the field point, which
+    adds w_q times the density's slope there.  ``density`` may return a
+    stack of densities on leading axes; they share the kernel matrix.  The
+    kernel matrix is built for PV_BLOCK_POINTS field points at a time (see
+    _pv_blocks).
     """
     at = np.asarray(at, dtype=float)
     phi_q = np.asarray(density(disc.s), dtype=complex)
     phi_a = np.asarray(density(at), dtype=complex)
     t_a = contour.point(at)
-    if eps is None:
-        eps = DIAG_EPS_FACTOR * contour.l
-    # Divided differences are replaced by a derivative only for node/field
-    # pairs on the same arc; across a tip the density may jump, and the raw
-    # quotient is then the correct (near-singular) integrand value.
+    # Only same-arc pairs coincide; across a tip the density may jump, and
+    # the raw quotient is then the correct (near-singular) integrand value.
     arc_a = np.where(contour.wrap(at) <= contour.l0, 0, 1)
+    eps, step = DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l, PV_SLOPE_STEP_FACTOR * contour.l
     rows = phi_q.reshape(-1, disc.n_nodes)
     heads = np.empty((rows.shape[0], at.size), dtype=complex)
     col_sums = np.empty(at.size, dtype=complex)
-    near_q, near_a, near_c = [], [], []
+    near_q, near_a = [], []
     for start, stop in _pv_blocks(at.size):
         block = slice(start, stop)
         cmat, qi, ai = _cauchy_matrix(disc, at[block], t_a[block], arc_a[block], eps)
@@ -282,33 +292,22 @@ def _pv_values(contour, density, at, disc, eps=None):
         col_sums[block] = np.sum(cmat, axis=0)
         near_q.append(qi)
         near_a.append(ai + start)
-        near_c.append(cmat[qi, ai])
         del cmat  # before the next block's matrix is built
     heads = heads.reshape(phi_q.shape[:-1] + (at.size,))
     total = heads - phi_a * (col_sums - 1j * np.pi)
-    # Each field point's pairs lie in one block, in ascending node order, so
-    # np.add.at adds them in the order of the whole-matrix search.
-    qi, ai, c_near = (np.concatenate(parts) for parts in (near_q, near_a, near_c))
+    qi, ai = np.concatenate(near_q), np.concatenate(near_a)
     if qi.size:
-        # The divided difference's midpoint limit, as in the solver's Cauchy
-        # table: the slope at mid = (s_q + at)/2 times dt_q / t'(mid).  The
-        # slope is a central difference kept within half the distance to the
-        # ends of the field point's own arc: a stencil reaching a tip would
-        # read the other arc's branch there (the densities take s <= l0 as
-        # arc 0).
-        mid = 0.5 * (disc.s[qi] + at[ai])
+        # The slope is a central difference kept within half the distance to
+        # the ends of the point's own arc: a stencil reaching a tip would read
+        # the other arc's branch there (the densities take s <= l0 as arc 0).
+        s = at[ai]
         lo = np.where(arc_a[ai] == 0, 0.0, contour.l0)
         hi = np.where(arc_a[ai] == 0, contour.l0, contour.l)
-        hp = np.minimum(eps, 0.5 * (hi - mid))
-        hm = np.minimum(eps, 0.5 * (mid - lo))
-        dphi = (
-            np.asarray(density(mid + hp), dtype=complex)
-            - np.asarray(density(mid - hm), dtype=complex)
-        ) / (hp + hm)
-        dd = disc.w[qi] * dphi * (disc.dt[qi] / contour.tangent(mid))
-        crude = (phi_q[..., qi] - phi_a[..., ai]) * c_near
-        # Several nodes may lie within eps of one field point: accumulate all.
-        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(dd - crude, -1, 0))
+        hp, hm = np.minimum(step, 0.5 * (hi - s)), np.minimum(step, 0.5 * (s - lo))
+        dphi = np.subtract(density(s + hp), density(s - hm)) / (hp + hm)
+        # Each field point's pairs lie in one block, in ascending node order,
+        # so np.add.at adds them in the order of the whole-matrix search.
+        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(disc.w[qi] * dphi, -1, 0))
     return total
 
 
@@ -323,7 +322,7 @@ def _pv_blocks(n_points):
     return zip(starts, starts[1:] + [n_points])
 
 
-def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None, diag_eps=None):
+def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None):
     """Principal value of int density(tau)/(tau - t(s_field)) dtau over the
     closed contour.
 
@@ -331,14 +330,13 @@ def cauchy_pv(contour, density, s_field, rule, tip_panel=None, tip_eps=None, dia
     each arc (jumps at the tips are allowed) and may return a stack of
     densities on leading axes.  Field points closer than
     ``tip_eps`` to a tip are rejected (pass 0 to disable the guard, e.g. when
-    the density is known to be regular across that tip).  Node/field pairs
-    closer than ``diag_eps`` (default DIAG_EPS_FACTOR * l) take the divided
-    difference's midpoint limit: a central difference of the density at the
-    midpoint of node and field point, over the tangent there.
+    the density is known to be regular across that tip).  The near pairs
+    follow _pv_values: the raw divided difference unless a node sits on the
+    field point.
     """
     _check_off_tips(contour, s_field, tip_eps)
     disc = rule.discretize(contour, tip_panel)
-    vals = _pv_values(contour, density, np.atleast_1d(s_field), disc, diag_eps)
+    vals = _pv_values(contour, density, np.atleast_1d(s_field), disc)
     return vals[..., 0] if np.ndim(s_field) == 0 else vals
 
 

@@ -81,7 +81,8 @@ from numpy.linalg import lapack_lite
 from numpy.polynomial import legendre as L
 
 from .geometry import _memoized
-from .kernels import DIAG_EPS_FACTOR, QuadratureRule, _cauchy_matrix, _regular_kernels
+from .kernels import DIAG_EPS_FACTOR, DIVIDED_DIFFERENCE_EPS_FACTOR, QuadratureRule, _cauchy_matrix
+from .kernels import _regular_kernels
 
 __all__ = [
     "FUNCTIONS",
@@ -101,11 +102,6 @@ MIN_ORDER = 4
 log = logging.getLogger("crackst")
 
 MATRIX_STABILITY_TOL = 1e-9
-# Same-arc node/point pairs closer than this fraction of the total length
-# take the slope limit of the divided difference in the Cauchy table A.
-# Odd node counts put nodes on collocation points, where the raw quotient
-# divides by zero; elsewhere it loses only about 1e-16/d to rounding.
-DIVIDED_DIFFERENCE_EPS_FACTOR = 1e-13
 MAX_ADAPTIVE_ROUNDS = 3
 # Equation rows are collocated at OVERSAMPLE*(N+1) points per arc and solved
 # by least squares.  At exactly N+1 points per arc the square system admits
@@ -134,9 +130,13 @@ TIP_ROW_WEIGHT = 1.0
 LSQ_BLOCK = 32
 # The extreme singular values come from block Lanczos iterations with this
 # many vectors per block; an iteration stops once a step moves its estimate
-# by at most KRYLOV_RTOL relative, or by less than the estimate's rounding.
+# by at most KRYLOV_RTOL relative, or by less than the estimate's rounding,
+# and gives up (the least squares then take the SVD) after KRYLOV_MAX_STEPS
+# estimates.  Measured on the Legendre ladder N = 16..64: at most 11 steps
+# for sigma_max and 8 for sigma_min (15 and 9 over the scenarios, N = 8..64).
 KRYLOV_BLOCK = 4
 KRYLOV_RTOL = 1e-14
+KRYLOV_MAX_STEPS = 32
 # A rank-deficient solve fails when its best fit misses the right-hand side
 # by more than this fraction of the data scale; a deficient but consistent
 # system still has a well-defined minimum-norm solution.
@@ -443,8 +443,8 @@ class _Tables:
         self.rho_p = contour.curvature(pts)
         self.rhop_p = contour.curvature_derivative(pts)
 
-        # Divided-difference replacement applies only to same-arc pairs;
-        # across a tip the raw quotient is the correct near-singular value.
+        # The Cauchy integrals follow kernels._pv_values: the raw divided
+        # difference, but a node on a same-arc point (left out of cmat).
         dd_eps = DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l
         cmat, near_q, near_p = _cauchy_matrix(disc, pts, t_p, arc_of_pt, dd_eps)
         g_all = np.sum(cmat, axis=0)
@@ -454,7 +454,6 @@ class _Tables:
             # The mask copies the arc's rows of cmat: with views of them the
             # N = 64 solve peaks 7% higher in resident memory (glibc heap state).
             qmask = disc.arc == arc
-            arc_start = np.flatnonzero(qmask)[0]  # the nodes of an arc are contiguous
             # The kernels' near-diagonal guard has its own, larger radius: the
             # raw kernel quotients lose about 1e-16/d**2 to cancellation.
             k1m, k2m = _regular_kernels(
@@ -466,11 +465,10 @@ class _Tables:
 
             t1 = m_arc @ cmat[qmask, :]
             a_tab = t1 - v0 * (g_all - 1j * np.pi)[None, :]
-            # A node on a point takes the slope there in place of the quotient.
+            # A node on a point adds w_q times the basis slope there.
             on_arc = disc.arc[near_q] == arc
             qi, pi = near_q[on_arc], near_p[on_arc]
-            crude = (m_arc[:, qi - arc_start] - v0[:, pi]) * cmat[qi, pi][None, :]
-            np.add.at(a_tab.T, pi, (disc.w[qi] * values[arc][1][:, pi] - crude).T)
+            np.add.at(a_tab.T, pi, (disc.w[qi] * values[arc][1][:, pi]).T)
             self.A[arc] = a_tab
 
             wdt = disc.w[qmask] * disc.dt[qmask]
@@ -965,7 +963,8 @@ def _least_squares(mat, rhs, col_scale, rcond):
     come from ``_largest_singular_value`` on it and on its inverse.  Since
     the smallest is at most min |r_ii| / c_i, a diagonal at or below rcond
     times the largest skips the second iteration.  A full-rank R is inverted
-    by back-substitution; otherwise the SVD of R C^-1 (np.linalg.lstsq) gives
+    by back-substitution; otherwise, or when an iteration gives up (NaN, so
+    every comparison below fails), the SVD of R C^-1 (np.linalg.lstsq) gives
     the truncated minimum-norm solution, the rank and the condition, as it
     would for mat C^-1 itself.
     """
@@ -1072,11 +1071,12 @@ def _largest_singular_value(apply, apply_t, n, rtol):
     its transpose) by block Lanczos on apply_t(apply(.)) from _start_block,
     with full reorthogonalization: the estimate is the largest singular
     value of ``apply`` on the orthonormal basis (Rayleigh-Ritz, from below),
-    and the iteration stops once a step moves it by at most rtol relative."""
+    and the iteration stops once a step moves it by at most rtol relative.
+    NaN when KRYLOV_MAX_STEPS estimates leave it unsettled."""
     basis = np.linalg.qr(_start_block(n))[0]
     images = apply(basis)
     estimate = 0.0
-    while True:
+    for _ in range(KRYLOV_MAX_STEPS):
         previous, estimate = estimate, float(np.sqrt(np.linalg.eigvalsh(images.T @ images)[-1]))
         if estimate - previous <= rtol * estimate or basis.shape[1] + KRYLOV_BLOCK > n:
             return estimate
@@ -1086,6 +1086,7 @@ def _largest_singular_value(apply, apply_t, n, rtol):
         block = np.linalg.qr(block)[0]
         basis = np.hstack([basis, block])
         images = np.hstack([images, apply(block)])
+    return np.nan
 
 
 def _deficient_tags(scaled, row_tags, rcond):

@@ -72,9 +72,9 @@ TRACE_TOL = 0.25
 SURFACE_TOL = 0.02  # fraction of the traction scale
 # stress_trace grades its tip panels down to 1e-5 * l, and to this fraction
 # of the field point's distance to the nearest tip when that is smaller; the
-# near-diagonal radius shrinks likewise to a tenth of that.  A density that
-# varies on the scale of that distance (a near-tip layer) is then resolved,
-# so only a field point on a tip is refused.
+# regular kernels' near-diagonal radius shrinks likewise to a tenth of that.
+# A density that varies on the scale of that distance (a near-tip layer) is
+# then resolved, so only a field point on a tip is refused.
 TRACE_TIP_GRADING = 0.1
 # Tip panel, as a fraction of l, of the rules that integrate densities with
 # logarithmic tip behavior: the inner application of the inversion check and
@@ -316,8 +316,8 @@ def stress_trace(dset, setup, s0, phase, side, rule=FINE_RULE):
 
 
 def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
-    """stress_trace at the points s0, all graded with tip_panel and diag_eps,
-    for a Phase."""
+    """stress_trace at the points s0, all graded with tip_panel and the
+    regular kernels' radius diag_eps, for a Phase."""
     contour = setup.contour
     g_name, q_name, kappa = phase.g, phase.q, phase.kappa
     g_const, gp_const = phase.far_field
@@ -337,7 +337,7 @@ def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
 
     # A zero tip panel means a field point on a tip, which cauchy_pv refuses.
     tip_eps = 0.0 if tip_panel > 0.0 else None
-    pv_g, pv_q = cauchy_pv(contour, pair, s0, rule, tip_panel, tip_eps, diag_eps)
+    pv_g, pv_q = cauchy_pv(contour, pair, s0, rule, tip_panel, tip_eps)
     b1g = np.sum(k1v * g_vals * dt * w, axis=-1)
     b2g = np.sum(k2v * np.conj(g_vals * dt) * w, axis=-1)
     b1q = np.sum(k1v * q_vals * dt * w, axis=-1)

@@ -1,14 +1,15 @@
 """Dense reference forms of the kernel builders, kept to pin the library's
 in-place versions bit for bit.
 
-``pv_values`` builds the near-pair mask and the quotient matrix densely, and
+``pv_values`` builds the coincident-pair mask and the quotient matrix
+densely (coincident pairs zero, then their slope limit added), and
 ``regular_kernels`` evaluates k1 and k2 through the raw single-kernel
 quotients below; the arithmetic of every kept entry is the library's.
 """
 
 import numpy as np
 
-from crackst.kernels import DIAG_EPS_FACTOR
+from crackst.kernels import DIVIDED_DIFFERENCE_EPS_FACTOR, PV_SLOPE_STEP_FACTOR
 
 
 def kernel_k1(t, dt_field, tau):
@@ -45,32 +46,26 @@ def near_mask(disc, at, arc_at, eps):
     return (np.abs(disc.s[:, None] - at[None, :]) < eps) & (disc.arc[:, None] == arc_at[None, :])
 
 
-def pv_values(contour, density, at, disc, eps=None):
+def pv_values(contour, density, at, disc):
     at = np.asarray(at, dtype=float)
     phi_q = np.asarray(density(disc.s), dtype=complex)
     phi_a = np.asarray(density(at), dtype=complex)
     t_a = contour.point(at)
-    if eps is None:
-        eps = DIAG_EPS_FACTOR * contour.l
     arc_a = np.where(contour.wrap(at) <= contour.l0, 0, 1)
-    near = near_mask(disc, at, arc_a, eps)
+    near = near_mask(disc, at, arc_a, DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l)
     denom = np.where(near, 1.0, disc.tau[:, None] - t_a[None, :])
-    cmat = (disc.w * disc.dt)[:, None] / denom
+    cmat = np.where(near, 0.0, (disc.w * disc.dt)[:, None] / denom)
     heads = [row @ cmat for row in phi_q.reshape(-1, disc.n_nodes)]
     heads = np.reshape(heads, phi_q.shape[:-1] + (at.size,))
     total = heads - phi_a * (np.sum(cmat, axis=0) - 1j * np.pi)
     qi, ai = np.nonzero(near)
     if qi.size:
+        s = at[ai]
         lo = np.where(arc_a[ai] == 0, 0.0, contour.l0)
         hi = np.where(arc_a[ai] == 0, contour.l0, contour.l)
-        mid = 0.5 * (disc.s[qi] + at[ai])
-        hp = np.minimum(eps, 0.5 * (hi - mid))
-        hm = np.minimum(eps, 0.5 * (mid - lo))
-        dphi = (
-            np.asarray(density(mid + hp), dtype=complex)
-            - np.asarray(density(mid - hm), dtype=complex)
-        ) / (hp + hm)
-        dd = disc.w[qi] * dphi * (disc.dt[qi] / contour.tangent(mid))
-        crude = (phi_q[..., qi] - phi_a[..., ai]) * cmat[qi, ai]
-        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(dd - crude, -1, 0))
+        h = PV_SLOPE_STEP_FACTOR * contour.l
+        hp = np.minimum(h, 0.5 * (hi - s))
+        hm = np.minimum(h, 0.5 * (s - lo))
+        dphi = np.subtract(density(s + hp), density(s - hm)) / (hp + hm)
+        np.add.at(np.moveaxis(total, -1, 0), ai, np.moveaxis(disc.w[qi] * dphi, -1, 0))
     return total

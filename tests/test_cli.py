@@ -7,6 +7,7 @@ import pytest
 
 from crackst import postprocess as post
 from crackst.cli import main
+from crackst.config import parse_config
 
 BASE = """
 [contour]
@@ -332,6 +333,11 @@ def test_scenario_roundtrip_through_dumped_config(tmp_path, name):
     assert main(["scenario", name, "--out", out, "--order", "8", "--quiet"]) == 0
     cfg = os.path.join(out, "config.ini")
     assert os.path.exists(cfg)
+    # summary.json and metadata.json record the order solved, as config.ini does.
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+    assert summary["order"] == summary["residual_report"]["meta"]["order"] == meta["order"] == 8
+    assert parse_config(cfg).numerics.order == 8
     out2 = str(tmp_path / f"{name}_replay")
     assert main(["solve", "--config", cfg, "--out", out2, "--order", "8", "--quiet"]) == 0
     b1 = open(os.path.join(out, "boundary_fields.csv"), "rb").read()

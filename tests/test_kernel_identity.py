@@ -13,13 +13,13 @@ from crackst import validation as val
 from crackst.geometry import MEMO_SIZE
 from crackst.kernels import (
     DIAG_EPS_FACTOR,
+    DIVIDED_DIFFERENCE_EPS_FACTOR,
     PV_BLOCK_POINTS,
     QuadratureRule,
     _cauchy_matrix,
     _pv_values,
     _regular_kernels,
 )
-from crackst.solver import DIVIDED_DIFFERENCE_EPS_FACTOR
 
 import reference_kernels as ref
 from blas_threads import _thread_controls, one_blas_thread
@@ -55,7 +55,8 @@ def _field_sets(contour, disc):
 def _block_sets(contour, disc):
     """Field sets of each of BLOCK_COUNTS points: at random, and packed 1e-4 l
     apart about a node so that the block boundary at PV_BLOCK_POINTS falls
-    inside a run of points that pair with the same nodes at eps = 1e-3 l."""
+    inside a run of points near the same nodes.  (_field_sets' "nodes" puts
+    a coincident pair in every block.)"""
     rng = np.random.default_rng(11)
     centre = disc.s[disc.n_nodes // 4]
     sets = {}
@@ -85,19 +86,17 @@ def test_pv_values_match_dense_reference(contour, tip):
     some columns through different kernels, so there they agree to rounding."""
     disc = QuadratureRule().discretize(contour, None if tip is None else tip * contour.l)
     density = _stacked_density(contour)
-    # At 1e-3 l several nodes pair with one field point.
     field_sets = {**_field_sets(contour, disc), **_block_sets(contour, disc)}
-    for eps in (1e-3 * contour.l, None):
-        for name, at in field_sets.items():
-            got = _pv_values(contour, density, at, disc, eps)
-            want = ref.pv_values(contour, density, at, disc, eps)
-            assert got.shape == want.shape == (2, at.size), (name, eps)
-            scale = np.max(np.abs(want), initial=0.0)
-            assert np.all(np.abs(got - want) <= 1e-11 * scale), (name, eps)
-            with one_blas_thread():
-                got = _pv_values(contour, density, at, disc, eps)
-                want = ref.pv_values(contour, density, at, disc, eps)
-            assert np.array_equal(got, want), (name, eps)
+    for name, at in field_sets.items():
+        got = _pv_values(contour, density, at, disc)
+        want = ref.pv_values(contour, density, at, disc)
+        assert got.shape == want.shape == (2, at.size), name
+        scale = np.max(np.abs(want), initial=0.0)
+        assert np.all(np.abs(got - want) <= 1e-11 * scale), name
+        with one_blas_thread():
+            got = _pv_values(contour, density, at, disc)
+            want = ref.pv_values(contour, density, at, disc)
+        assert np.array_equal(got, want), name
 
 
 def test_one_blas_thread_sets_and_restores_the_count():
@@ -129,9 +128,10 @@ def test_near_pairs_match_dense_mask(contour, tip):
     for eps in (DIVIDED_DIFFERENCE_EPS_FACTOR * contour.l, DIAG_EPS_FACTOR * contour.l, 1e-3 * contour.l):
         for name, at in _field_sets(contour, disc).items():
             arc_at = np.where(contour.wrap(at) <= contour.l0, 0, 1)
-            _, qi, ai = _cauchy_matrix(disc, at, contour.point(at), arc_at, eps)
+            cmat, qi, ai = _cauchy_matrix(disc, at, contour.point(at), arc_at, eps)
             want_q, want_a = np.nonzero(ref.near_mask(disc, at, arc_at, eps))
             assert np.array_equal(qi, want_q) and np.array_equal(ai, want_a), (name, eps)
+            assert not np.any(cmat[qi, ai]), (name, eps)  # the pairs are left out
 
 
 def test_theta_memo_matches_fresh_contour_and_is_bounded():
@@ -233,4 +233,4 @@ def test_inversion_check_builds_blocks(unit_semicircle, monkeypatch):
     trials = [trial for _, trial in val._trial_densities(unit_semicircle, 0, 3)]
     val.cauchy_inversion_checks(unit_semicircle, trials)
     assert widths and max(widths) <= PV_BLOCK_POINTS + 1
-    assert sum(widths) > 1056  # the outer nodes and the near-pair stencils
+    assert sum(widths) > 1056  # the outer nodes and the check's points

@@ -602,6 +602,33 @@ def test_condition_and_rank_match_the_svd(reference_setup, shape, n):
     assert abs(report.condition - cond) <= max(1e-10, np.finfo(float).eps * cond) * cond
 
 
+def test_unsettled_krylov_iteration_takes_the_svd(monkeypatch):
+    """A Kahan matrix (Kahan, 1966) is upper triangular with a diagonal far
+    above rcond times its largest singular value (1.8e-2 here), while its
+    smallest one sits near that bound (3.3e-13).  The sigma_min iteration
+    never settles on it: 40 steps, to its full 160 columns, without the cap.
+    Capped, it gives up and the least squares take the SVD."""
+    n, c = 160, 0.16
+    r = np.diag(np.sqrt(1.0 - c * c) ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    steps, largest = [], solver._largest_singular_value
+
+    def counted(apply, apply_t, size, rtol):
+        calls = []
+        estimate = largest(lambda x: calls.append(1) or apply(x), apply_t, size, rtol)
+        steps.append(len(calls))
+        return estimate
+
+    monkeypatch.setattr(solver, "_largest_singular_value", counted)
+    rhs = np.cos(np.arange(n))[:, None]
+    scale = solver._column_scale(r)
+    sol, rank, cond = solver._least_squares(r, rhs, scale, 1e-13)
+    # The start block's product and one per unsettled estimate.
+    assert len(steps) == 2 and steps[0] <= steps[1] == solver.KRYLOV_MAX_STEPS + 1
+    want, _, want_rank, sing = np.linalg.lstsq(r / scale, rhs, rcond=1e-13)
+    assert rank == want_rank == n and cond == sing[0] / sing[-1]
+    assert np.allclose(sol, want / scale[:, None], rtol=1e-12, atol=0.0)
+
+
 def test_householder_qr_in_place_matches_numpy(reference_setup):
     """One copy of the matrix holds the QR and then R; the reflectors, tau
     and R are np.linalg.qr's bit for bit, and R is a C-ordered view."""
@@ -668,6 +695,30 @@ def test_nodes_on_collocation_points_take_the_slope_limit(reference_setup):
     got, want = (np.concatenate(d.a + d.b) for d in (odd, ref))
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", ["semicircle", "ellipse"])
+@pytest.mark.parametrize("n", [24, 64])
+def test_cauchy_table_is_the_principal_value_of_each_function(unit_semicircle, shape, n):
+    """A[arc] holds cauchy_pv of each zero-extended basis function of the arc
+    at the collocation points: one near-pair rule, on the final level's rule
+    and tip panel.  Measured: at most 3.3e-13 of max |A|."""
+    contour = {"semicircle": unit_semicircle,
+               "ellipse": cs.elliptical_contour(1.5, 1.0, (0.0, np.pi))}[shape]
+    basis = _LegendreBasis(contour.l0, contour.l, n)
+    points = basis.collocation_points()
+    pts, arc_of_pt = np.concatenate(points), np.repeat([0, 1], [p.size for p in points])
+    rule = cs.QuadratureRule().refined()
+    disc = rule.discretize(contour, 0.5 * basis.delta)
+    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis, solver._point_values(basis, pts, arc_of_pt))
+    scale = max(np.max(np.abs(a)) for a in tab.A.values())
+    for arc in (0, 1):
+        def extended(s, arc=arc):
+            on_arc = np.where(s <= contour.l0, 0, 1) == arc
+            return np.where(on_arc, basis.functions(arc, s).T, 0.0)
+
+        pv = cs.cauchy_pv(contour, extended, pts, rule, 0.5 * basis.delta)
+        assert np.max(np.abs(pv - tab.A[arc])) <= 1e-12 * scale, arc
 
 
 def test_tabulated_ellipse_solve_matches_analytic(reference_setup, caplog):

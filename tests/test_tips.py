@@ -178,9 +178,9 @@ def test_batched_stress_trace_matches_single_points(reference_setup, reference_s
 
 def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monkeypatch):
     """The rounding-level radius DIVIDED_DIFFERENCE_EPS_FACTOR * l applies
-    to the Cauchy table's divided differences only: the regular kernels
-    switch to their near-diagonal expansion at DIAG_EPS_FACTOR * l, where
-    the raw quotients lose digits."""
+    to the Cauchy integrals only (the solver's table and every principal
+    value): the regular kernels switch to their near-diagonal expansion at
+    DIAG_EPS_FACTOR * l, where the raw quotients lose digits."""
     seen, regular_kernels = [], solver._regular_kernels
 
     def spy(contour, s_field, t, dt, s_src, tau, eps):
