@@ -427,8 +427,9 @@ def write_summary_json(path, dset, setup, report, extra=None, with_tip_fits=True
     opening of that solve's field, over the window of max_crack_opening, is
     written as tip_resolved_max_crack_opening, and its relative change from
     the solver's as tip_resolved_opening_relative_change; both are null
-    without the tip fits or when the tip-resolved solve fails.  Returns the
-    summary dict it wrote."""
+    without the tip fits or when the tip-resolved solve fails, and the change
+    is null when the solver's opening is 0.  Returns the summary dict it
+    wrote."""
     fits, resolved = tip_fits(setup, dset.n) if with_tip_fits else (None, None)
     opening = max_crack_opening(dset, setup)
     resolved_opening = None if resolved is None else max_crack_opening(resolved, setup)
@@ -443,7 +444,7 @@ def write_summary_json(path, dset, setup, report, extra=None, with_tip_fits=True
         "tip_fits": fits,
         "tip_resolved_max_crack_opening": resolved_opening,
         "tip_resolved_opening_relative_change": (
-            None if resolved is None else resolved_opening / opening - 1.0
+            None if resolved is None or opening == 0.0 else resolved_opening / opening - 1.0
         ),
         "residual_report": report.to_dict() if report is not None else None,
     }

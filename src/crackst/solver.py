@@ -42,8 +42,8 @@ and weights and lays out the full coefficient vector, and DensitySet (a
 basis and its coefficients) evaluates each piece through the same table and
 columns.  The basis memoizes its tables per point set (``table``), so the
 densities of one basis, and the collocation points of every quadrature
-level, are tabulated once.  tips.solve_tip_resolved assembles the same rows
-on a basis whose tables add functions resolving the crack tips to the same
+level, are tabulated once.  tips.solve_tip_resolved passes ``solve_cases``
+a basis whose tables add functions resolving the crack tips to the same
 Legendre block.
 
 ``solve_cases`` solves several setups on one contour at once: the operator
@@ -504,17 +504,15 @@ def _point_values(basis, pts, arc_of_pt):
     return values
 
 
-def assemble(setup, n, rule=None, basis=None):
+def assemble(setup, n, rule=None):
     """Assemble the real collocation system for the given problem and order.
 
     The system is solved by weighted least squares: its matrix and rhs rows
     are stored times their weights (``row_weights``), and reported residuals
     are unweighted.  ``rule`` is the quadrature (QuadratureRule() by
-    default).  ``basis`` replaces the Legendre basis of order n (see
-    _LegendreBasis); the basis also sets the collocation points, their tip
-    inset, the row taper and the weight of the tip-anchored rows.
+    default).
     """
-    ((system, _),) = _assemble_cases([setup], n, rule, basis)
+    ((system, _),) = _assemble_cases([setup], n, rule)
     system.rhs = system.rhs[:, 0]
     return system
 
@@ -532,7 +530,7 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     tables, and reduced to the group's columns (_Elimination), whose
     integral constraints come from the same tables' moments; every group
     reports the same drift.  ``rule`` and ``basis`` are those of
-    ``assemble``.
+    ``solve_cases``.
     """
     if n < MIN_ORDER:
         raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
@@ -872,8 +870,10 @@ def solve(system, rcond=1e-13):
     ``rcond``, reported through the effective rank, and gives the
     minimum-norm solution; the solve then fails only when the best fit
     misses the right-hand side by more than FAIL_RESIDUAL relative to the
-    data scale.  ``rcond`` must lie in [0, 1), and a non-finite entry of the
-    system raises a ValueError naming its row tag.
+    data scale; its SingularSystemError names the (at most 4) row tags with
+    the largest unweighted residuals, largest first.  ``rcond`` must lie in
+    [0, 1), and a non-finite entry of the system raises a ValueError naming
+    its row tag.
     """
     return _solve_columns(system, rcond)[0]
 
@@ -920,19 +920,19 @@ def _solve_columns(system, rcond=1e-13, cases=None):
         x = sol[:, j]
         # Residuals are reported for the unweighted rows.
         resid = (mat @ x - rhs[:, j]) / w
-        data_scale = max(np.max(np.abs(rhs[:, j] / w)), 1.0)
-        resid_scale = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if rank < cols and resid_scale > FAIL_RESIDUAL * data_scale:
-            deficient = _deficient_tags(mat / col_scale, system.row_tags, rcond)
-            raise SingularSystemError(
-                f"collocation matrix rank {rank} < {cols} and the "
-                f"least-squares residual {resid_scale:.3e} exceeds tolerance; "
-                f"most involved row tags: {deficient}",
-                case=None if cases is None else cases[j],
-            )
         per_tag = {}
         for i, r in zip(runs, np.maximum.reduceat(np.abs(resid), runs).tolist()):
             per_tag[tags[i]] = max(per_tag.get(tags[i], 0.0), r)
+        data_scale = max(np.max(np.abs(rhs[:, j] / w)), 1.0)
+        resid_scale = max(per_tag.values())
+        if rank < cols and resid_scale > FAIL_RESIDUAL * data_scale:
+            worst = sorted(per_tag.items(), key=lambda item: item[1], reverse=True)[:4]
+            raise SingularSystemError(
+                f"collocation matrix rank {rank} < {cols} and the "
+                f"least-squares residual {resid_scale:.3e} exceeds tolerance; "
+                f"largest residuals by row tag: {', '.join(f'{tag} {r:.3e}' for tag, r in worst)}",
+                case=None if cases is None else cases[j],
+            )
         # The eliminated constraints report their residuals c @ full.
         full = system.elimination.expand(x)
         per_tag.update(zip(system.elimination.tags, np.abs(system.elimination.rows @ full).tolist()))
@@ -1089,24 +1089,12 @@ def _largest_singular_value(apply, apply_t, n, rtol):
     return np.nan
 
 
-def _deficient_tags(scaled, row_tags, rcond):
-    """The (at most 4) distinct tags of the rows that weigh most in the left
-    singular vectors below rcond, heaviest first."""
-    u, s, _ = np.linalg.svd(scaled, full_matrices=False)
-    bad = s < rcond * s[0]
-    if not np.any(bad):
-        return []
-    weight = np.sum(np.abs(u[:, bad]), axis=1)
-    return list(dict.fromkeys(row_tags[idx] for idx in np.argsort(weight)[::-1]))[:4]
-
-
 def solve_problem(setup, n, rule=None, rcond=1e-13):
     """Assemble and solve in one step; returns (DensitySet, ResidualReport)."""
-    _check_rcond(rcond)
-    return solve(assemble(setup, n, rule=rule), rcond=rcond)
+    return solve_cases([setup], n, rule=rule, rcond=rcond)[0]
 
 
-def solve_cases(setups, n, rule=None, rcond=1e-13):
+def solve_cases(setups, n, rule=None, rcond=1e-13, basis=None):
     """Solve several setups on one contour object; returns one
     (DensitySet, ResidualReport) per setup, in input order.
 
@@ -1119,10 +1107,13 @@ def solve_cases(setups, n, rule=None, rcond=1e-13):
     factorizations) and ``timings`` (tables_s for all cases of the call,
     rows_s and lstsq_s for the loads of its group).  A failing case raises
     SingularSystemError naming its index (``case``) when there are several.
+    ``basis`` replaces the Legendre basis of order n (see _LegendreBasis) for
+    every case; the basis also sets the collocation points, their tip inset,
+    the row taper and the weight of the tip-anchored rows.
     """
     _check_rcond(rcond)
     out = [None] * len(setups)
-    for system, cases in _assemble_cases(setups, n, rule=rule):
+    for system, cases in _assemble_cases(setups, n, rule=rule, basis=basis):
         named = cases if len(setups) > 1 else None
         for i, result in zip(cases, _solve_columns(system, rcond, cases=named)):
             out[i] = result

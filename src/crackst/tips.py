@@ -21,7 +21,7 @@ from numpy.polynomial import chebyshev as C
 
 from .geometry import _memoized
 from .kernels import FINE_RULE
-from .solver import OVERSAMPLE, _LegendreBasis, assemble, solve
+from .solver import OVERSAMPLE, _LegendreBasis, solve_cases
 
 __all__ = ["face_tension_length", "solve_tip_resolved"]
 
@@ -238,5 +238,4 @@ def solve_tip_resolved(setup, n, zone_terms=TIP_ZONE_TERMS):
     (DensitySet, ResidualReport); the DensitySet evaluates through the
     TipEnrichedBasis, and its to_dict raises ValueError.
     """
-    basis = TipEnrichedBasis(setup, n, zone_terms)
-    return solve(assemble(setup, n, rule=FINE_RULE, basis=basis))
+    return solve_cases([setup], n, rule=FINE_RULE, basis=TipEnrichedBasis(setup, n, zone_terms))[0]

@@ -152,6 +152,16 @@ def test_zero_load_solve_is_all_zero(tmp_path):
     assert summary["max_crack_opening"] == 0.0
 
 
+def test_zero_load_tip_fits_write_no_relative_change(tmp_path):
+    cfg = write_config(tmp_path, sigma1=0.0)
+    out = str(tmp_path / "zero_tips")
+    assert main(["solve", "--config", cfg, "--out", out, "--order", "8", "--tip-fits", "--quiet"]) == 0
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert summary["max_crack_opening"] == 0.0
+    assert summary["tip_resolved_max_crack_opening"] == 0.0
+    assert summary["tip_resolved_opening_relative_change"] is None
+
+
 def test_malformed_config_names_invariant(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(BASE.format(sigma1=1.0, gamma_i=0.1).replace("nu = 0.25", "nu = 0.7"))

@@ -531,6 +531,28 @@ def test_solve_cases_names_failing_case(unit_semicircle):
     assert err.value.case == 1
 
 
+def test_failing_solve_names_its_rows_from_its_residuals(reference_setup, monkeypatch):
+    """The cases above, with no SVD outside the least squares (the truncated
+    solve takes np.linalg.lstsq): the error names the face rows, which
+    cannot follow the square-wave tractions, by their residuals."""
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    unloaded = replace(reference_setup, load=cs.RemoteLoad(0.0, 0.0, 0.0))
+    square_wave = cs.CrackTractions(
+        f1=lambda s: np.sign(np.sin(40.0 * s)), f2=lambda s: -np.sign(np.sin(40.0 * s))
+    )
+    cases = [unloaded, replace(unloaded, tractions=square_wave), unloaded]
+    with pytest.raises(cs.SingularSystemError) as err:
+        cs.solve_cases(cases, 8, rcond=1e-2)
+    assert err.value.case == 1
+    message = str(err.value)
+    assert "rank" in message
+    assert re.search(r"largest residuals by row tag: crack_(plus|minus)_(re|im) \d\.\d{3}e[+-]\d\d", message)
+
+
 def _equilibrated_singular_values(system):
     """Singular values of the weighted matrix with each column divided by
     its largest |entry|, as the solve equilibrates it."""

@@ -3,7 +3,7 @@ import pytest
 
 import crackst as cs
 from crackst import solver, tips, validation
-from crackst.kernels import DIAG_EPS_FACTOR
+from crackst.kernels import DIAG_EPS_FACTOR, FINE_RULE
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,15 @@ def test_tip_resolved_kernels_take_the_kernel_guard_radius(reference_setup, monk
     cs.solve_tip_resolved(reference_setup, 24)
     assert seen
     assert all(eps == DIAG_EPS_FACTOR * reference_setup.contour.l for eps in seen)
+
+
+def test_tip_resolved_solve_is_solve_cases_on_the_enriched_basis(reference_setup):
+    field, report = cs.solve_tip_resolved(reference_setup, 16)
+    basis = tips.TipEnrichedBasis(reference_setup, 16)
+    ((other, other_report),) = cs.solve_cases([reference_setup], 16, rule=FINE_RULE, basis=basis)
+    for mine, theirs in zip(field.a + field.b, other.a + other.b):
+        assert np.array_equal(mine, theirs)
+    assert (report.rank, report.condition) == (other_report.rank, other_report.condition)
 
 
 def test_densities_share_their_argument_checks(reference_setup):
