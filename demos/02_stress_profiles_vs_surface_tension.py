@@ -32,8 +32,8 @@ for gamma in (0.1, 0.5, 1.0):
     profiles[gamma] = (crack, bond)
     mid = 90
     print(
-        f"gamma={gamma}: crack mid sigma_n+0 = {crack.sigma_n_plus0[mid]:+.4f}, "
-        f"bond mid sigma_n+0 = {bond.sigma_n_plus0[mid]:+.4f}"
+        f"gamma={gamma}: crack mid sigma_n+0 = {crack['sigma_n_plus_0'][mid]:+.4f}, "
+        f"bond mid sigma_n+0 = {bond['sigma_n_plus_0'][mid]:+.4f}"
     )
 
 for arc_name, idx in (("crack", 0), ("bond", 1)):
@@ -46,9 +46,9 @@ for arc_name, idx in (("crack", 0), ("bond", 1)):
             + [f"tau_plus0_gamma{g:g}" for g in gammas]
         )
         field0 = profiles[gammas[0]][idx]
-        for i, si in enumerate(field0.s):
+        for i, si in enumerate(field0["s"]):
             row = [si]
-            row += [profiles[g][idx].sigma_n_plus0[i] for g in gammas]
-            row += [profiles[g][idx].tau_n_plus0[i] for g in gammas]
+            row += [profiles[g][idx]["sigma_n_plus_0"][i] for g in gammas]
+            row += [profiles[g][idx]["tau_n_plus_0"][i] for g in gammas]
             writer.writerow([f"{v:.10e}" for v in row])
     print(f"wrote demo_output/stress_{arc_name}_vs_gamma.csv")

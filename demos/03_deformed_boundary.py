@@ -28,7 +28,7 @@ for label, alpha in (("horizontal", 0.0), ("vertical", np.pi / 2)):
     dset, _ = cs.solve_problem(setup, 24)
     columns = post.deformed_boundary(dset, setup, scale=2.0)
     path = f"demo_output/deformed_{label}.csv"
-    post.write_deformed_boundary_csv(path, columns)
+    post.write_csv(path, columns)
     gap = np.hypot(
         columns["x_deformed_inclusion"] - columns["x_deformed_matrix"],
         columns["y_deformed_inclusion"] - columns["y_deformed_matrix"],

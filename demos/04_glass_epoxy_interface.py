@@ -28,9 +28,9 @@ for check in cs.conservation_checks(dset, setup):
 
 os.makedirs("demo_output", exist_ok=True)
 bond = post.interface_fields(dset, setup, n_samples=241)
-post.write_boundary_fields_csv("demo_output/glass_epoxy_bond.csv", bond)
-imax = np.argmax(np.abs(bond.sigma_n_plus0))
+post.write_csv("demo_output/glass_epoxy_bond.csv", bond)
+imax = np.argmax(np.abs(bond["sigma_n_plus_0"]))
 print(
-    f"peak bonded-arc normal stress {bond.sigma_n_plus0[imax]:+.3f} "
-    f"at s = {bond.s[imax]:.3f}; wrote demo_output/glass_epoxy_bond.csv"
+    f"peak bonded-arc normal stress {bond['sigma_n_plus_0'][imax]:+.3f} "
+    f"at s = {bond['s'][imax]:.3f}; wrote demo_output/glass_epoxy_bond.csv"
 )

@@ -34,7 +34,6 @@ from .model import (
     m_coefficients,
 )
 from .postprocess import (
-    BoundaryField,
     NearBoundaryError,
     boundary_fields,
     crack_face_fields,
@@ -74,7 +73,6 @@ from .scenarios import SCENARIOS, scenario_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryField",
     "CircleContour",
     "ConfigError",
     "Numerics",

@@ -106,10 +106,10 @@ def _solve_runs(cases, quiet=False):
 def _write_standard_outputs(outdir, run_config, dset, report, vreport, extra=None, tip_fits=False):
     setup = run_config.setup
     write_json(os.path.join(outdir, "densities.json"), dset.to_dict())
-    post.write_boundary_fields_csv(
+    crack, bond = post.crack_face_fields(dset, setup), post.interface_fields(dset, setup)
+    post.write_csv(
         os.path.join(outdir, "boundary_fields.csv"),
-        post.crack_face_fields(dset, setup),
-        post.interface_fields(dset, setup),
+        {name: np.concatenate([crack[name], bond[name]]) for name in crack},
     )
     vreport.write_json(os.path.join(outdir, "validation.json"))
     failed = [c.name for c in vreport.checks if not c.passed]
@@ -151,48 +151,27 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-SWEEP_COLUMNS = [
-    "param",
-    "value",
-    "max_crack_opening",
-    "max_crack_opening_full_arc",
-    "max_crack_aperture",
-    "tip0_sigma_power_exponent",
-    "tip0_tau_log_fit_relative_residual",
-    "tip1_sigma_power_exponent",
-    "tip1_tau_log_fit_relative_residual",
-    "max_residual",
-    "condition",
-    "force_balance",
-    "single_valuedness",
-]
-
-
 def _sweep_row(param, value, summary, report, vreport):
+    """The sweep.csv row of one case, by column name; a value that is
+    missing (a fit not made or null, a check not run) is NaN."""
     tips = summary["tip_fits"] or [{}, {}]
+    checks = {c.name: c.value for c in vreport.checks}
+    row = {
+        "value": value,
+        **{key: summary[key] for key in ("max_crack_opening", "max_crack_opening_full_arc", "max_crack_aperture")},
+        **{f"tip{tip}_{key}": tips[tip].get(key) for tip in (0, 1)
+           for key in ("sigma_power_exponent", "tau_log_fit_relative_residual")},
+        "max_residual": report.max_residual,
+        "condition": report.condition,
+        "force_balance": checks.get("force_balance"),
+        "single_valuedness": checks.get("single_valuedness"),
+    }
+    return {"param": param, **{key: float("nan") if v is None else float(v) for key, v in row.items()}}
 
-    def fit(tip, key):
-        found = tips[tip].get(key)
-        return float("nan") if found is None else found
 
-    by_name = {c.name: c.value for c in vreport.checks}
-    return [param] + [
-        float(v)
-        for v in (
-            value,
-            summary["max_crack_opening"],
-            summary["max_crack_opening_full_arc"],
-            summary["max_crack_aperture"],
-            fit(0, "sigma_power_exponent"),
-            fit(0, "tau_log_fit_relative_residual"),
-            fit(1, "sigma_power_exponent"),
-            fit(1, "tau_log_fit_relative_residual"),
-            report.max_residual,
-            report.condition,
-            by_name.get("force_balance", float("nan")),
-            by_name.get("single_valuedness", float("nan")),
-        )
-    ]
+def _by_column(rows):
+    """The columns of rows (dicts with the same keys), by key."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
 
 
 def cmd_sweep(args):
@@ -223,7 +202,7 @@ def cmd_sweep(args):
         vreport = validate_solution(dset, case.setup)
         summary = _write_standard_outputs(subdir, case, dset, report, vreport, tip_fits=args.tip_fits)
         rows.append(_sweep_row(args.param, value, summary, report, vreport))
-    post.write_csv(os.path.join(outdir, "sweep.csv"), SWEEP_COLUMNS, list(zip(*rows)))
+    post.write_csv(os.path.join(outdir, "sweep.csv"), _by_column(rows))
     if not args.quiet:
         print(f"sweep outputs written to {outdir}")
     return EXIT_OK
@@ -234,23 +213,27 @@ def cmd_sweep(args):
 
 def _write_fig1(outdir, name, entry, cases, solved):
     curves = [post.crack_face_fields(dset, case.setup, 241) for case, (dset, _) in zip(cases, solved)]
-    header = ["s"] + [f"{part}_g0_prime_order{case.numerics.order}" for case in cases for part in ("re", "im")]
-    cols = [curves[0].s] + [part(curve.g0p) for curve in curves for part in (np.real, np.imag)]
-    post.write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), header, cols)
+    columns = {"s": curves[0]["s"]}
+    for case, curve in zip(cases, curves):
+        order = case.numerics.order
+        columns.update({f"{col}_order{order}": curve[col] for col in curve if col.endswith("_g0_prime")})
+    post.write_csv(os.path.join(outdir, "fig1_density_convergence.csv"), columns)
 
 
 def _write_fig2_fig3(outdir, name, entry, cases, solved):
-    prefixes = ("sigma_n", "tau_n") if name == "fig2" else ("ut", "un")
+    # Each file holds one quantity of boundary_fields, both sides of each case.
+    prefixes = ("sigma_n_", "tau_n_") if name == "fig2" else ("ut_prime_", "un_prime_")
     for sample, label in ((post.crack_face_fields, "crack"), (post.interface_fields, "bond")):
         fields = [sample(dset, case.setup, 241) for case, (dset, _) in zip(cases, solved)]
         for prefix in prefixes:
             qname = prefix.partition("_")[0]
-            header, cols = ["s"], [fields[0].s]
+            columns = {"s": fields[0]["s"]}
             for case, fld in zip(cases, fields):
-                for suffix, side in (("plus0", "plus_0"), ("minus", "minus")):
-                    header.append(f"{qname}_{side}_gamma{case.setup.surface.gamma_plus:g}")
-                    cols.append(getattr(fld, f"{prefix}_{suffix}"))
-            post.write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), header, cols)
+                gamma = case.setup.surface.gamma_plus
+                columns.update({
+                    f"{qname}_{col[len(prefix):]}_gamma{gamma:g}": fld[col] for col in fld if col.startswith(prefix)
+                })
+            post.write_csv(os.path.join(outdir, f"{name}_{qname}_{label}.csv"), columns)
 
 
 def _write_fig4(outdir, name, entry, cases, solved):
@@ -259,16 +242,15 @@ def _write_fig4(outdir, name, entry, cases, solved):
     fld = post.boundary_fields(dset, setup, s)
     post.write_csv(
         os.path.join(outdir, "fig4_displacement_derivatives.csv"),
-        ["s", "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus"],
-        [s, fld.ut_plus0, fld.un_plus0, fld.ut_minus, fld.un_minus],
+        {col: fld[col] for col in fld if col == "s" or col.startswith(("ut_prime_", "un_prime_"))},
     )
 
 
 def _write_fig5(outdir, name, entry, cases, solved):
     for case, (dset, _) in zip(cases, solved):
-        columns = post.deformed_boundary(dset, case.setup, scale=entry["displacement_scale"])
-        post.write_deformed_boundary_csv(
-            os.path.join(outdir, f"fig5_deformed_alpha{case.setup.load.alpha:g}.csv"), columns
+        post.write_csv(
+            os.path.join(outdir, f"fig5_deformed_alpha{case.setup.load.alpha:g}.csv"),
+            post.deformed_boundary(dset, case.setup, scale=entry["displacement_scale"]),
         )
 
 
@@ -276,27 +258,22 @@ def _write_fig5a(outdir, name, entry, cases, solved):
     fld = post.interface_fields(solved[0][0], cases[0].setup, 241)
     post.write_csv(
         os.path.join(outdir, "fig5a_stress_bond.csv"),
-        ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
-        [fld.s, fld.sigma_n_plus0, fld.tau_n_plus0, fld.sigma_n_minus, fld.tau_n_minus],
+        {col: fld[col] for col in fld if col == "s" or col.startswith(("sigma_n_", "tau_n_"))},
     )
 
 
 def _write_fig6(outdir, name, entry, cases, solved):
     rows = [
-        (
-            case.setup.load.alpha,
-            case.setup.surface.gamma_plus,
-            post.max_crack_opening(dset, case.setup),
-            post.max_crack_opening(dset, case.setup, window=(0.0, 1.0)),
-            post.max_crack_aperture(dset, case.setup),
-        )
+        {
+            "alpha_rad": float(case.setup.load.alpha),
+            "gamma0": float(case.setup.surface.gamma_plus),
+            "max_opening": post.max_crack_opening(dset, case.setup),
+            "max_opening_full_arc": post.max_crack_opening(dset, case.setup, window=(0.0, 1.0)),
+            "max_aperture": post.max_crack_aperture(dset, case.setup),
+        }
         for case, (dset, _) in zip(cases, solved)
     ]
-    post.write_csv(
-        os.path.join(outdir, "fig6_opening.csv"),
-        ["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"],
-        np.array(rows, dtype=float).T,
-    )
+    post.write_csv(os.path.join(outdir, "fig6_opening.csv"), _by_column(rows))
 
 
 _WRITERS = {

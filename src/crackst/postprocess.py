@@ -27,8 +27,6 @@ the solver's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import FINE_RULE
@@ -37,7 +35,6 @@ from .tips import face_tension_length, solve_tip_resolved
 from .validation import original_bc_residual, trace_consistency, write_json
 
 __all__ = [
-    "BoundaryField",
     "NearBoundaryError",
     "boundary_fields",
     "crack_face_fields",
@@ -52,8 +49,7 @@ __all__ = [
     "tip_ladder",
     "tip_ladder_checks",
     "potentials_at",
-    "write_boundary_fields_csv",
-    "write_deformed_boundary_csv",
+    "write_csv",
     "write_summary_json",
 ]
 
@@ -75,48 +71,36 @@ class NearBoundaryError(ValueError):
     """Raised when a full-field point is too close to the contour."""
 
 
-@dataclass
-class BoundaryField:
-    """Per-arc-length samples of the boundary tractions and displacement
-    derivatives on both sides of the contour, plus the raw density traces."""
-
-    s: np.ndarray
-    arc: np.ndarray
-    sigma_n_plus0: np.ndarray
-    tau_n_plus0: np.ndarray
-    sigma_n_minus: np.ndarray
-    tau_n_minus: np.ndarray
-    ut_plus0: np.ndarray
-    un_plus0: np.ndarray
-    ut_minus: np.ndarray
-    un_minus: np.ndarray
-    q0: np.ndarray
-    q: np.ndarray
-    g0p: np.ndarray
-    gp: np.ndarray
-
-
-# Suffix of each phase's fields in BoundaryField.
-_FIELD_SUFFIX = {"inclusion": "plus0", "matrix": "minus"}
-
-
 def boundary_fields(dset, setup, s):
-    """Evaluate all boundary fields at the given arc lengths."""
+    """The boundary tractions and displacement derivatives on both sides of
+    the contour at the arc lengths s, and the density traces: the columns of
+    boundary_fields.csv by name, in its order."""
     s = np.asarray(s, dtype=float)
-    fields = {}
-    for phase in setup.phases:
-        q, g = dset.eval(phase.q, s), dset.eval(phase.g, s)
-        stress, dudt = phase.sign * 2.0 * q, phase.displacement_factor * g
-        suffix = _FIELD_SUFFIX[phase.name]
-        fields.update({
-            phase.q: q,
-            phase.g: g,
-            f"sigma_n_{suffix}": np.real(stress),
-            f"tau_n_{suffix}": np.imag(stress),
-            f"ut_{suffix}": np.real(dudt),
-            f"un_{suffix}": np.imag(dudt),
-        })
-    return BoundaryField(s=s, arc=np.where(s <= dset.l0, 0, 1), **fields)
+    inclusion, matrix = setup.phases
+    q0, q = dset.eval(inclusion.q, s), dset.eval(matrix.q, s)
+    g0, g = dset.eval(inclusion.g, s), dset.eval(matrix.g, s)
+    stress0, stress = inclusion.sign * 2.0 * q0, matrix.sign * 2.0 * q
+    dudt0, dudt = inclusion.displacement_factor * g0, matrix.displacement_factor * g
+    return {
+        "s": s,
+        "arc": np.where(s <= dset.l0, 0, 1),
+        "sigma_n_plus_0": stress0.real,
+        "tau_n_plus_0": stress0.imag,
+        "sigma_n_minus": stress.real,
+        "tau_n_minus": stress.imag,
+        "ut_prime_plus_0": dudt0.real,
+        "un_prime_plus_0": dudt0.imag,
+        "ut_prime_minus": dudt.real,
+        "un_prime_minus": dudt.imag,
+        "re_q0": q0.real,
+        "im_q0": q0.imag,
+        "re_q": q.real,
+        "im_q": q.imag,
+        "re_g0_prime": g0.real,
+        "im_g0_prime": g0.imag,
+        "re_g_prime": g.real,
+        "im_g_prime": g.imag,
+    }
 
 
 def _arc_samples(lo, hi, n_samples, edge=1e-3):
@@ -281,7 +265,8 @@ def tip_exponents(dset, setup, tip=0):
     DensitySet from solve_problem extrapolates its polynomials into the tip
     inset).  Returns a dict with the fitted power-law exponents (positive =
     growth toward the tip) and the relative residual of the a + b*log(d) fit
-    of the shear stress.
+    of the shear stress; the four are None when no sample of |sigma_n| or
+    |tau_n| exceeds the floor, since a vanishing field has no tip behaviour.
     """
     d, s = _ladder_points(dset, setup, tip)
     stress = 2.0 * dset.eval("q0", s)
@@ -289,6 +274,8 @@ def tip_exponents(dset, setup, tip=0):
     tau = np.imag(stress)
 
     floor = 1e-14 * max(setup.load.magnitude, 1.0)
+    if max(np.max(sigma), np.max(np.abs(tau))) <= floor:
+        return {"tip": tip, **dict.fromkeys(_FIT_KEYS)}
     (_, slope_sigma), _ = _log_fit(np.log(d), np.log(np.maximum(sigma, floor)))
     (_, slope_tau), _ = _log_fit(np.log(d), np.log(np.maximum(np.abs(tau), floor)))
     (_, b_log), resid = _log_fit(np.log(d), tau)
@@ -342,51 +329,11 @@ def potentials_at(dset, setup, z, region, rule=FINE_RULE):
     return phi, psi
 
 
-_FIELD_COLUMNS = [
-    "s",
-    "arc",
-    "sigma_n_plus_0",
-    "tau_n_plus_0",
-    "sigma_n_minus",
-    "tau_n_minus",
-    "ut_prime_plus_0",
-    "un_prime_plus_0",
-    "ut_prime_minus",
-    "un_prime_minus",
-    "re_q0",
-    "im_q0",
-    "re_q",
-    "im_q",
-    "re_g0_prime",
-    "im_g0_prime",
-    "re_g_prime",
-    "im_g_prime",
-]
-
-
-def write_boundary_fields_csv(path, *fields):
-    """One row per sample with all boundary fields and density traces, the
-    samples of each field in turn."""
-    def column(name):
-        return np.concatenate([getattr(field, name) for field in fields])
-
-    traces = ("sigma_n_plus0", "tau_n_plus0", "sigma_n_minus", "tau_n_minus",
-              "ut_plus0", "un_plus0", "ut_minus", "un_minus")
-    cols = [column("s"), column("arc"), *(column(name) for name in traces)]
-    cols += [part(column(name)) for name in ("q0", "q", "g0p", "gp") for part in (np.real, np.imag)]
-    write_csv(path, _FIELD_COLUMNS, cols)
-
-
-def write_deformed_boundary_csv(path, columns):
-    """The columns of ``deformed_boundary``, named by its keys."""
-    write_csv(path, list(columns), list(columns.values()))
-
-
-def write_csv(path, names, columns):
-    """A header and one row per sample, integer columns as %d, string columns
-    as %s (unquoted) and the others as %.12e, with CRLF line ends as
-    csv.writer writes them."""
-    columns = [np.asarray(c) for c in columns]
+def write_csv(path, columns):
+    """The CSV of a dict of columns by name, in its order: a header and one
+    row per sample, integer columns as %d, string columns as %s (unquoted)
+    and the others as %.12e, with CRLF line ends as csv.writer writes them."""
+    names, columns = list(columns), [np.asarray(c) for c in columns.values()]
     formats = {"i": "%d", "u": "%d", "U": "%s"}
     row = ",".join(formats.get(c.dtype.kind, "%.12e") for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:

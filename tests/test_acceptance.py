@@ -183,7 +183,9 @@ def test_criterion_8_surface_tension_insensitivity(unit_semicircle):
         dset, _ = cs.solve_problem(setup, 24)
         s = np.linspace(0.25 * dset.l0, 0.75 * dset.l0, 201)
         fld = post.boundary_fields(dset, setup, s)
-        curves[gamma] = np.stack([fld.ut_plus0, fld.un_plus0, fld.ut_minus, fld.un_minus])
+        curves[gamma] = np.stack(
+            [fld[name] for name in ("ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus")]
+        )
     amp = np.max(np.abs(curves[0.0001]))
     diff = np.max(np.abs(curves[0.01] - curves[0.0001])) / amp
     ok = diff < 0.05
@@ -196,7 +198,7 @@ def test_criterion_9_interface_traction_jump(zero_interface_solution, zero_inter
     dset, _ = zero_interface_solution
     fld = post.interface_fields(dset, zero_interface_setup, n_samples=401)
     jump = np.abs(
-        (fld.sigma_n_plus0 - fld.sigma_n_minus) + 1j * (fld.tau_n_plus0 - fld.tau_n_minus)
+        (fld["sigma_n_plus_0"] - fld["sigma_n_minus"]) + 1j * (fld["tau_n_plus_0"] - fld["tau_n_minus"])
     )
     rel = np.max(jump) / zero_interface_setup.load.magnitude
     ok = rel < 0.01

@@ -160,6 +160,13 @@ def test_zero_load_tip_fits_write_no_relative_change(tmp_path):
     assert summary["max_crack_opening"] == 0.0
     assert summary["tip_resolved_max_crack_opening"] == 0.0
     assert summary["tip_resolved_opening_relative_change"] is None
+    # A field that vanishes at every ladder sample has no tip behaviour to
+    # fit: the fits are null, while the ladder checks are still reported.
+    for fits in summary["tip_fits"]:
+        for key in ("sigma_power_exponent", "tau_power_exponent", "tau_log_coefficient",
+                    "tau_log_fit_relative_residual"):
+            assert fits[key] is None, key
+        assert len(fits["ladder_checks"]) == 2
 
 
 def test_malformed_config_names_invariant(tmp_path, capsys):
@@ -193,6 +200,7 @@ def test_sweep_outputs(tmp_path):
     assert float(rows[0]["max_crack_opening"]) > 0
     assert os.path.isdir(os.path.join(out, "gamma0_0.1"))
     assert os.path.isdir(os.path.join(out, "gamma0_0.5"))
+    assert _assert_csv_headers(out) == ["boundary_fields.csv"] * 2 + ["sweep.csv"]
 
 
 def test_sweep_alpha_rows_match_separate_solves(tmp_path):
@@ -316,12 +324,61 @@ SCENARIO_FILES = {
 }
 
 
+def _gamma_columns(quantity):
+    return ["s"] + [f"{quantity}_{side}_gamma{g}" for g in ("0.1", "0.5", "1") for side in ("plus_0", "minus")]
+
+
+# The header row, names and order, of every CSV the CLI writes (the scenario
+# files as written at --order 8; fig1's grid sets its own orders).
+CSV_HEADERS = {
+    "boundary_fields.csv": [
+        "s", "arc", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus",
+        "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus",
+        "re_q0", "im_q0", "re_q", "im_q", "re_g0_prime", "im_g0_prime", "re_g_prime", "im_g_prime",
+    ],
+    "sweep.csv": [
+        "param", "value", "max_crack_opening", "max_crack_opening_full_arc", "max_crack_aperture",
+        "tip0_sigma_power_exponent", "tip0_tau_log_fit_relative_residual",
+        "tip1_sigma_power_exponent", "tip1_tau_log_fit_relative_residual",
+        "max_residual", "condition", "force_balance", "single_valuedness",
+    ],
+    "fig1_density_convergence.csv": ["s"] + [
+        f"{part}_g0_prime_order{n}" for n in (16, 24, 30) for part in ("re", "im")
+    ],
+    **{f"fig2_{q}_{arc}.csv": _gamma_columns(q) for q in ("sigma", "tau") for arc in ("crack", "bond")},
+    **{f"fig3_{q}_{arc}.csv": _gamma_columns(q) for q in ("ut", "un") for arc in ("crack", "bond")},
+    "fig4_displacement_derivatives.csv": [
+        "s", "ut_prime_plus_0", "un_prime_plus_0", "ut_prime_minus", "un_prime_minus",
+    ],
+    **dict.fromkeys(["fig5_deformed_alpha0.csv", "fig5_deformed_alpha1.5708.csv"], [
+        "s", "x_undeformed", "y_undeformed", "x_deformed_inclusion", "y_deformed_inclusion",
+        "x_deformed_matrix", "y_deformed_matrix",
+    ]),
+    "fig5a_stress_bond.csv": ["s", "sigma_n_plus_0", "tau_n_plus_0", "sigma_n_minus", "tau_n_minus"],
+    "fig6_opening.csv": ["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"],
+}
+
+
+def _assert_csv_headers(out):
+    """Check the header of every CSV under out against CSV_HEADERS and
+    return the file names checked, sorted."""
+    checked = []
+    for root, _, files in os.walk(out):
+        for fname in files:
+            if fname.endswith(".csv"):
+                with open(os.path.join(root, fname), newline="") as fh:
+                    assert next(csv.reader(fh)) == CSV_HEADERS[fname], fname
+                checked.append(fname)
+    return sorted(checked)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIO_FILES))
 def test_scenario_writes_its_files_and_solves_its_base_once(tmp_path, name):
     files, cases = SCENARIO_FILES[name]
     out = str(tmp_path / name)
     assert main(["scenario", name, "--out", out, "--order", "8", "--quiet"]) == 0
     assert sorted(os.listdir(out)) == sorted(files + STANDARD_FILES)
+    assert _assert_csv_headers(out) == sorted(files + ["boundary_fields.csv"])
     summary = json.loads(open(os.path.join(out, "summary.json")).read())
     assert summary["residual_report"]["meta"]["batch"]["cases"] == cases
     if name == "fig2":
@@ -525,7 +582,7 @@ def test_column_csvs_match_csv_writer_reference(tmp_path):
         (header, columns, columns),
         (fig6, list(zip(*rows)), np.array(rows, dtype=float).T),
     ):
-        post.write_csv(got, names, written)
+        post.write_csv(got, dict(zip(names, written)))
         _columns_csv_reference(want, names, cols)
         assert got.read_bytes() == want.read_bytes()
         for token in (b"nan", b"-inf", b"-0.000000000000e+00"):
