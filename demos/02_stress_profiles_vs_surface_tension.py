@@ -7,7 +7,6 @@ script exports the normal/shear stress and displacement-derivative profiles
 on both the debonded and bonded arcs.
 """
 
-import csv
 import os
 
 import numpy as np
@@ -36,19 +35,12 @@ for gamma in (0.1, 0.5, 1.0):
         f"bond mid sigma_n+0 = {bond['sigma_n_plus_0'][mid]:+.4f}"
     )
 
+# Column names as in the fig2 files of `crackst scenario fig2`.
 for arc_name, idx in (("crack", 0), ("bond", 1)):
-    with open(f"demo_output/stress_{arc_name}_vs_gamma.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        gammas = sorted(profiles)
-        writer.writerow(
-            ["s"]
-            + [f"sigma_plus0_gamma{g:g}" for g in gammas]
-            + [f"tau_plus0_gamma{g:g}" for g in gammas]
-        )
-        field0 = profiles[gammas[0]][idx]
-        for i, si in enumerate(field0["s"]):
-            row = [si]
-            row += [profiles[g][idx]["sigma_n_plus_0"][i] for g in gammas]
-            row += [profiles[g][idx]["tau_n_plus_0"][i] for g in gammas]
-            writer.writerow([f"{v:.10e}" for v in row])
-    print(f"wrote demo_output/stress_{arc_name}_vs_gamma.csv")
+    fields = {gamma: pair[idx] for gamma, pair in profiles.items()}
+    columns = {"s": next(iter(fields.values()))["s"]}
+    for q in ("sigma", "tau"):
+        columns.update({f"{q}_plus_0_gamma{g:g}": fld[f"{q}_n_plus_0"] for g, fld in fields.items()})
+    path = f"demo_output/stress_{arc_name}_vs_gamma.csv"
+    post.write_csv(path, columns)
+    print(f"wrote {path}")

@@ -11,13 +11,13 @@ the operator tables once per quadrature level and factorizes one matrix per
 face tension for all three load angles.
 """
 
-import csv
 import os
 from dataclasses import replace
 
 import numpy as np
 
 import crackst as cs
+from crackst import postprocess as post
 
 os.makedirs("demo_output", exist_ok=True)
 base = cs.ProblemSetup(
@@ -32,24 +32,22 @@ setups = [
     replace(base, surface=cs.SurfaceTension(gamma0, gamma0, 0.0), load=cs.RemoteLoad(1.0, 0.0, alpha))
     for alpha, gamma0 in grid
 ]
+# Columns as in fig6_opening.csv of `crackst scenario fig6`.
 rows = []
 for (alpha, gamma0), setup, (dset, _) in zip(grid, setups, cs.solve_cases(setups, 20)):
     rows.append(
-        (
-            alpha,
-            gamma0,
-            cs.max_crack_opening(dset, setup),
-            cs.max_crack_opening(dset, setup, window=(0.0, 1.0)),
-            cs.max_crack_aperture(dset, setup),
-        )
+        {
+            "alpha_rad": alpha,
+            "gamma0": gamma0,
+            "max_opening": cs.max_crack_opening(dset, setup),
+            "max_opening_full_arc": cs.max_crack_opening(dset, setup, window=(0.0, 1.0)),
+            "max_aperture": cs.max_crack_aperture(dset, setup),
+        }
     )
     print(
         f"alpha={alpha:.3f} gamma0={gamma0:4.2f}: "
-        f"opening {rows[-1][2]:.5f}, aperture {rows[-1][4]:.5f}"
+        f"opening {rows[-1]['max_opening']:.5f}, aperture {rows[-1]['max_aperture']:.5f}"
     )
 
-with open("demo_output/opening_sweep.csv", "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["alpha_rad", "gamma0", "max_opening", "max_opening_full_arc", "max_aperture"])
-    writer.writerows([[f"{v:.10e}" for v in r] for r in rows])
+post.write_csv("demo_output/opening_sweep.csv", {key: [row[key] for row in rows] for key in rows[0]})
 print("wrote demo_output/opening_sweep.csv")

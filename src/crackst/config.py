@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import CircleContour, EllipseContour
-from .model import CrackTractions, Material, ProblemSetup, RemoteLoad, SurfaceTension
+from .model import PLANE_STRAIN, PLANE_STRESS, CrackTractions, Material, ProblemSetup, RemoteLoad, SurfaceTension
 
 __all__ = ["ConfigError", "Numerics", "RunConfig", "parse_config", "parse_config_text", "dump_config"]
 
@@ -131,7 +131,7 @@ def parse_config_text(text):
 
         def material(section):
             mode = _read(parser, section, "plane", str, default="stress").lower()
-            mode_name = {"stress": "plane-stress", "strain": "plane-strain"}.get(mode)
+            mode_name = {"stress": PLANE_STRESS, "strain": PLANE_STRAIN}.get(mode)
             if mode_name is None:
                 raise ConfigError(f"bad value for [{section}] plane: {mode!r}")
             return Material(
@@ -219,7 +219,7 @@ def dump_config(run_config):
         parser[name] = {
             "mu_gpa": repr(mat.shear_modulus),
             "nu": repr(mat.poisson),
-            "plane": "strain" if mat.plane_mode == "plane-strain" else "stress",
+            "plane": "strain" if mat.plane_mode == PLANE_STRAIN else "stress",
         }
     parser["surface_tension"] = {
         "gamma_plus": repr(setup.surface.gamma_plus),

@@ -114,7 +114,7 @@ class CircleContour(Contour):
     counterclockwise to ``crack_end``, then the bonded arc closes the circle.
     """
 
-    def __init__(self, radius, crack_start, crack_end, center=0.0):
+    def __init__(self, radius, crack_start, crack_end):
         _require_finite(radius=radius, crack_start=crack_start, crack_end=crack_end)
         if radius <= 0.0:
             raise ValueError(f"radius must be positive, got {radius}")
@@ -125,12 +125,11 @@ class CircleContour(Contour):
             )
         self.radius = float(radius)
         self.theta0 = float(crack_start)
-        self.center = complex(center)
         self.l0 = float(radius * span)
         self.l = float(2.0 * np.pi * radius)
 
     def point(self, s):
-        return self.center + self.radius * np.exp(1j * (self.theta0 + np.asarray(s) / self.radius))
+        return self.radius * np.exp(1j * (self.theta0 + np.asarray(s) / self.radius))
 
     def tangent(self, s):
         return 1j * np.exp(1j * (self.theta0 + np.asarray(s) / self.radius))

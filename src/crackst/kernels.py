@@ -143,7 +143,6 @@ class Discretization:
     arc: np.ndarray
     tau: np.ndarray
     dt: np.ndarray
-    panel_edges: tuple
 
     @property
     def n_nodes(self):
@@ -156,11 +155,10 @@ _gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.legga
 
 def _build_discretization(contour, nodes_per_panel, panels_per_arc, tip_panel):
     xg, wg = _gauss_legendre(nodes_per_panel)
-    ss, ww, aa, alledges = [], [], [], []
+    ss, ww, aa = [], [], []
     for arc in (0, 1):
         lo, hi = contour.arc_interval(arc)
         edges = _graded_edges(lo, hi, panels_per_arc, tip_panel)
-        alledges.append(edges)
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[:-1] + edges[1:])
         nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -175,7 +173,6 @@ def _build_discretization(contour, nodes_per_panel, panels_per_arc, tip_panel):
         arc=np.concatenate(aa),
         tau=contour.point(s),
         dt=contour.tangent(s),
-        panel_edges=tuple(tuple(e) for e in alledges),
     )
 
 

@@ -125,9 +125,6 @@ class RemoteLoad:
         """Stress scale used for relative tolerances."""
         return max(abs(self.sigma1), abs(self.sigma2))
 
-    def scaled(self, factor):
-        return RemoteLoad(self.sigma1 * factor, self.sigma2 * factor, self.alpha)
-
 
 class CrackTractions:
     """Tractions applied to the crack faces, as vectorized callables of s.
@@ -171,17 +168,6 @@ class CrackTractions:
         if not np.all(np.isfinite(out)):
             raise ValueError(f"crack traction {name} produced non-finite values")
         return out
-
-    def scaled(self, factor):
-        if self._f1 is None and self._f2 is None:
-            return self
-        if self.constants is not None:
-            return CrackTractions.constant(*(factor * c for c in self.constants))
-        f1, f2 = self._f1, self._f2
-        return CrackTractions(
-            f1=None if f1 is None else (lambda s: factor * np.asarray(f1(s), dtype=complex)),
-            f2=None if f2 is None else (lambda s: factor * np.asarray(f2(s), dtype=complex)),
-        )
 
 
 @dataclass(frozen=True)
@@ -264,17 +250,6 @@ class ProblemSetup:
         inc, mat = self.phases
         lhs, rhs = (a.mu * b.kappa * (a.kappa + 1.0) for a, b in ((inc, mat), (mat, inc)))
         return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-    def scaled_load(self, factor):
-        """Same problem with remote load and crack tractions scaled."""
-        return ProblemSetup(
-            contour=self.contour,
-            matrix=self.matrix,
-            inclusion=self.inclusion,
-            surface=self.surface,
-            load=self.load.scaled(factor),
-            tractions=self.tractions.scaled(factor),
-        )
 
 
 def m_coefficients_from_frame(dt, d2t, d3t, rho, rho_prime):

@@ -289,7 +289,7 @@ def tip_exponents(dset, setup, tip=0):
     }
 
 
-def potentials_at(dset, setup, z, region, rule=FINE_RULE):
+def potentials_at(dset, setup, z, region):
     """Complex potentials at a point strictly inside (inclusion) or outside
     (matrix) the contour, by quadrature of the density representation.
 
@@ -298,7 +298,7 @@ def potentials_at(dset, setup, z, region, rule=FINE_RULE):
     """
     phase = setup.phase(region)
     contour = setup.contour
-    disc = rule.discretize(contour)
+    disc = FINE_RULE.discretize(contour)
     z = complex(z)
     dist = np.min(np.abs(disc.tau - z))
     if dist < NEAR_BOUNDARY_FACTOR * contour.l:

@@ -116,7 +116,7 @@ def scenario_config(name, order=None):
     entry = SCENARIOS[name]
     return RunConfig(
         setup=entry["setup"](),
-        numerics=Numerics(order=order or entry["order"]),
+        numerics=Numerics(order=entry["order"] if order is None else order),
         output_dir=name,
     )
 

@@ -214,12 +214,6 @@ class DensitySet:
                 out[mask] = table[:, cols_a] @ self.a[p] + 1j * (table[:, cols_b] @ self.b[p])
         return out if np.ndim(s) else out[0]
 
-    def max_abs_coefficient(self):
-        return max(
-            max((np.max(np.abs(v)) for v in self.a), default=0.0),
-            max((np.max(np.abs(v)) for v in self.b), default=0.0),
-        )
-
     def to_dict(self):
         """The densities.json record; only the Legendre basis has one."""
         if type(self.basis) is not _LegendreBasis:
@@ -295,10 +289,6 @@ class LinearSystem:
     elimination: object  # _Elimination: the system's columns in the full vector
     basis: object  # lays out the full vector; builds the densities from the solution
     meta: dict = field(default_factory=dict)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 @dataclass
@@ -731,7 +721,7 @@ def _assemble_rows(setups, basis, tab):
 
     def taper(sel_pts, lo, hi):
         d = np.minimum(sel_pts - lo, hi - sel_pts) / (hi - lo)
-        return (4.0 * d * np.maximum(1.0 - d, 1e-12)) ** basis.taper_exponent
+        return (4.0 * d * (1.0 - d)) ** basis.taper_exponent
 
     w_crack = taper(crack_pts, 0.0, contour.l0)
     w_bond = taper(bond_pts, contour.l0, contour.l)

@@ -160,7 +160,7 @@ def _trial_densities(contour, seed, count):
     return trials
 
 
-def cauchy_inversion_checks(contour, trials, rule=FINE_RULE):
+def cauchy_inversion_checks(contour, trials):
     """One check per trial density, in trial order: the max norm of
     (S@S - I) applied to the trial at INVERSION_POINTS off-node points on the
     central 90% of the arcs, against INVERSION_TOL.
@@ -182,7 +182,7 @@ def cauchy_inversion_checks(contour, trials, rule=FINE_RULE):
 
     def s_phi(ss):
         return singular_apply(
-            contour, stacked, rule, at=np.atleast_1d(ss), tip_panel=inner_tip, tip_eps=0.0
+            contour, stacked, FINE_RULE, at=np.atleast_1d(ss), tip_panel=inner_tip, tip_eps=0.0
         )
 
     # off-node evaluation points on the central 90% of each arc
@@ -196,7 +196,7 @@ def cauchy_inversion_checks(contour, trials, rule=FINE_RULE):
         ]
     )
     at = contour.wrap(at)
-    twice = singular_apply(contour, s_phi, rule, at=at, tip_panel=outer_tip)
+    twice = singular_apply(contour, s_phi, FINE_RULE, at=at, tip_panel=outer_tip)
     errs = np.max(np.abs(twice - stacked(at)), axis=-1)
     return [
         ValidationCheck(
@@ -287,16 +287,14 @@ def original_bc_residual(dset, setup, s_samples=None, scale=None):
     )
 
 
-def stress_trace(dset, setup, s0, phase, side, rule=FINE_RULE):
+def stress_trace(dset, setup, s0, phase, rule=FINE_RULE):
     """One-sided stress trace through the full integral representation.
 
     ``s0`` is a field point or an array of them; points that share a tip
     grading share one discretization and one PV evaluation.  ``phase`` is
-    "inclusion" or "matrix" and ``side`` is "plus" or "minus".
+    "inclusion" (the '+' trace) or "matrix" (the '-' trace).
     """
     phase = setup.phase(phase)
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     contour = setup.contour
     s_all = np.asarray(s0, dtype=float)
     s_flat = s_all.ravel()
@@ -311,17 +309,16 @@ def stress_trace(dset, setup, s0, phase, side, rule=FINE_RULE):
     out = np.empty(s_flat.shape, dtype=complex)
     for j, (tip_panel, diag_eps) in enumerate(keys.T):
         idx = np.flatnonzero(group.ravel() == j)
-        out[idx] = _stress_traces(dset, setup, s_flat[idx], phase, side, rule, tip_panel, diag_eps)
+        out[idx] = _stress_traces(dset, setup, s_flat[idx], phase, rule, tip_panel, diag_eps)
     return out[0] if s_all.ndim == 0 else out.reshape(s_all.shape)
 
 
-def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
+def _stress_traces(dset, setup, s0, phase, rule, tip_panel, diag_eps):
     """stress_trace at the points s0, all graded with tip_panel and the
     regular kernels' radius diag_eps, for a Phase."""
     contour = setup.contour
     g_name, q_name, kappa = phase.g, phase.q, phase.kappa
     g_const, gp_const = phase.far_field
-    sign = {"plus": +1.0, "minus": -1.0}[side]
 
     disc = rule.discretize(contour, tip_panel=tip_panel)
     tau, dt, w = disc.tau, disc.dt, disc.w
@@ -345,7 +342,7 @@ def _stress_traces(dset, setup, s0, phase, side, rule, tip_panel, diag_eps):
     c_kap = 1.0 / ((kappa + 1.0) * 1j * np.pi)
     ratio = np.conj(dt0) / dt0
     return (
-        sign * dset.eval(q_name, s0)
+        phase.sign * dset.eval(q_name, s0)
         + (2.0 * pv_g + b1g) / (2.0 * np.pi)
         + b2g / (2.0 * np.pi)
         + c_kap * ((1.0 - kappa) * pv_q - kappa * b1q)
@@ -382,7 +379,7 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
     if scale is None:
         scale = max(setup.load.magnitude, float(np.max(np.abs(dset.eval("q0", s_samples)))), 1e-12)
     def mismatch(phase):
-        trace = stress_trace(dset, setup, s_samples, phase.name, phase.side)
+        trace = stress_trace(dset, setup, s_samples, phase.name)
         return np.max(np.abs(trace - phase.sign * 2.0 * dset.eval(phase.q, s_samples)) / scale, initial=0.0)
 
     worst = max(mismatch(phase) for phase in setup.phases)
@@ -394,7 +391,7 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
     )
 
 
-def conservation_checks(dset, setup, rule=FINE_RULE):
+def conservation_checks(dset, setup):
     """Total-force and single-valuedness integrals by independent quadrature.
 
     The tip panels are graded like the inversion check's inner rule, so the
@@ -406,11 +403,11 @@ def conservation_checks(dset, setup, rule=FINE_RULE):
     tip_panel = INNER_TIP_GRADING * contour.l
     phases = setup.phases
     force = contour_integral(
-        contour, lambda ss: sum(p.sign * dset.eval(p.q, ss) for p in phases), rule, tip_panel=tip_panel
+        contour, lambda ss: sum(p.sign * dset.eval(p.q, ss) for p in phases), FINE_RULE, tip_panel=tip_panel
     )
     single = sum(
         p.slope_factor
-        * contour_integral(contour, lambda ss: dset.eval(p.g, ss), rule, arc=0, tip_panel=tip_panel)
+        * contour_integral(contour, lambda ss: dset.eval(p.g, ss), FINE_RULE, arc=0, tip_panel=tip_panel)
         for p in phases
     )
     return [

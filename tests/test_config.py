@@ -174,3 +174,10 @@ def test_scenario_configs_build():
         assert rc.numerics.order >= 4
     with pytest.raises(KeyError):
         cs.scenario_config("fig99")
+    # An explicit order, 0 included, replaces the preset's; the solve then
+    # refuses order 0 with the error that names it.
+    assert cs.scenario_config("fig1", order=12).numerics.order == 12
+    rc = cs.scenario_config("fig1", order=0)
+    assert rc.numerics.order == 0
+    with pytest.raises(ValueError, match="order must be at least 4, got 0"):
+        cs.solve_problem(rc.setup, rc.numerics.order)

@@ -7,6 +7,7 @@ from crackst.kernels import (
     FINE_RULE,
     Discretization,
     QuadratureRule,
+    _graded_edges,
     _regular_kernels,
 )
 from reference_kernels import kernel_k1, kernel_k2
@@ -138,7 +139,7 @@ def test_discretization_weights_sum_to_arc_lengths(circle, rule):
     assert np.sum(disc.w[disc.arc == 0]) == pytest.approx(circle.l0)
     assert np.sum(disc.w[disc.arc == 1]) == pytest.approx(circle.l - circle.l0)
     # per-panel weights sum to the panel width
-    edges = np.asarray(disc.panel_edges[0])
+    edges = _graded_edges(0.0, circle.l0, rule.panels_per_arc, None)
     npp = rule.nodes_per_panel
     widths = np.diff(edges)
     sums = np.add.reduceat(disc.w[disc.arc == 0], np.arange(0, widths.size * npp, npp))

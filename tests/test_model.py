@@ -137,8 +137,7 @@ def test_tractions_presets():
     t = cs.CrackTractions.constant(f1=1.0 + 2.0j, f2=-0.5j)
     assert np.allclose(t.f1(s), 1.0 + 2.0j)
     assert np.allclose(t.f2(s), -0.5j)
-    assert np.allclose(t.scaled(2.0).f1(s), 2.0 + 4.0j)
-    assert t.scaled(2.0).constants == (2.0 + 4.0j, -1.0j) and z.constants == (0j, 0j)
+    assert t.constants == (1.0 + 2.0j, -0.5j) and z.constants == (0j, 0j)
 
 
 def test_tractions_reject_nonfinite():
@@ -189,7 +188,7 @@ def test_unknown_phase_is_rejected_alike(reference_setup):
     dset = cs.DensitySet.zeros(6, np.pi, 2 * np.pi)
     calls = [
         lambda: reference_setup.phase("solid"),
-        lambda: cs.validation.stress_trace(dset, reference_setup, 1.0, "solid", "plus"),
+        lambda: cs.validation.stress_trace(dset, reference_setup, 1.0, "solid"),
         lambda: cs.potentials_at(dset, reference_setup, 0.1 + 0.1j, "solid"),
     ]
     messages = set()

@@ -118,9 +118,9 @@ def test_stress_trace_resolves_a_near_tip_layer(reference_setup, resolved):
     field, _ = resolved
     finer = cs.QuadratureRule(nodes_per_panel=24, panels_per_arc=32, adaptive=False)
     for s0 in (cs.tip_ladder(reference_setup)[-1], 1.0):
-        for phase, side in (("inclusion", "plus"), ("matrix", "minus")):
-            coarse = validation.stress_trace(field, reference_setup, s0, phase, side)
-            fine = validation.stress_trace(field, reference_setup, s0, phase, side, rule=finer)
+        for phase in ("inclusion", "matrix"):
+            coarse = validation.stress_trace(field, reference_setup, s0, phase)
+            fine = validation.stress_trace(field, reference_setup, s0, phase, rule=finer)
             assert abs(coarse - fine) < 1e-2 * validation.TRACE_TOL
 
 
@@ -167,12 +167,12 @@ def test_batched_stress_trace_matches_single_points(reference_setup, reference_s
     ladder = cs.tip_ladder(reference_setup)
     s = np.concatenate([[0.7, 2.0, 4.1, 5.6], ladder, contour.l0 - ladder, contour.l - ladder])
     for field in (reference_solution[0], resolved[0]):
-        for phase, side in (("inclusion", "plus"), ("matrix", "minus")):
-            batched = validation.stress_trace(field, reference_setup, s, phase, side)
-            single = [validation.stress_trace(field, reference_setup, x, phase, side) for x in s]
+        for phase in ("inclusion", "matrix"):
+            batched = validation.stress_trace(field, reference_setup, s, phase)
+            single = [validation.stress_trace(field, reference_setup, x, phase) for x in s]
             assert np.ndim(single[0]) == 0
             assert np.allclose(batched, single, rtol=1e-12, atol=0.0)
-    square = validation.stress_trace(resolved[0], reference_setup, s[:4].reshape(2, 2), "inclusion", "plus")
+    square = validation.stress_trace(resolved[0], reference_setup, s[:4].reshape(2, 2), "inclusion")
     assert square.shape == (2, 2)
 
 
