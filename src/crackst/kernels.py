@@ -10,8 +10,9 @@ with t' the unit tangent at the field point.  Both are smooth along a smooth
 contour; their diagonal limits are i*rho/t' and -i*rho/conj(t'), and both
 vanish identically on straight segments.  Close to the diagonal the raw
 quotients cancel, so every kernel evaluation (the solver's tables and the
-stress traces) goes through _regular_kernels, which switches to a
-second-order expansion about the field point there.
+stress traces) goes through _regular_kernels: a second-order expansion about
+the field point for the near pairs (an exact test on a cheap test's
+candidates), and elsewhere both raw quotients from one reciprocal 1/(tau - t).
 
 Principal values of Cauchy integrals over the closed contour are computed by
 singularity subtraction,
@@ -43,7 +44,7 @@ themselves change with the thread count).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,26 +97,36 @@ def _regular_kernels(contour, s_field, t, dt, s_src, tau, eps):
         k1 = i*(rho + rho'*d/3)/t' + O(d**2)
         k2 = -i*(rho + rho'*d/3 + i*rho**2*d)/conj(t') + O(d**2)
 
-    with rho, rho' and t' at the field point; on a circle k1 is exact.
+    with rho, rho' and t' at the field point; on a circle k1 is exact.  Only
+    the candidates of a cheap test (|s_src - s_field| within 2 eps of 0 or
+    past l - 2 eps, near the seam s = 0 == l) take the exact signed d.  Both
+    raw quotients use one reciprocal inv = 1/dz, dz = tau - t: -1/dz is -inv
+    and 1/conj(dz) is conj(inv), bit for bit.
     """
     l = contour.l
-    d = np.mod(s_src - s_field + 0.5 * l, l) - 0.5 * l
-    near = np.abs(d) < eps
-    # Both quotients share dz = tau - t; conj(dz) is conj(tau) - conj(t) bit for bit.
-    dz = np.asarray(tau - t, dtype=complex)
+    gap = np.asarray(s_src - s_field)
+    cand = (np.abs(gap, out=gap) < 2.0 * eps) | (gap > l - 2.0 * eps)
+    src, field = (np.broadcast_to(s, cand.shape)[cand] for s in (s_src, s_field))
+    d = np.mod(src - field + 0.5 * l, l) - 0.5 * l
+    near = np.zeros_like(cand)
+    near[cand] = keep = np.abs(d) < eps
+    d = d[keep]
+    # conj(dz) is conj(tau) - conj(t) bit for bit; dz is at least 1-d to be worked in place.
+    dz = np.atleast_1d(tau - t).astype(complex, copy=False)
     dz[near] = 1.0
-    dbar, ratio = np.conj(dz), np.conj(dt) / dt
-    out1 = np.asarray(-1.0 / dz + ratio / dbar, dtype=complex)
-    out2 = np.asarray(1.0 / dbar - dz / dbar**2 * ratio, dtype=complex)
+    dbar, ratio, inv = np.conj(dz), np.conj(dt) / dt, 1.0 / dz
+    out1 = ratio / dbar - inv
+    dz /= np.square(dbar, out=dbar)
+    dz *= ratio
+    out2 = np.subtract(np.conj(inv, out=inv), dz, out=inv)
     if np.any(near):
         s_near = np.broadcast_to(s_field, near.shape)[near]
         dt_near = np.broadcast_to(dt, near.shape)[near]
-        d_near = d[near]
         rho = contour.curvature(s_near)
-        lin = rho + contour.curvature_derivative(s_near) * d_near / 3.0
+        lin = rho + contour.curvature_derivative(s_near) * d / 3.0
         out1[near] = 1j * lin / dt_near
-        out2[near] = -1j * (lin + 1j * rho**2 * d_near) / np.conj(dt_near)
-    return out1, out2
+        out2[near] = -1j * (lin + 1j * rho**2 * d) / np.conj(dt_near)
+    return out1.reshape(near.shape), out2.reshape(near.shape)
 
 
 def _graded_edges(lo, hi, base_panels, tip_panel):
@@ -190,20 +201,16 @@ class QuadratureRule:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.nodes_per_panel < 4:
-            raise ValueError(
-                f"need at least 4 nodes per panel, got {self.nodes_per_panel}"
-            )
-        if self.panels_per_arc < 1:
-            raise ValueError(f"need at least 1 panel per arc, got {self.panels_per_arc}")
+        for name, least in (("nodes_per_panel", 4), ("panels_per_arc", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not isinstance(self.adaptive, (bool, np.bool_)):
+            raise ValueError(f"adaptive must be a bool, got {self.adaptive!r}")
 
     def refined(self):
         """The same rule with twice the panels per arc."""
-        return QuadratureRule(
-            nodes_per_panel=self.nodes_per_panel,
-            panels_per_arc=self.panels_per_arc * 2,
-            adaptive=self.adaptive,
-        )
+        return replace(self, panels_per_arc=self.panels_per_arc * 2)
 
     def discretize(self, contour, tip_panel=None):
         """Nodes, weights and cached geometry for both arcs of the contour.

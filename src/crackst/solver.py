@@ -522,6 +522,8 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     reports the same drift.  ``rule`` and ``basis`` are those of
     ``solve_cases``.
     """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"polynomial order must be an integer, got {n!r}")
     if n < MIN_ORDER:
         raise ValueError(f"polynomial order must be at least {MIN_ORDER}, got {n}")
     if not setups:
@@ -669,12 +671,16 @@ class _Elimination:
         self.keep = np.delete(np.arange(self.free.size), self.dep)
         self.t = -np.take(c, self.keep, axis=1)  # C order, which einsum runs 4x faster on
         self.cols, self.kept_sources = self.free[self.keep], np.searchsorted(self.keep, self.sources)
+        self.col_runs, self.linked_runs = (  # reduce copies each run of consecutive columns as one slice
+            np.split(i, np.flatnonzero(np.diff(i) != 1) + 1) for i in (self.cols, self.linked)
+        )
 
     def reduce(self, rows, out):
         """Rows over the full vector as rows of the system, written to out;
         einsum, unlike BLAS, rounds each entry alike in any block of rows."""
-        np.take(rows, self.cols, axis=1, out=out)
-        out[:, self.kept_sources] += self.lam * np.take(rows, self.linked, axis=1)
+        np.concatenate([rows[:, r[0]:r[-1] + 1] for r in self.col_runs], axis=1, out=out)
+        linked = np.concatenate([rows[:, r[0]:r[-1] + 1] for r in self.linked_runs], axis=1)
+        out[:, self.kept_sources] += self.lam * linked
         out += np.einsum("ik,kj->ij", np.take(rows, self.free[self.dep], axis=1), self.t)
 
     def expand(self, x):
@@ -983,11 +989,13 @@ def _householder_qr(mat):
     """(qrt, tau): LAPACK geqrf's QR of mat [rows, cols] with its output
     transposed, qrt [cols, rows] (R^T on and below the diagonal of its
     leading columns, reflector j in row j past the diagonal), computed in
-    place in one C-ordered copy of mat^T, which LAPACK reads as mat in
-    column order.  np.linalg.qr(mat, mode="raw") gives the same (qrt, tau)
-    bit for bit, but holds a second copy of mat in its own buffer."""
+    place in one C-ordered copy of mat^T, filled 256 rows of mat at a time
+    and read by LAPACK as mat in column order.  np.linalg.qr(mat, "raw")
+    gives the same bit for bit, but holds a second copy of mat."""
     m, n = mat.shape
-    qrt = np.array(mat.T, dtype=float, order="C")
+    qrt = np.empty((n, m))
+    for r0 in range(0, m, 256):
+        qrt[:, r0:r0 + 256] = mat[r0:r0 + 256].T
     tau, work = np.empty(min(m, n)), np.empty(1)
     lapack_lite.dgeqrf(m, n, qrt, m, tau, work, -1, 0)  # workspace query
     work = np.empty(int(work[0]))

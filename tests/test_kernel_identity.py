@@ -110,16 +110,40 @@ def test_one_blas_thread_sets_and_restores_the_count():
     assert get() == before
 
 
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("tip", TIP_PANELS)
 def test_regular_kernels_match_raw_reference(contour, tip):
+    """Bit for bit in the [field x node] layout of the stress traces, the
+    [node x field] layout of the solver's tables and on 0-d inputs; at
+    eps = 1e-3 l near pairs straddle the seam s = 0 == l."""
     disc = QuadratureRule().discretize(contour, None if tip is None else tip * contour.l)
-    for eps in (DIAG_EPS_FACTOR * contour.l, 1e-3 * contour.l):
+    l = contour.l
+    for eps in (DIAG_EPS_FACTOR * l, 1e-3 * l):
         for name, at in _field_sets(contour, disc).items():
-            at = at[:: 1 + at.size // 200]  # a [field x node] matrix per set
-            args = (contour, at[:, None], contour.point(at)[:, None], contour.tangent(at)[:, None],
-                    disc.s, disc.tau, eps)
+            at = at[:: 1 + at.size // 200]
+            t, dt = contour.point(at), contour.tangent(at)
+            layouts = {
+                "field x node": (contour, at[:, None], t[:, None], dt[:, None], disc.s, disc.tau, eps),
+                "node x field": (contour, at, t, dt, disc.s[:, None], disc.tau[:, None], eps),
+            }
+            for layout, args in layouts.items():
+                for got, want in zip(_regular_kernels(*args), ref.regular_kernels(*args)):
+                    assert _same_bits(got, want), (name, layout, eps)
+    # 0-d field points and nodes within 2e-3 l of each other, across the seam too.
+    eps = 1e-3 * l
+    at = _field_sets(contour, disc)["tips"]
+    seam = 0
+    for s in at:
+        gap = np.abs(np.mod(disc.s - s + 0.5 * l, l) - 0.5 * l)
+        for q in np.flatnonzero(gap < 2.0 * eps):
+            seam += abs(disc.s[q] - s) > 0.5 * l and gap[q] < eps
+            args = (contour, s, contour.point(s), contour.tangent(s), disc.s[q], disc.tau[q], eps)
             for got, want in zip(_regular_kernels(*args), ref.regular_kernels(*args)):
-                assert np.array_equal(got, want), (name, eps)
+                assert _same_bits(got, want), (s, disc.s[q])
+    assert seam > 0
 
 
 @pytest.mark.parametrize("tip", TIP_PANELS)

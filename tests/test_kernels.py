@@ -133,6 +133,30 @@ def test_quadrature_rule_validation():
         QuadratureRule(panels_per_arc=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"nodes_per_panel": 8.5}, "nodes_per_panel"),
+        ({"nodes_per_panel": 16.0}, "nodes_per_panel"),
+        ({"nodes_per_panel": True}, "nodes_per_panel"),
+        ({"panels_per_arc": 8.5}, "panels_per_arc"),
+        ({"panels_per_arc": "8"}, "panels_per_arc"),
+        ({"adaptive": "no"}, "adaptive"),
+        ({"adaptive": 0}, "adaptive"),
+    ],
+)
+def test_quadrature_rule_rejects_non_integral_counts_and_non_bool_adaptive(kwargs, field):
+    # These used to fail deep in np.linspace, or ("no") to act as adaptive.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        QuadratureRule(**kwargs)
+
+
+def test_quadrature_rule_accepts_numpy_integers_and_bools():
+    rule = QuadratureRule(np.int64(16), np.int32(4), np.bool_(False))
+    assert rule == QuadratureRule(16, 4, False)
+    assert rule.refined().panels_per_arc == 8 and rule.refined().adaptive is rule.adaptive
+
+
 def test_discretization_weights_sum_to_arc_lengths(circle, rule):
     disc = rule.discretize(circle)
     assert isinstance(disc, Discretization)

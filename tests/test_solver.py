@@ -678,6 +678,36 @@ def test_householder_qr_in_place_matches_numpy(reference_setup):
     assert np.array_equal(r, np.triu(h.T[:n]) / scale)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "view"])
+def test_householder_qr_matches_numpy_raw_qr_on_any_layout(layout):
+    """The blocked copy into qrt takes C-ordered, F-ordered and strided input;
+    600 rows leave a partial last block of the 256-row copy."""
+    base = np.random.default_rng(5).standard_normal((1200, 74))
+    mat = {
+        "C": np.ascontiguousarray(base[:600, :37]),
+        "F": np.asfortranarray(base[:600, :37]),
+        "view": base[::2, 1::2],
+    }[layout]
+    assert mat.shape == (600, 37) and mat.flags.c_contiguous == (layout == "C")
+    assert mat.flags.f_contiguous == (layout == "F")
+    h, tau = np.linalg.qr(mat, mode="raw")
+    qrt, tau_in_place = solver._householder_qr(mat)
+    assert qrt.flags.c_contiguous and np.array_equal(qrt, h) and np.array_equal(tau_in_place, tau)
+
+
+@pytest.mark.parametrize("order", [16.5, 16.0, True, "16"])
+def test_solve_rejects_a_non_integral_order(reference_setup, order):
+    # 16.5 used to fail deep in np.linspace with a TypeError.
+    with pytest.raises(ValueError, match=f"polynomial order must be an integer, got {re.escape(repr(order))}"):
+        solver.solve_problem(reference_setup, order)
+
+
+def test_assemble_accepts_a_numpy_integer_order(reference_setup):
+    want = cs.assemble(reference_setup, 8)
+    got = cs.assemble(reference_setup, np.int64(8))
+    assert np.array_equal(got.matrix, want.matrix) and np.array_equal(got.rhs, want.rhs)
+
+
 def test_solve_does_not_load_numpy_random():
     # The Krylov iterations start from a fixed block; numpy.random would add
     # about 6 MB to a process that never loads it otherwise.
