@@ -98,7 +98,9 @@ def _check_choice(parser, section, key, choice):
 
 
 def parse_config_text(text):
-    parser = configparser.ConfigParser()
+    """Parse config text into a RunConfig.  Values are read literally: a
+    '%' is a character, not an interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -192,29 +194,21 @@ def parse_config(path):
 
 
 def dump_config(run_config):
-    """Serialize a RunConfig back to config text (round-trips parse_config).
-    Tractions other than the zero and constant presets raise ConfigError."""
+    """Serialize a RunConfig back to config text (round-trips parse_config):
+    values are written literally, and the contour's crack angles are those it
+    was built with, so the parsed contour is bit-equal.  Tractions other than
+    the zero and constant presets raise ConfigError."""
     setup = run_config.setup
     contour = setup.contour
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if isinstance(contour, CircleContour):
-        parser["contour"] = {
-            "kind": "circle",
-            "radius": repr(contour.radius),
-            "crack_start_rad": repr(contour.theta0),
-            "crack_end_rad": repr(contour.theta0 + contour.l0 / contour.radius),
-        }
+        shape = {"kind": "circle", "radius": repr(contour.radius)}
     elif isinstance(contour, EllipseContour):
-        theta_end = float(contour._s_to_theta(contour.l0))
-        parser["contour"] = {
-            "kind": "ellipse",
-            "semi_axis_a": repr(contour.a),
-            "semi_axis_b": repr(contour.b),
-            "crack_start_rad": repr(contour._theta_start),
-            "crack_end_rad": repr(theta_end),
-        }
+        shape = {"kind": "ellipse", "semi_axis_a": repr(contour.a), "semi_axis_b": repr(contour.b)}
     else:
         raise ConfigError("only circle and ellipse contours can be serialized")
+    start, end = contour.crack_arc
+    parser["contour"] = {**shape, "crack_start_rad": repr(start), "crack_end_rad": repr(end)}
     for name, mat in (("matrix", setup.matrix), ("inclusion", setup.inclusion)):
         parser[name] = {
             "mu_gpa": repr(mat.shear_modulus),

@@ -112,6 +112,7 @@ class CircleContour(Contour):
 
     s = 0 maps to polar angle ``crack_start``; the crack is traced
     counterclockwise to ``crack_end``, then the bonded arc closes the circle.
+    ``crack_arc`` keeps (crack_start, crack_end) as given.
     """
 
     def __init__(self, radius, crack_start, crack_end):
@@ -124,7 +125,8 @@ class CircleContour(Contour):
                 f"crack angular span must lie strictly between 0 and 2*pi, got {span}"
             )
         self.radius = float(radius)
-        self.theta0 = float(crack_start)
+        self.crack_arc = (float(crack_start), float(crack_end))
+        self.theta0 = self.crack_arc[0]
         self.l0 = float(radius * span)
         self.l = float(2.0 * np.pi * radius)
 
@@ -162,7 +164,6 @@ class _ReparametrizedContour(Contour):
         self._theta_grid = grid
         self._s_grid = np.concatenate(([0.0], np.cumsum(seg)))
         self.l = float(self._s_grid[-1])
-        self._theta_start = float(theta_start)
         span = theta_crack_end - theta_start
         if not 0.0 < span < two_pi:
             raise ValueError(
@@ -241,7 +242,8 @@ class EllipseContour(_ReparametrizedContour):
     """Axis-aligned ellipse x = a*cos(theta), y = b*sin(theta).
 
     The crack spans the parameter interval [crack_start, crack_end]; s = 0
-    corresponds to theta = crack_start.
+    corresponds to theta = crack_start.  ``crack_arc`` keeps (crack_start,
+    crack_end) as given.
     """
 
     def __init__(self, a, b, crack_start, crack_end):
@@ -250,7 +252,8 @@ class EllipseContour(_ReparametrizedContour):
             raise ValueError(f"semi-axes must be positive, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._init_maps(float(crack_start), float(crack_end))
+        self.crack_arc = (float(crack_start), float(crack_end))
+        self._init_maps(*self.crack_arc)
 
     def _r(self, theta):
         return self.a * np.cos(theta) + 1j * self.b * np.sin(theta)

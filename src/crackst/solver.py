@@ -380,25 +380,16 @@ class _LegendreBasis:
         arc's functions at its arc lengths s."""
         h = self.halves[arc]
         vander = L.legvander((np.asarray(s, dtype=float) - self.centers[arc]) / h, self.degree)
-        return self._derived(vander, arc, order)
-
-    def _derived(self, vander, arc, order):
-        """The order-th s-derivatives of the polynomials whose values at some
-        points of the arc are ``vander``."""
-        return vander if order == 0 else vander @ self._derivatives[order - 1] / self.halves[arc] ** order
+        return vander if order == 0 else vander @ self._derivatives[order - 1] / h**order
 
     def table(self, arc, s, order=0):
         """``functions(arc, s, order)`` as a read-only array, memoized on the
         basis (geometry._memoized) and keyed on the arc, the order and the
-        points' shape and bytes."""
+        points' shape and bytes.  Every table of every basis comes from
+        ``functions``, derivatives included."""
         s = np.asarray(s, dtype=float)
         key = (arc, order, s.shape, s.tobytes())
-        return _memoized(self, "_tables", key, lambda: self._tabulate(arc, s, order))
-
-    def _tabulate(self, arc, s, order):
-        """A table for ``table`` to keep: derivatives from the memoized values,
-        with the arithmetic of ``functions``."""
-        return self.functions(arc, s) if order == 0 else self._derived(self.table(arc, s), arc, order)
+        return _memoized(self, "_tables", key, lambda: self.functions(arc, s, order))
 
     def densities(self, full):
         """The DensitySet of the full coefficient vector."""
@@ -422,11 +413,13 @@ class _Tables:
     Cauchy principal value A, the regular-kernel integrals B1 (against
     d tau) and B2 (against conj(d tau)), the plain moments Q, and the values
     and first two s-derivatives V at the collocation points of the
-    function's own arc (``values``, from ``_point_values``, which the levels
-    of one assembly share); all are keyed by arc, one row per function.
+    function's own arc (``_point_values``, from the basis' memo, so the levels
+    of one assembly tabulate them once); all are keyed by arc, one row per
+    function.
     """
 
-    def __init__(self, contour, pts, arc_of_pt, disc, basis, values):
+    def __init__(self, contour, pts, arc_of_pt, disc, basis):
+        self.V = values = _point_values(basis, pts, arc_of_pt)
         t_p = contour.point(pts)
         dt_p = contour.tangent(pts)
         self.pts, self.arc_of_pt, self.t_p, self.dt_p = pts, arc_of_pt, t_p, dt_p
@@ -439,7 +432,7 @@ class _Tables:
         cmat, near_q, near_p = _cauchy_matrix(disc, pts, t_p, arc_of_pt, dd_eps)
         g_all = np.sum(cmat, axis=0)
 
-        self.A, self.B1, self.B2, self.Q, self.V = {}, {}, {}, {}, values
+        self.A, self.B1, self.B2, self.Q = {}, {}, {}, {}
         for arc in (0, 1):
             # The mask copies the arc's rows of cmat: with views of them the
             # N = 64 solve peaks 7% higher in resident memory (glibc heap state).
@@ -545,13 +538,12 @@ def _assemble_cases(setups, n, rule=None, basis=None):
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
 
     t0 = time.perf_counter()
-    values = _point_values(basis, pts, arc_of_pt)  # the same at every level
     tab = drift = None
     for level in range(1 + MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
         if level:
             rule = rule.refined()
         disc = rule.discretize(contour, 0.5 * delta)
-        coarse, tab = tab, _Tables(contour, pts, arc_of_pt, disc, basis, values)
+        coarse, tab = tab, _Tables(contour, pts, arc_of_pt, disc, basis)
         if coarse is not None:
             drift = tab.drift_from(coarse)
             if drift < MATRIX_STABILITY_TOL:

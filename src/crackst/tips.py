@@ -112,16 +112,17 @@ class _LogBasis:
         """Inverse map: the distances d at which the variable takes values x."""
         return self.width * np.exp((np.asarray(x, dtype=float) - 1.0) / self._dx)
 
-    def _derivative_terms(self, kind, order):
+    def _derivative_terms(self, kind, order, slope):
         """{j: [k+1, k]} with the order-th u-derivative = sum_j u^(j-order) T(x) @ g_j.
 
         d^n/du^n f = u^-n (D - n + 1) ... (D - 1) D f with D = u d/du, and
-        D [u^j S(x)] = u^j (j S + x' S'), x' = u dx/du constant.
+        D [u^j S(x)] = u^j (j S + x' S'), x' = u dx/du = ``slope``: the map's
+        dx/dlog(u) above d_min, and 0 in the frozen region below it.
         """
         terms = {m: coef.T for m, coef in self._terms[kind].items()}
         for n in range(order):
             terms = {
-                j: (j - n) * g + self._dx * np.pad(C.chebder(g), ((0, 1), (0, 0)))
+                j: (j - n) * g + slope * np.pad(C.chebder(g), ((0, 1), (0, 0)))
                 for j, g in terms.items()
             }
         return terms
@@ -130,22 +131,17 @@ class _LogBasis:
         """[len(d), k]: the order-th d-derivatives of the kind's functions."""
         d = np.asarray(d, dtype=float)
         u = d / self.width
-        u_in = np.maximum(u, self.d_min / self.width)
-        x = 1.0 + self._dx * np.log(u_in)
+        frozen = d <= self.d_min
+        x = 1.0 + self._dx * np.log(np.maximum(u, self.d_min / self.width))
+        x[frozen] = -1.0
         vander = C.chebvander(x, self.k)
         out = np.zeros((d.size, self.k))
-        terms = _memoized(self, "_derived_terms", (kind, order), lambda: self._derivative_terms(kind, order))
-        for j, g in terms.items():
-            out += (vander @ g) * (u_in ** (j - order))[:, None]
-        frozen = d <= self.d_min
-        if np.any(frozen):
-            # There u^m S(-1) has the derivatives m!/(m-n)! u^(m-n) S(-1).
-            vander = C.chebvander(-1.0, self.k)
-            out[frozen] = 0.0
-            for m, coef in self._terms[kind].items():
-                if m >= order:
-                    falling = np.prod(np.arange(m, m - order, -1.0))
-                    out[frozen] += falling * np.outer(u[frozen] ** (m - order), vander @ coef.T)
+        for rows, slope in ((~frozen, self._dx), (frozen, 0.0)):
+            key = (kind, order, slope)
+            terms = _memoized(self, "_derived_terms", key, lambda: self._derivative_terms(*key))
+            for j, g in terms.items():
+                if np.any(g):  # u^(j-order) is infinite at d = 0 where g_j vanishes
+                    out[rows] += (vander[rows] @ g) * (u[rows] ** (j - order))[:, None]
         return out / self.width**order
 
 
@@ -203,11 +199,6 @@ class TipEnrichedBasis(_LegendreBasis):
                     z[near] = self.zone.values(kind, np.maximum(d[near], 0.0), order) * sign**order
                 out.append(z)
         return np.hstack(out)
-
-    def _tabulate(self, arc, s, order):
-        """Every order of the full table from ``functions``: the zone series
-        are not linear in their values."""
-        return self.functions(arc, s, order)
 
     def collocation_points(self):
         """On each arc, OVERSAMPLE times as many points as the arc has

@@ -80,13 +80,12 @@ def assemble_cases(setups, n, rule=None, basis=None):
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
 
-    values = solver._point_values(basis, pts, arc_of_pt)
     level_rule, tables, drifts = rule, [], []
     for level in range(1 + solver.MAX_ADAPTIVE_ROUNDS if rule.adaptive else 1):
         if level:
             level_rule = level_rule.refined()
         disc = level_rule.discretize(contour, 0.5 * basis.delta)
-        tables.append(solver._Tables(contour, pts, arc_of_pt, disc, basis, values))
+        tables.append(solver._Tables(contour, pts, arc_of_pt, disc, basis))
         if level:
             drifts.append(drift(*tables[-2:]))
             if drifts[-1] < solver.MATRIX_STABILITY_TOL:

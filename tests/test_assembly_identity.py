@@ -94,7 +94,7 @@ def test_per_arc_kernel_tables_match_sliced_reference(reference_setup, enriched)
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
     disc = rule.discretize(contour, 0.5 * basis.delta)
-    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis, solver._point_values(basis, pts, arc_of_pt))
+    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
     want_b1, want_b2 = ref.regular_tables(contour, pts, arc_of_pt, disc, basis)
     assert tab.B1.keys() == want_b1.keys() and tab.B2.keys() == want_b2.keys()
     for key in want_b1:
@@ -138,11 +138,9 @@ def test_groups_share_the_drift_of_the_call():
     points = basis.collocation_points()
     pts = np.concatenate(points)
     arc_of_pt = np.repeat([0, 1], [points[0].size, points[1].size])
-    rule, values = cs.QuadratureRule(), solver._point_values(basis, pts, arc_of_pt)
+    rule, contour = cs.QuadratureRule(), setups[0].contour
     coarse, fine = (
-        solver._Tables(
-            setups[0].contour, pts, arc_of_pt, r.discretize(setups[0].contour, 0.5 * basis.delta), basis, values
-        )
+        solver._Tables(contour, pts, arc_of_pt, r.discretize(contour, 0.5 * basis.delta), basis)
         for r in (rule, rule.refined())
     )
     for _, cases in systems:

@@ -178,6 +178,13 @@ def test_malformed_config_names_invariant(tmp_path, capsys):
     assert "Poisson" in err
 
 
+def test_percent_sign_is_read_as_a_character(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(BASE.format(sigma1=1.0, gamma_i=0.1).replace("order = 8", "order = 12%"))
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert "config error: bad value for [numerics] order: '12%'" in capsys.readouterr().err
+
+
 def test_order_override(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "o12")

@@ -160,6 +160,30 @@ def test_dump_roundtrip():
         }
 
 
+def test_values_are_read_and_written_literally():
+    """A '%' is a character, not the start of an interpolation."""
+    with pytest.raises(ConfigError, match=r"bad value for \[numerics\] order: '12%'"):
+        parse_config_text(GOOD.replace("order = 12", "order = 12%"))
+    rc = replace(parse_config_text(GOOD), output_dir="runs/100%")
+    assert parse_config_text(dump_config(rc)).output_dir == "runs/100%"
+
+
+@pytest.mark.parametrize(
+    "contour",
+    [
+        # Written as theta0 + l0 / radius and _s_to_theta(l0), these crack ends came back with l0 one ulp off.
+        cs.CircleContour(1.7828404614306053, 2.2592225784994833, 5.143489922716346),
+        cs.EllipseContour(1.6635367821527425, 0.9632860440788915, -1.3809792869951991, 3.838805876883912),
+    ],
+)
+def test_dumped_contour_is_bit_equal(contour):
+    rc = parse_config_text(GOOD)
+    back = parse_config_text(dump_config(replace(rc, setup=replace(rc.setup, contour=contour)))).setup.contour
+    assert type(back) is type(contour)
+    assert (back.l0, back.l) == (contour.l0, contour.l)
+    assert back.crack_arc == contour.crack_arc
+
+
 def test_dump_rejects_tractions_no_preset_describes():
     rc = parse_config_text(GOOD)
     custom = replace(rc, setup=replace(rc.setup, tractions=cs.CrackTractions(f1=np.sin)))

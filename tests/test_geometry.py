@@ -214,5 +214,5 @@ def test_log_basis_derivative_terms_are_memoized_read_only():
         first = basis.values("g_re", d, order)
         assert np.array_equal(basis.values("g_re", d, order), first)  # from the memo
         assert np.array_equal(first, fresh.values("g_re", d, order))
-    terms = basis._derived_terms[("g_re", 2)]
+    terms = basis._derived_terms[("g_re", 2, basis._dx)]
     assert all(not g.flags.writeable for g in terms.values())

@@ -498,8 +498,9 @@ def test_fig6_grid_tabulates_each_point_set_once(monkeypatch):
 
 @pytest.mark.parametrize("levels", [1, 1 + solver.MAX_ADAPTIVE_ROUNDS])
 def test_assembly_tabulates_collocation_points_once(reference_setup, monkeypatch, levels):
-    """V, the basis at the collocation points, is the same at every
-    quadrature level; only the node tables are built per level."""
+    """Every table comes from one ``functions`` call per (arc, point set,
+    order): V, the basis at the collocation points, is read from the basis'
+    memo at every quadrature level; only the node tables are built per level."""
     monkeypatch.setattr(solver, "MATRIX_STABILITY_TOL", 0.0)  # every refinement runs
     calls, values = _counting_functions(monkeypatch), []
     init = solver._Tables.__init__
@@ -512,10 +513,11 @@ def test_assembly_tabulates_collocation_points_once(reference_setup, monkeypatch
     rule = cs.QuadratureRule(adaptive=levels > 1)
     ((system, _),) = solver._assemble_cases([reference_setup], 8, rule=rule)
     assert system.meta["batch"]["table_builds"] == len(values) == levels
-    assert all(v is values[0] for v in values)
+    assert all(np.array_equal(v[arc], values[0][arc]) for v in values for arc in (0, 1))
+    assert len(set(calls)) == len(calls)
     crack, bond = system.basis.collocation_points()
     at_points = [call for call in calls if call[4] in (crack.tobytes(), bond.tobytes())]
-    assert sorted(call[1:3] for call in at_points) == [(0, 0), (1, 0)]  # orders 1, 2 from the values
+    assert sorted(call[1:3] for call in at_points) == [(arc, order) for arc in (0, 1) for order in range(3)]
     assert len(calls) == len(at_points) + 2 * levels + 2  # node tables per level and arc, tip rows
 
 
@@ -775,7 +777,7 @@ def test_cauchy_table_is_the_principal_value_of_each_function(unit_semicircle, s
     pts, arc_of_pt = np.concatenate(points), np.repeat([0, 1], [p.size for p in points])
     rule = cs.QuadratureRule().refined()
     disc = rule.discretize(contour, 0.5 * basis.delta)
-    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis, solver._point_values(basis, pts, arc_of_pt))
+    tab = solver._Tables(contour, pts, arc_of_pt, disc, basis)
     scale = max(np.max(np.abs(a)) for a in tab.A.values())
     for arc in (0, 1):
         def extended(s, arc=arc):

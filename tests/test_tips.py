@@ -213,3 +213,27 @@ def test_densities_share_their_argument_checks(reference_setup):
                 dens.eval("q0", [1.0, bad])
         assert dens.eval("gp", 1.0) == 0.0
         assert dens.eval("gp", [1.0, 4.0], order=2).shape == (2,)
+
+
+@pytest.mark.parametrize("kind", ["q", "g_re", "g_im"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_zone_derivatives_are_central_differences_of_the_lower_order(kind, order):
+    """Each derivative of the zone functions is the central difference of the
+    next lower one: above d_min, in the frozen region below it (where they
+    are quadratics in d) and at the tip, where they stay finite.  The steps
+    keep each difference on one side of d_min.  Measured: at most 5.6e-6 of
+    the largest derivative."""
+    zone = tips._LogBasis(0.05, 1e-9, tips.TIP_ZONE_TERMS)
+    d_min, width = zone.d_min, zone.width
+    for d, h in (
+        (0.0, 0.5 * d_min),
+        (0.5 * d_min, 0.25 * d_min),
+        (2.0 * d_min, 2e-4 * d_min),
+        (1e-3 * width, 1e-7 * width),
+        (0.5 * width, 5e-5 * width),
+    ):
+        lower = zone.values(kind, [d - h, d + h], order - 1)
+        exact = zone.values(kind, [d], order)[0]
+        assert np.all(np.isfinite(exact)), d
+        error = np.max(np.abs((lower[1] - lower[0]) / (2.0 * h) - exact))
+        assert error <= 1e-4 * np.max(np.abs(exact)), (d, error)
