@@ -26,6 +26,8 @@ far fields and material factors, so each convention is written once.
 from __future__ import annotations
 
 import json
+import operator
+import random
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -77,8 +79,8 @@ SURFACE_TOL = 0.02  # fraction of the traction scale
 # then resolved, so only a field point on a tip is refused.
 TRACE_TIP_GRADING = 0.1
 # Tip panel, as a fraction of l, of the rules that integrate densities with
-# logarithmic tip behavior: the inner application of the inversion check and
-# the conservation integrals.
+# logarithmic tip behavior: both passes of the inversion check and the
+# conservation integrals.
 INNER_TIP_GRADING = 1e-6
 
 
@@ -128,16 +130,34 @@ def write_json(path, data):
         fh.write("\n")
 
 
+def _seeded_rng(seed):
+    """The standard library's Mersenne Twister for a non-negative integer
+    seed (NumPy integers included).  ``import numpy`` loads it already, so
+    the draws import nothing."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if isinstance(seed, bool) or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return random.Random(value)
+
+
+def _normals(rng, count):
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(count)])
+
+
 def _trial_densities(contour, seed, count):
     """Per-arc polynomials in s plus global trigonometric densities, so the
-    checks are not blind to either the solver basis or smooth periodics."""
-    rng = np.random.default_rng(seed)
+    checks are not blind to either the solver basis or smooth periodics.
+    Coefficients and amplitudes are standard normal, k uniform in {1, 2, 3}."""
+    rng = _seeded_rng(seed)
     l0, l = contour.l0, contour.l
     trials = []
     for i in range(count):
         if i % 2 == 0:
-            ca = rng.normal(size=4) + 1j * rng.normal(size=4)
-            cb = rng.normal(size=4) + 1j * rng.normal(size=4)
+            ca = _normals(rng, 4) + 1j * _normals(rng, 4)
+            cb = _normals(rng, 4) + 1j * _normals(rng, 4)
 
             def poly(s, ca=ca, cb=cb):
                 s = np.asarray(s, dtype=float)
@@ -149,8 +169,8 @@ def _trial_densities(contour, seed, count):
 
             trials.append(("polynomial", poly))
         else:
-            k = rng.integers(1, 4)
-            a, b = rng.normal(size=2)
+            k = rng.randint(1, 3)
+            a, b = _normals(rng, 2)
 
             def trig(s, k=k, a=a, b=b):
                 w = 2.0 * np.pi * np.asarray(s, dtype=float) / l
@@ -165,24 +185,23 @@ def cauchy_inversion_checks(contour, trials):
     (S@S - I) applied to the trial at INVERSION_POINTS off-node points on the
     central 90% of the arcs, against INVERSION_TOL.
 
-    The trials are vectorized callables of arc length.  The inner application
-    is evaluated with deep tip grading, so the outer quadrature sees accurate
-    values near the tips, where a per-arc density generates logarithmic
-    behavior.  The trials are stacked on a leading axis and share one inner
-    and one outer PV evaluation; each value equals that of a one-trial call.
+    The trials are vectorized callables of arc length.  Both applications
+    are graded to INNER_TIP_GRADING * l at the tips, where a per-arc density
+    generates logarithmic behavior, so they share one discretization.  The
+    trials are stacked on a leading axis and share one inner and one outer
+    PV evaluation; each value equals that of a one-trial call.
     """
     if not trials:
         return []
     l = contour.l
-    inner_tip = INNER_TIP_GRADING * l
-    outer_tip = 1e-4 * l
+    tip_panel = INNER_TIP_GRADING * l
 
     def stacked(ss):
         return np.stack([np.asarray(trial(ss), dtype=complex) for trial in trials])
 
     def s_phi(ss):
         return singular_apply(
-            contour, stacked, FINE_RULE, at=np.atleast_1d(ss), tip_panel=inner_tip, tip_eps=0.0
+            contour, stacked, FINE_RULE, at=np.atleast_1d(ss), tip_panel=tip_panel, tip_eps=0.0
         )
 
     # off-node evaluation points on the central 90% of each arc
@@ -196,7 +215,7 @@ def cauchy_inversion_checks(contour, trials):
         ]
     )
     at = contour.wrap(at)
-    twice = singular_apply(contour, s_phi, FINE_RULE, at=at, tip_panel=outer_tip)
+    twice = singular_apply(contour, s_phi, FINE_RULE, at=at, tip_panel=tip_panel)
     errs = np.max(np.abs(twice - stacked(at)), axis=-1)
     return [
         ValidationCheck(
@@ -360,19 +379,13 @@ def trace_consistency(dset, setup, s_samples=None, seed=0, scale=None):
     mismatch therefore measures how well the zero extensions hold along the
     whole contour, including the unenforced tip zones; see TRACE_TOL.  It is
     relative to ``scale`` if given, else to the larger of the load and the
-    field's own max |q0| at the samples."""
+    field's own max |q0| at the samples.  Without ``s_samples`` it draws 10
+    uniform points on the central 84% of each arc from ``seed``."""
     if s_samples is None:
-        rng = np.random.default_rng(seed)
-        s_samples = np.concatenate(
-            [
-                rng.uniform(0.08 * dset.l0, 0.92 * dset.l0, 10),
-                rng.uniform(
-                    dset.l0 + 0.08 * (dset.l - dset.l0),
-                    dset.l - 0.08 * (dset.l - dset.l0),
-                    10,
-                ),
-            ]
-        )
+        rng = _seeded_rng(seed)
+        l0, l = dset.l0, dset.l
+        bounds = ((0.08 * l0, 0.92 * l0), (l0 + 0.08 * (l - l0), l - 0.08 * (l - l0)))
+        s_samples = [rng.uniform(lo, hi) for lo, hi in bounds for _ in range(10)]
     s_samples = np.atleast_1d(np.asarray(s_samples, dtype=float))
     if not s_samples.size:
         raise ValueError("trace_consistency needs at least one sample point, got none")

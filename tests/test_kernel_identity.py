@@ -209,8 +209,7 @@ def test_inversion_check_peak_memory(unit_semicircle):
     trials = [trial for _, trial in val._trial_densities(contour, 0, 3)]
     peak = _traced_peak(val.cauchy_inversion_checks, contour, trials)
     inner, bound = _pv_block_bound(contour)
-    outer = kernels.FINE_RULE.discretize(contour, 1e-4 * contour.l).n_nodes
-    assert (inner, outer) == (1440, 1056)
+    assert inner == 1440  # nodes of both passes, which share one grading
     assert peak <= bound
 
 
@@ -257,4 +256,4 @@ def test_inversion_check_builds_blocks(unit_semicircle, monkeypatch):
     trials = [trial for _, trial in val._trial_densities(unit_semicircle, 0, 3)]
     val.cauchy_inversion_checks(unit_semicircle, trials)
     assert widths and max(widths) <= PV_BLOCK_POINTS + 1
-    assert sum(widths) > 1056  # the outer nodes and the check's points
+    assert sum(widths) > 1440  # the outer nodes and the check's points

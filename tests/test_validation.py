@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,44 @@ def test_inversion_checks_pass_on_ellipse(seed):
     trials = [trial for _, trial in val._trial_densities(ellipse, seed, val.INVERSION_TRIALS)]
     values = [check.value for check in val.cauchy_inversion_checks(ellipse, trials)]
     assert max(values) < val.INVERSION_TOL, values
+
+
+FLOOR_CONTOURS = {
+    "semicircle": lambda: cs.circular_contour(1.0, (0.0, np.pi)),
+    "ellipse": lambda: cs.elliptical_contour(1.5, 1.0, (0.0, np.pi)),
+    "fig5a": lambda: cs.scenario_config("fig5a").setup.contour,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_CONTOURS))
+def test_inversion_floor_lies_far_below_its_tolerance(name):
+    """With both passes graded to INNER_TIP_GRADING * l, the polynomial trials
+    of seeds 0-9 read at most 3.8e-7 (2.7e-5 on fig5a with the outer pass at
+    1e-4 l) and the trigonometric ones at most 1.1e-9."""
+    contour = FLOOR_CONTOURS[name]()
+    worst = {"polynomial": 0.0, "trigonometric": 0.0}
+    for seed in range(10):
+        trials = val._trial_densities(contour, seed, val.INVERSION_TRIALS)
+        for (kind, _), check in zip(trials, val.cauchy_inversion_checks(contour, [f for _, f in trials])):
+            worst[kind] = max(worst[kind], check.value)
+    assert worst["polynomial"] < 1e-6 and worst["trigonometric"] < 1e-8, worst
+
+
+def test_validation_accepts_a_numpy_integer_seed(reference_solution, reference_setup):
+    dset, _ = reference_solution
+    want = val.validate_solution(dset, reference_setup, seed=3).to_dict()
+    assert val.validate_solution(dset, reference_setup, seed=np.int64(3)).to_dict() == want
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
+def test_validation_rejects_a_seed_that_is_no_non_negative_integer(reference_solution, reference_setup, seed):
+    # random.Random(-1) repeats the draws of seed 1 and accepts 2.0 and True.
+    dset, _ = reference_solution
+    message = f"seed must be a non-negative integer, got {re.escape(repr(seed))}"
+    with pytest.raises(ValueError, match=message):
+        val.validate_solution(dset, reference_setup, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        cs.trace_consistency(dset, reference_setup, seed=seed)
 
 
 def test_surface_condition_residual_zero_solution(reference_setup):
