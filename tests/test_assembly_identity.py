@@ -2,6 +2,7 @@
 (reference_assembly.py): equal bit for bit, and leaner in memory."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import crackst as cs
 from crackst import solver, tips
 from crackst.kernels import FINE_RULE
+from crackst.scenarios import scenario_config
 
 import reference_assembly as ref
 from test_solver import _fig6_grid
@@ -21,7 +23,7 @@ def _coefficients(dset):
 
 def _assert_identical(setups, n, **kwargs):
     """Assemble and solve setups both ways and compare every output."""
-    systems = solver._assemble_cases(setups, n, **kwargs)
+    systems = list(solver._assemble_cases(setups, n, **kwargs))
     want = ref.assemble_cases(setups, n, **kwargs)
     assert len(systems) == len(want)
     for (system, cases), expected in zip(systems, want):
@@ -131,7 +133,7 @@ def test_groups_share_the_drift_of_the_call():
     """The drift is measured on the tables, once per call, which is sound
     because no right-hand side depends on the quadrature."""
     setups = _fig6_grid()
-    systems = solver._assemble_cases(setups, 20)
+    systems = list(solver._assemble_cases(setups, 20))
     assert len(systems) == 3
     assert len({system.meta["quadrature_drift"] for system, _ in systems}) == 1
     basis = systems[0][0].basis
@@ -203,3 +205,54 @@ def test_solve_peak_memory(reference_setup):
     system = cs.assemble(reference_setup, 48)
     _, peak = _traced_peak(cs.solve, system)
     assert peak <= 1.25 * system.matrix.nbytes
+
+
+def _face_tensions(gammas):
+    base = scenario_config("fig6").setup
+    return [replace(base, surface=replace(base.surface, gamma_plus=g, gamma_minus=g)) for g in gammas]
+
+
+def test_batch_peak_memory_holds_one_group():
+    """Each group is solved before the next is assembled, so four face
+    tensions peak within one matrix of one (N = 32: 10.9 MiB for one,
+    11.9 MiB for four; all four matrices at once: 26.0 MiB)."""
+    cs.solve_cases(_face_tensions([0.1]), 32)  # fills the discretization memo
+    _, one = _traced_peak(cs.solve_cases, _face_tensions([0.1]), 32)
+    _, four = _traced_peak(cs.solve_cases, _face_tensions([0.1, 0.3, 0.5, 0.7]), 32)
+    matrix_nbytes = cs.assemble(_face_tensions([0.1])[0], 32).matrix.nbytes
+    assert four <= one + matrix_nbytes
+
+
+def test_one_group_lives_at_a_time(reference_setup, monkeypatch):
+    """When a group is assembled and when it is solved, the matrices of the
+    groups before it are gone, and at the last group's solve so are the
+    operator tables."""
+    matrices, tables, at_assembly, at_solve = [], [], [], []
+    solve_columns, constraint_rows = solver._solve_columns, solver._constraint_rows
+    tables_init = solver._Tables.__init__
+
+    def tracked_tables(self, *args):
+        tables.append(weakref.ref(self))
+        tables_init(self, *args)
+
+    def tracked_constraints(*args):
+        # Called as a group's assembly starts, before its matrix is allocated.
+        at_assembly.append([m() is not None for m in matrices])
+        return constraint_rows(*args)
+
+    def tracked_solve(system, *args, **kwargs):
+        at_solve.append(([m() is not None for m in matrices], sum(t() is not None for t in tables)))
+        matrices.append(weakref.ref(system.matrix))
+        return solve_columns(system, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Tables, "__init__", tracked_tables)
+    monkeypatch.setattr(solver, "_constraint_rows", tracked_constraints)
+    monkeypatch.setattr(solver, "_solve_columns", tracked_solve)
+    cs.solve_cases(_fig6_grid(), 20)
+    assert at_assembly == [[], [False], [False, False]]
+    assert [alive for alive, _ in at_solve] == [[], [False], [False, False]]
+    assert at_solve[-1][1] == 0
+    for record in (matrices, tables, at_solve):
+        record.clear()
+    cs.solve_problem(reference_setup, 24)
+    assert at_solve == [([], 0)]
